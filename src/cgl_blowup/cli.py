@@ -20,6 +20,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+from scipy.special import stdtrit
 
 from . import euclid, ode_core, ratefit, testfn, torus
 from .errors import IntegrationError, ValidationError
@@ -552,16 +553,22 @@ def _scaling_epsilons(cfg):
     return [start * factor ** k for k in range(count)]
 
 
+def _ladder_point(eps, run):
+    """One rung of the epsilon ladder: the blow-up time fitted on the
+    trailing decade of U, or the last time when the fit fails."""
+    if run.status != ode_core.BLOWUP:
+        return {"epsilon": eps, "complete": False, "T": math.nan}
+    s = run.series
+    try:
+        window = ratefit.trailing_decade_window(s.times, s.U)
+        t_star = ratefit.fit_power_law(s.times, s.U, window=window).t_star
+    except ValidationError:
+        t_star = float(s.times[-1])
+    return {"epsilon": eps, "complete": True, "T": float(t_star)}
+
+
 def _euclid_scaling_case(args):
-    cfg, eps = args
-    params_cfg = dict(cfg["params"])
-    params = SystemParams(
-        n=int(params_cfg["n"]), p=float(params_cfg["p"]), q=float(params_cfg["q"]),
-        alpha1=_as_complex(params_cfg["alpha1"], "alpha1"),
-        alpha2=_as_complex(params_cfg["alpha2"], "alpha2"),
-        beta1=_as_complex(params_cfg["beta1"], "beta1"),
-        beta2=_as_complex(params_cfg["beta2"], "beta2"),
-    )
+    cfg, params, eps = args
     tf = testfn.build_test_function(params.n)
     spec = euclid.EuclidRunSpec(
         params=params,
@@ -575,52 +582,25 @@ def _euclid_scaling_case(args):
             amp_v=float(cfg.get("amp_v", 1.0)),
         ),
     )
-    run = euclid.run_euclid(
+    return _ladder_point(eps, euclid.run_euclid(
         spec, tf,
         t_end=float(cfg.get("time_budget", 200.0)),
         dt_max=float(cfg.get("dt_max", 2e-3)),
         functional_threshold=float(cfg.get("functional_threshold", 1e6)),
         field_threshold=float(cfg.get("field_threshold", 1e10)),
-    )
-    if run.status != ode_core.BLOWUP:
-        return {"epsilon": eps, "complete": False, "T": math.nan}
-    s = run.series
-    try:
-        window = ratefit.trailing_decade_window(s.times, s.U)
-        t_star = ratefit.fit_power_law(s.times, s.U, window=window).t_star
-    except ValidationError:
-        t_star = float(s.times[-1])
-    return {"epsilon": eps, "complete": True, "T": float(t_star)}
+    ))
 
 
 def _torus_scaling_case(args):
-    cfg, eps = args
-    params_cfg = dict(cfg["params"])
-    params = SystemParams(
-        n=int(params_cfg["n"]), p=float(params_cfg["p"]), q=float(params_cfg["q"]),
-        alpha1=_as_complex(params_cfg["alpha1"], "alpha1"),
-        alpha2=_as_complex(params_cfg["alpha2"], "alpha2"),
-        beta1=_as_complex(params_cfg["beta1"], "beta1"),
-        beta2=_as_complex(params_cfg["beta2"], "beta2"),
-    )
+    cfg, params, eps = args
     grid = torus.make_grid(params.n, int(cfg.get("modes", 32)))
-    state = torus.constant_state(grid, eps, eps)
-    run = torus.run_torus(
-        params, state,
+    return _ladder_point(eps, torus.run_torus(
+        params, torus.constant_state(grid, eps, eps),
         t_end=float(cfg.get("time_budget", 200.0)),
         dt_max=float(cfg.get("dt_max", 1e-3)),
         field_threshold=float(cfg.get("field_threshold", 1e6)),
         check_zero_mode=False,
-    )
-    if run.status != ode_core.BLOWUP:
-        return {"epsilon": eps, "complete": False, "T": math.nan}
-    s = run.series
-    try:
-        window = ratefit.trailing_decade_window(s.times, s.U)
-        t_star = ratefit.fit_power_law(s.times, s.U, window=window).t_star
-    except ValidationError:
-        t_star = float(s.times[-1])
-    return {"epsilon": eps, "complete": True, "T": float(t_star)}
+    ))
 
 
 def cmd_scaling_study(cfg, out_dir, seed, workers):
@@ -648,7 +628,7 @@ def cmd_scaling_study(cfg, out_dir, seed, workers):
         case = _torus_scaling_case
 
     epsilons = _scaling_epsilons(cfg)
-    results = _pmap(case, [(cfg, eps) for eps in epsilons], workers)
+    results = _pmap(case, [(cfg, params, eps) for eps in epsilons], workers)
 
     complete = [r for r in results if r["complete"]]
     write_csv(
@@ -677,6 +657,7 @@ def cmd_scaling_study(cfg, out_dir, seed, workers):
     resid = log_t - log_t.mean() - slope * x
     dof = max(len(complete) - 2, 1)
     stderr = float(np.sqrt((resid @ resid) / dof / (x @ x)))
+    half_width = float(stdtrit(dof, 0.975)) * stderr
     rel_err = abs(slope - predicted) / abs(predicted)
     matches = bool(rel_err <= tolerance)
 
@@ -687,7 +668,7 @@ def cmd_scaling_study(cfg, out_dir, seed, workers):
         "n_complete": len(complete),
         "slope": slope,
         "slope_stderr": stderr,
-        "slope_ci95": [slope - 1.96 * stderr, slope + 1.96 * stderr],
+        "slope_ci95": [slope - half_width, slope + half_width],
         "predicted_slope": predicted,
         "relative_error": rel_err,
         "tolerance": tolerance,
@@ -776,15 +757,16 @@ def main(argv=None) -> int:
         sp.add_argument("--workers", type=int, default=1)
 
     args = parser.parse_args(argv)
+    created = not os.path.exists(args.out)
     try:
         cfg = _load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         code = _COMMANDS[args.command](cfg, args.out, args.seed, args.workers)
-    except ConfigError as exc:
+    except (ConfigError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValidationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        # a config error writes nothing, so leave no empty --out behind
+        if created and os.path.isdir(args.out) and not os.listdir(args.out):
+            os.rmdir(args.out)
         return EXIT_CONFIG
     except IntegrationError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)

@@ -20,13 +20,11 @@ from scipy.linalg import solve_banded
 from .errors import IntegrationError, ValidationError
 from .ode_core import (
     BLOWUP,
-    COMPLETED,
-    STEP_COLLAPSE,
     BoundReport,
     CoupledODESpec,
     damped_bounds,
 )
-from .system import FunctionalSeries, OdiReport, SystemParams, check_growth_pair
+from .system import FunctionalSeries, OdiReport, SystemParams, check_growth_pair, march
 from .testfn import TestFunctionData
 
 __all__ = [
@@ -273,22 +271,22 @@ def _imex_step_2d(state, params, dt, h):
     )
 
 
+def _rhs(state, params, h):
+    """Discrete right-hand side -alpha Lap_h + beta |.|^p of both components,
+    zero on the boundary."""
+    nu, nv = _nonlinearity(state, params)
+    du = -params.alpha1.real * discrete_laplacian(state.u, h) + nu
+    dv = -params.alpha2.real * discrete_laplacian(state.v, h) + nv
+    _zero_boundary(du)
+    _zero_boundary(dv)
+    return du, dv
+
+
 def _explicit_step(state, params, dt, h):
     # Heun's method on the full right-hand side
-    d1 = -params.alpha1.real
-    d2 = -params.alpha2.real
-
-    def rhs(st):
-        nu, nv = _nonlinearity(st, params)
-        du = d1 * discrete_laplacian(st.u, h) + nu
-        dv = d2 * discrete_laplacian(st.v, h) + nv
-        _zero_boundary(du)
-        _zero_boundary(dv)
-        return du, dv
-
-    du1, dv1 = rhs(state)
+    du1, dv1 = _rhs(state, params, h)
     mid = EuclidState(u=state.u + dt * du1, v=state.v + dt * dv1, t=state.t)
-    du2, dv2 = rhs(mid)
+    du2, dv2 = _rhs(mid, params, h)
     return EuclidState(
         u=state.u + 0.5 * dt * (du1 + du2),
         v=state.v + 0.5 * dt * (dv1 + dv2),
@@ -345,14 +343,7 @@ def functional_derivatives(
     """d/dt of the weighted functionals from the discrete right-hand side."""
     w = _weight_values(spec, tf)
     vol = spec.grid.cell_volume
-    h = spec.grid.h
-    d1 = -spec.params.alpha1.real
-    d2 = -spec.params.alpha2.real
-    nu, nv = _nonlinearity(state, spec.params)
-    du = d1 * discrete_laplacian(state.u, h) + nu
-    dv = d2 * discrete_laplacian(state.v, h) + nv
-    _zero_boundary(du)
-    _zero_boundary(dv)
+    du, dv = _rhs(state, spec.params, spec.grid.h)
     dU = float(np.sum((np.conj(spec.params.beta1) * du).real * w) * vol)
     dV = float(np.sum((np.conj(spec.params.beta2) * dv).real * w) * vol)
     return dU, dV
@@ -382,50 +373,13 @@ def run_euclid(
     until max |field| crosses field_threshold (status blow_up...)."""
     if state is None:
         state = make_initial_state(spec, tf)
-    if t_end <= state.t:
-        raise ValidationError("t_end must exceed the state time")
-    params = spec.params
-    ab1, ab2 = abs(params.beta1), abs(params.beta2)
-    p, q = params.p, params.q
-    cfl = cfl_limit(spec)
-
-    U, V = weighted_functionals(state, spec, tf)
-    dU, dV = functional_derivatives(state, spec, tf)
-    times, Us, Vs, dUs, dVs = [state.t], [U], [V], [dU], [dV]
-    status = COMPLETED
-
-    while state.t < t_end * (1.0 - 1e-12):
-        au = float(np.abs(state.u).max())
-        av = float(np.abs(state.v).max())
-        rate = max(
-            ab1 * max(av, 1e-30) ** p / max(au, 1e-30),
-            ab2 * max(au, 1e-30) ** q / max(av, 1e-30),
-        )
-        dt = min(dt_max, dt_safety / rate) if rate > 0 else dt_max
-        if spec.scheme == "explicit":
-            dt = min(dt, 0.9 * cfl)
-        dt = min(dt, t_end - state.t)
-        if dt < 1e-14 * max(state.t, 1e-3 * t_end):
-            status = STEP_COLLAPSE
-            break
-        state = euclid_step(state, spec, dt)
-        U, V = weighted_functionals(state, spec, tf)
-        dU, dV = functional_derivatives(state, spec, tf)
-        times.append(state.t)
-        Us.append(U)
-        Vs.append(V)
-        dUs.append(dU)
-        dVs.append(dV)
-        crossed = state.max_abs() >= field_threshold
-        if functional_threshold is not None:
-            crossed = crossed or max(U, V) >= functional_threshold
-        if crossed:
-            status = BLOWUP
-            break
-
-    series = FunctionalSeries(
-        times=np.array(times), U=np.array(Us), V=np.array(Vs),
-        dU=np.array(dUs), dV=np.array(dVs),
+    series, state, status = march(
+        spec.params, state, t_end, dt_max, dt_safety,
+        lambda s, dt: euclid_step(s, spec, dt),
+        lambda s: (*weighted_functionals(s, spec, tf),
+                   *functional_derivatives(s, spec, tf)),
+        field_threshold, functional_threshold,
+        dt_cap=0.9 * cfl_limit(spec) if spec.scheme == "explicit" else math.inf,
     )
     return EuclidRun(series=series, final_state=state, status=status)
 

@@ -1,15 +1,19 @@
 """Shared PDE-side types: system coefficients, functional time series, and
-growth-inequality reports."""
+growth-inequality reports, plus the adaptive marching loop both PDE backends
+drive."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
 from .errors import ValidationError
+from .ode_core import BLOWUP, COMPLETED, STEP_COLLAPSE
 
-__all__ = ["SystemParams", "FunctionalSeries", "OdiReport"]
+__all__ = ["SystemParams", "FunctionalSeries", "OdiReport", "march"]
 
 
 @dataclass(frozen=True)
@@ -152,3 +156,54 @@ def check_growth_pair(
         violations=tuple(violations),
         unchecked=tuple(unchecked),
     )
+
+
+def _positive(value, finite: bool = True) -> bool:
+    return (isinstance(value, Real) and value > 0
+            and (math.isfinite(value) or not finite))
+
+
+def march(params, state, t_end, dt_max, dt_safety, step, observe,
+          field_threshold, functional_threshold=None, dt_cap=math.inf):
+    """Advance ``state`` with ``step(state, dt)`` until t_end, until max
+    |field| crosses field_threshold, or until U or V crosses
+    functional_threshold (status blow_up...).
+
+    dt shrinks with the nonlinear growth rate near blow-up and never exceeds
+    ``dt_cap``; ``observe(state)`` gives (U, V, U', V') at every node.
+    Returns the series, the final state and the status.
+    """
+    if not _positive(t_end - state.t):
+        raise ValidationError("t_end must be finite and exceed the state time")
+    if not (_positive(dt_max) and _positive(dt_safety)):
+        raise ValidationError("dt_max and the step safety must be finite and positive")
+    if not (_positive(field_threshold, finite=False) and (
+            functional_threshold is None
+            or _positive(functional_threshold, finite=False))):
+        raise ValidationError("field and functional thresholds must be positive")
+    ab1, ab2 = abs(params.beta1), abs(params.beta2)
+    p, q = params.p, params.q
+
+    rows = [(state.t, *observe(state))]
+    status = COMPLETED
+    while state.t < t_end * (1.0 - 1e-12):
+        au = float(np.abs(state.u).max())
+        av = float(np.abs(state.v).max())
+        rate = max(
+            ab1 * max(av, 1e-30) ** p / max(au, 1e-30),
+            ab2 * max(au, 1e-30) ** q / max(av, 1e-30),
+        )
+        dt = min(dt_max, dt_safety / rate) if rate > 0 else dt_max
+        dt = min(dt, dt_cap, t_end - state.t)
+        if dt < 1e-14 * max(state.t, 1e-3 * t_end):
+            status = STEP_COLLAPSE
+            break
+        state = step(state, dt)
+        rows.append((state.t, *observe(state)))
+        if state.max_abs() >= field_threshold or (
+            functional_threshold is not None
+            and max(rows[-1][1:3]) >= functional_threshold  # max(U, V)
+        ):
+            status = BLOWUP
+            break
+    return FunctionalSeries(*np.array(rows).T), state, status

@@ -11,13 +11,15 @@ per-state machine check.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .errors import IntegrationError, ValidationError
-from .ode_core import BLOWUP, COMPLETED, STEP_COLLAPSE, BoundReport, undamped_bounds, CoupledODESpec
-from .system import FunctionalSeries, OdiReport, SystemParams, check_growth_pair
+from .ode_core import BLOWUP, BoundReport, undamped_bounds, CoupledODESpec
+from .system import FunctionalSeries, OdiReport, SystemParams, check_growth_pair, march
 
 __all__ = [
     "TorusGrid",
@@ -47,6 +49,8 @@ class TorusGrid:
     def __post_init__(self):
         if self.n not in (1, 2):
             raise ValidationError("torus simulation supports n = 1 or 2")
+        if not isinstance(self.modes, Integral) or isinstance(self.modes, bool):
+            raise ValidationError("modes must be an integer")
         if self.modes < 8 or self.modes % 2:
             raise ValidationError("modes must be even and at least 8")
 
@@ -118,34 +122,14 @@ def _ifft(a, n):
     return np.fft.ifftn(a, norm="forward") if n == 2 else np.fft.ifft(a, norm="forward")
 
 
-def _pad_spectrum(ah: np.ndarray, modes: int, padded: int, n: int) -> np.ndarray:
-    # norm="forward" coefficients need no rescaling under zero padding
+def _resize_spectrum(ah: np.ndarray, modes: int, size: int, n: int) -> np.ndarray:
+    """Copy the ``modes`` retained coefficients per axis of ``ah`` into a
+    zero spectrum of ``size`` points per axis: zero padding or truncation.
+    norm="forward" coefficients need no rescaling either way."""
     half = modes // 2
-    if n == 1:
-        out = np.zeros(padded, dtype=complex)
-        out[:half] = ah[:half]
-        out[-half:] = ah[-half:]
-        return out
-    out = np.zeros((padded, padded), dtype=complex)
-    out[:half, :half] = ah[:half, :half]
-    out[:half, -half:] = ah[:half, -half:]
-    out[-half:, :half] = ah[-half:, :half]
-    out[-half:, -half:] = ah[-half:, -half:]
-    return out
-
-
-def _truncate_spectrum(ah: np.ndarray, modes: int, n: int) -> np.ndarray:
-    half = modes // 2
-    if n == 1:
-        out = np.zeros(modes, dtype=complex)
-        out[:half] = ah[:half]
-        out[-half:] = ah[-half:]
-        return out
-    out = np.zeros((modes, modes), dtype=complex)
-    out[:half, :half] = ah[:half, :half]
-    out[:half, -half:] = ah[:half, -half:]
-    out[-half:, :half] = ah[-half:, :half]
-    out[-half:, -half:] = ah[-half:, -half:]
+    out = np.zeros((size,) * n, dtype=complex)
+    for corner in itertools.product((slice(None, half), slice(-half, None)), repeat=n):
+        out[corner] = ah[corner]
     return out
 
 
@@ -162,13 +146,13 @@ def _make_nonlinearity(params: SystemParams, grid: TorusGrid, pad: bool):
     padded = 3 * grid.modes // 2
 
     def nonlin_padded(uh, vh):
-        up = _ifft(_pad_spectrum(uh, grid.modes, padded, n), n)
-        vp = _ifft(_pad_spectrum(vh, grid.modes, padded, n), n)
+        up = _ifft(_resize_spectrum(uh, grid.modes, padded, n), n)
+        vp = _ifft(_resize_spectrum(vh, grid.modes, padded, n), n)
         nu = _fft(np.abs(vp) ** p, n)
         nv = _fft(np.abs(up) ** q, n)
         return (
-            b1 * _truncate_spectrum(nu, grid.modes, n),
-            b2 * _truncate_spectrum(nv, grid.modes, n),
+            b1 * _resize_spectrum(nu, grid.modes, grid.modes, n),
+            b2 * _resize_spectrum(nv, grid.modes, grid.modes, n),
         )
 
     return nonlin_padded
@@ -277,50 +261,20 @@ def run_torus(
 ) -> TorusRun:
     """Advance to t_end or to the first state with max |field| above the
     threshold, shrinking dt with the nonlinear amplitude near blow-up."""
-    if t_end <= state.t:
-        raise ValidationError("t_end must exceed the state time")
-    ab1, ab2 = abs(params.beta1), abs(params.beta2)
-    p, q = params.p, params.q
+    lap = []
 
-    times = [state.t]
-    U0, V0 = functionals(state, params)
-    dU0, dV0 = functional_derivatives(state, params)
-    Us, Vs, dUs, dVs = [U0], [V0], [dU0], [dV0]
-    lap_max = laplacian_zero_mode(state, params) if check_zero_mode else 0.0
-    status = COMPLETED
-
-    while state.t < t_end * (1.0 - 1e-12):
-        au = float(np.abs(state.u).max())
-        av = float(np.abs(state.v).max())
-        rate = max(
-            ab1 * max(av, 1e-30) ** p / max(au, 1e-30),
-            ab2 * max(au, 1e-30) ** q / max(av, 1e-30),
-        )
-        dt = min(dt_max, dt_safety / rate) if rate > 0 else dt_max
-        dt = min(dt, t_end - state.t)
-        if dt < 1e-14 * max(state.t, 1e-3 * t_end):
-            status = STEP_COLLAPSE
-            break
-        state = torus_step(state, params, dt, pad=pad)
-        U, V = functionals(state, params)
-        dU, dV = functional_derivatives(state, params)
-        times.append(state.t)
-        Us.append(U)
-        Vs.append(V)
-        dUs.append(dU)
-        dVs.append(dV)
+    def observe(s):
         if check_zero_mode:
-            lap_max = max(lap_max, laplacian_zero_mode(state, params))
-        if state.max_abs() >= field_threshold:
-            status = BLOWUP
-            break
+            lap.append(laplacian_zero_mode(s, params))
+        return (*functionals(s, params), *functional_derivatives(s, params))
 
-    series = FunctionalSeries(
-        times=np.array(times), U=np.array(Us), V=np.array(Vs),
-        dU=np.array(dUs), dV=np.array(dVs),
+    series, state, status = march(
+        params, state, t_end, dt_max, dt_safety,
+        lambda s, dt: torus_step(s, params, dt, pad=pad), observe,
+        field_threshold,
     )
     return TorusRun(series=series, final_state=state, status=status,
-                    lap_zero_mode_max=lap_max)
+                    lap_zero_mode_max=max(lap, default=0.0))
 
 
 def check_growth_inequality(series: FunctionalSeries, params: SystemParams) -> OdiReport:

@@ -1,9 +1,14 @@
 import json
+import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from scipy.special import stdtrit
 
+import cgl_blowup
 from cgl_blowup.cli import main
 from cgl_blowup.serialize import write_json
 
@@ -32,6 +37,21 @@ def torus_config(**overrides):
     return cfg
 
 
+def euclid_config(**overrides):
+    cfg = {
+        "schema_version": 1,
+        "params": {"n": 1, "p": 2, "q": 1.5, "alpha1": [-1, 0],
+                   "alpha2": [-1, 0], "beta1": [1, 0], "beta2": [1, 0]},
+        "R": 6.4,
+        "box_half_width": 12.8,
+        "points_per_R": 64,
+        "data": {"epsilon": 0.3, "r_data": 1.5},
+        "t_end": 0.5,
+    }
+    cfg.update(overrides)
+    return cfg
+
+
 def test_malformed_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -48,6 +68,34 @@ def test_wrong_schema_version_exits_2(tmp_path):
 def test_missing_required_key_exits_2(tmp_path):
     cfg = write_config(tmp_path / "c.json", {"schema_version": 1, "t_end": 1.0})
     assert run_cli(["torus-run", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+_BAD_RUN_INPUTS = {
+    "t_end_nan": {"t_end": math.nan},
+    "dt_max_negative": {"dt": {"dt_max": -1, "safety": 0.05}},
+    "safety_zero": {"dt": {"dt_max": 0.001, "safety": 0}},
+    "field_threshold_zero": {"field_threshold": 0},
+}
+
+
+@pytest.mark.parametrize("command,overrides", [
+    *[pytest.param(command, bad, id=f"{command}-{name}")
+      for command in ("torus-run", "euclid-run")
+      for name, bad in _BAD_RUN_INPUTS.items()],
+    pytest.param("euclid-run", {"functional_threshold": -1},
+                 id="euclid-run-functional_threshold_negative"),
+    pytest.param("torus-run", {"grid": {"modes": "x"}},
+                 id="torus-run-modes_not_int"),
+])
+def test_bad_run_inputs_exit_2(tmp_path, command, overrides):
+    base = torus_config if command == "torus-run" else euclid_config
+    cfg = tmp_path / "c.json"
+    # json.dumps, unlike write_json, keeps NaN as NaN
+    cfg.write_text(json.dumps(base(**overrides)))
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", cfg, "--out", out]) == 2
+    assert not out.exists()
 
 
 def test_testfn_check_passes(tmp_path):
@@ -204,6 +252,13 @@ def test_scaling_study_torus(tmp_path):
     assert report["slope"] == pytest.approx(-1.0, rel=0.05)
     assert report["matches_prediction"]
     assert (out / "runs.csv").exists()
+    # the interval is the Student-t one on n_complete - 2 degrees of freedom;
+    # the stderr is about 1e-9 here, so the bounds' difference keeps ~7 digits
+    low, high = report["slope_ci95"]
+    ratio = 0.5 * (high - low) / report["slope_stderr"]
+    assert report["n_complete"] == 5
+    assert ratio == pytest.approx(stdtrit(3, 0.975), rel=1e-5)
+    assert ratio == pytest.approx(3.182, abs=1e-3)
 
 
 def test_scaling_study_rejects_short_ladder(tmp_path):
@@ -247,10 +302,13 @@ def test_console_entry_point(tmp_path):
         "schema_version": 1, "dimensions": [1], "resolution": 256,
         "profile_csv": False,
     })
+    # the child imports the package these tests import, installed or not
+    src = str(Path(cgl_blowup.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cgl_blowup", "testfn-check",
          "--config", str(cfg), "--out", str(tmp_path / "o")],
-        capture_output=True,
+        capture_output=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
 

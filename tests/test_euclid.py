@@ -129,6 +129,17 @@ def test_explicit_scheme_rejects_large_dt(tf1):
         euclid_step(state, spec, 10 * cfl_limit(spec))
 
 
+def test_explicit_run_caps_dt_below_the_diffusion_limit(tf1):
+    spec = small_spec(tf1, scheme="explicit")
+    cfl = cfl_limit(spec)
+    # dt_max far above the limit, so the cap is what bounds the step
+    run = run_euclid(spec, tf1, t_end=50 * cfl, dt_max=1.0)
+    steps = np.diff(run.series.times)
+    assert steps.size >= 50
+    assert np.all(steps <= 0.9 * cfl * (1 + 1e-12))
+    assert steps.max() == pytest.approx(0.9 * cfl, rel=1e-12)
+
+
 def test_overflow_carries_last_state(tf1):
     spec = small_spec(tf1)
     huge = np.full(spec.grid.shape, 1e200, dtype=complex)
