@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import stdtrit
@@ -51,52 +52,56 @@ def _load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    if cfg.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(
-            f"config schema_version must be {SCHEMA_VERSION}, "
-            f"got {cfg.get('schema_version')!r}"
-        )
+    if _get(cfg, "schema_version", int) != SCHEMA_VERSION:
+        raise ConfigError(f"config schema_version must be {SCHEMA_VERSION}")
     return cfg
 
 
-def _require(cfg, key, kind=None):
-    if key not in cfg:
-        raise ConfigError(f"config key {key!r} is required")
-    val = cfg[key]
-    if kind is not None and not isinstance(val, kind):
-        raise ConfigError(f"config key {key!r} has wrong type")
-    return val
+REQUIRED = object()
 
 
-def _as_complex(value, key):
-    if isinstance(value, (int, float)):
-        return complex(value, 0.0)
-    if (isinstance(value, list) and len(value) == 2
-            and all(isinstance(v, (int, float)) for v in value)):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{key} must be a number or [re, im] pair")
+def _get(block, key, kind=float, default=REQUIRED):
+    """``block[key]`` checked as ``kind``, or ``default`` if it is absent.
+
+    float: a finite number (an int is accepted), returned as a float;
+    complex: such a number or an [re, im] pair of them; int: an integer;
+    bool, str, dict, list: that JSON type.  A bool is never a number.
+    """
+    try:
+        value = block[key]
+    except (KeyError, IndexError):
+        if default is REQUIRED:
+            raise ConfigError(f"config key {key!r} is required") from None
+        return default
+    if kind is complex and isinstance(value, list) and len(value) == 2:
+        return complex(_get(value, 0), _get(value, 1))
+    if isinstance(value, bool) == (kind is bool):
+        if kind in (float, complex):
+            if isinstance(value, (int, float)) and abs(value) <= sys.float_info.max:
+                return kind(value)
+        elif isinstance(value, kind):
+            return value
+    raise ConfigError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
 
 
 def _parse_params(cfg) -> SystemParams:
-    block = _require(cfg, "params", dict)
-    try:
-        return SystemParams(
-            n=int(_require(block, "n", int)),
-            p=float(_require(block, "p", (int, float))),
-            q=float(_require(block, "q", (int, float))),
-            alpha1=_as_complex(_require(block, "alpha1"), "alpha1"),
-            alpha2=_as_complex(_require(block, "alpha2"), "alpha2"),
-            beta1=_as_complex(_require(block, "beta1"), "beta1"),
-            beta2=_as_complex(_require(block, "beta2"), "beta2"),
-        )
-    except ValidationError as exc:
-        raise ConfigError(f"invalid params: {exc}")
+    block = _get(cfg, "params", dict)
+    return SystemParams(
+        n=_get(block, "n", int),
+        p=_get(block, "p"),
+        q=_get(block, "q"),
+        alpha1=_get(block, "alpha1", complex),
+        alpha2=_get(block, "alpha2", complex),
+        beta1=_get(block, "beta1", complex),
+        beta2=_get(block, "beta2", complex),
+    )
 
 
 def _pmap(fn, items, workers):
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a fork pool starts all max_workers processes on its first submit
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(fn, items))
 
 
@@ -146,12 +151,15 @@ def _ode_case(args):
 
 
 def cmd_ode_verify(cfg, out_dir, seed, workers):
-    n_specs = int(cfg.get("n_specs", 50))
-    tol = float(cfg.get("tol", 1e-10))
-    threshold = float(cfg.get("blowup_threshold", 1e6))
-    t_end = float(cfg.get("t_end", 4.0))
-    n_pairs = int(cfg.get("n_comparison_pairs", 20))
-    residual_tolerance = float(cfg.get("residual_tolerance", 1e-7))
+    n_specs = _get(cfg, "n_specs", int, 50)
+    tol = _get(cfg, "tol", float, 1e-10)
+    threshold = _get(cfg, "blowup_threshold", float, 1e6)
+    t_end = _get(cfg, "t_end", float, 4.0)
+    n_pairs = _get(cfg, "n_comparison_pairs", int, 20)
+    residual_tolerance = _get(cfg, "residual_tolerance", float, 1e-7)
+    if n_specs < 1 or n_pairs < 0 or residual_tolerance <= 0:
+        raise ConfigError("need n_specs >= 1, n_comparison_pairs >= 0 "
+                          "and residual_tolerance > 0")
 
     specs = sample_coupled_specs(seed, n_specs)
     rows = _pmap(_ode_case, [(s, tol, threshold, t_end) for s in specs], workers)
@@ -264,50 +272,43 @@ def cmd_ode_verify(cfg, out_dir, seed, workers):
 # ---------------------------------------------------------------------------
 # torus-run
 
-def _torus_state_from_config(cfg, grid, params):
-    block = _require(cfg, "data", dict)
-    kind = _require(block, "kind", str)
+def _torus_state_from_config(cfg, grid):
+    block = _get(cfg, "data", dict)
+    kind = _get(block, "kind", str)
+    x = grid.axes()[0]
+    if grid.n > 1:
+        x, _ = np.meshgrid(x, x, indexing="ij")  # first coordinate, whole grid
     if kind == "constant":
-        cu = _as_complex(_require(block, "u"), "data.u")
-        cv = _as_complex(_require(block, "v"), "data.v")
+        cu = _get(block, "u", complex)
+        cv = _get(block, "v", complex)
         return torus.constant_state(grid, cu, cv)
     if kind == "fourier_mode":
-        amp = _as_complex(_require(block, "amplitude"), "data.amplitude")
-        mode = int(block.get("mode", 1))
-        x = grid.axes()[0]
-        if grid.n == 1:
-            field = amp * np.exp(1j * mode * x)
-        else:
-            xx, yy = np.meshgrid(x, x, indexing="ij")
-            field = amp * np.exp(1j * mode * xx)
+        amp = _get(block, "amplitude", complex)
+        mode = _get(block, "mode", int, 1)
+        field = amp * np.exp(1j * mode * x)
         return torus.state_from_arrays(grid, field, field.copy())
     if kind == "constant_plus_mode":
-        cu = _as_complex(_require(block, "u"), "data.u")
-        cv = _as_complex(_require(block, "v"), "data.v")
-        amp = _as_complex(block.get("perturbation", 0.0), "data.perturbation")
-        x = grid.axes()[0]
-        if grid.n == 1:
-            bump = amp * np.cos(x)
-        else:
-            xx, _ = np.meshgrid(x, x, indexing="ij")
-            bump = amp * np.cos(xx)
+        cu = _get(block, "u", complex)
+        cv = _get(block, "v", complex)
+        bump = _get(block, "perturbation", complex, 0j) * np.cos(x)
         return torus.state_from_arrays(grid, cu + bump, cv + bump)
     raise ConfigError(f"unknown torus data kind {kind!r}")
 
 
 def cmd_torus_run(cfg, out_dir, seed, workers):
     params = _parse_params(cfg)
-    grid_cfg = cfg.get("grid", {})
-    grid = torus.make_grid(params.n, grid_cfg.get("modes"))
-    state = _torus_state_from_config(cfg, grid, params)
-    dt_cfg = cfg.get("dt", {})
+    grid_cfg = _get(cfg, "grid", dict, {})
+    grid = torus.make_grid(params.n, _get(grid_cfg, "modes", int, None))
+    state = _torus_state_from_config(cfg, grid)
+    dt_cfg = _get(cfg, "dt", dict, {})
+    snapshots = _get(cfg, "snapshots", bool, False)
     run = torus.run_torus(
         params, state,
-        t_end=float(_require(cfg, "t_end", (int, float))),
-        dt_max=float(dt_cfg.get("dt_max", 1e-3)),
-        field_threshold=float(cfg.get("field_threshold", 1e6)),
-        dt_safety=float(dt_cfg.get("safety", 0.05)),
-        pad=bool(cfg.get("pad", False)),
+        t_end=_get(cfg, "t_end"),
+        dt_max=_get(dt_cfg, "dt_max", float, 1e-3),
+        field_threshold=_get(cfg, "field_threshold", float, 1e6),
+        dt_safety=_get(dt_cfg, "safety", float, 0.05),
+        pad=_get(cfg, "pad", bool, False),
     )
     series = run.series
     series.to_csv(os.path.join(out_dir, "functionals.csv"))
@@ -362,7 +363,7 @@ def cmd_torus_run(cfg, out_dir, seed, workers):
             ],
         }],
     })
-    if bool(cfg.get("snapshots", False)):
+    if snapshots:
         _write_snapshot(out_dir, "final_state", run.final_state.u,
                         run.final_state.v, run.final_state.t)
     ok = odi.passed and bound_ok and zero_mode_ok
@@ -396,47 +397,53 @@ def _write_snapshot(out_dir, name, u, v, t):
 # ---------------------------------------------------------------------------
 # euclid-run
 
-def _parse_euclid_spec(cfg) -> euclid.EuclidRunSpec:
-    params = _parse_params(cfg)
-    data_cfg = _require(cfg, "data", dict)
-    try:
-        data = euclid.DataSpec(
-            epsilon=float(_require(data_cfg, "epsilon", (int, float))),
-            r_data=float(_require(data_cfg, "r_data", (int, float))),
-            amp_u=float(data_cfg.get("amp_u", 1.0)),
-            amp_v=float(data_cfg.get("amp_v", 1.0)),
-            shape=data_cfg.get("shape", "weight"),
-        )
-        R = float(_require(cfg, "R", (int, float)))
-        h = cfg.get("h")
-        if h is None:
-            h = R / float(cfg.get("points_per_R", 128))
-        return euclid.EuclidRunSpec(
-            params=params,
-            R=R,
-            box_half_width=float(_require(cfg, "box_half_width", (int, float))),
-            h=float(h),
-            data=data,
-            scheme=cfg.get("scheme", "imex"),
-        )
-    except ValidationError as exc:
-        raise ConfigError(f"invalid euclid spec: {exc}")
+def _parse_euclid_spec(cfg, params, data_cfg, epsilon, r_data=REQUIRED,
+                       h=REQUIRED, shape="weight", scheme="imex"):
+    """The validated run spec: R, box_half_width and h read from ``cfg``,
+    r_data and the amplitudes from ``data_cfg``.  ``r_data`` and ``h`` are
+    the defaults for absent keys; h None means R / points_per_R."""
+    R = _get(cfg, "R")
+    h = _get(cfg, "h", float, h)
+    if h is None:
+        points = _get(cfg, "points_per_R", float, 128)
+        if points <= 0:
+            raise ConfigError("points_per_R must be positive")
+        h = R / points
+    return euclid.EuclidRunSpec(
+        params=params,
+        R=R,
+        box_half_width=_get(cfg, "box_half_width"),
+        h=h,
+        data=euclid.DataSpec(
+            epsilon=epsilon,
+            r_data=_get(data_cfg, "r_data", float, r_data),
+            amp_u=_get(data_cfg, "amp_u", float, 1.0),
+            amp_v=_get(data_cfg, "amp_v", float, 1.0),
+            shape=shape,
+        ),
+        scheme=scheme,
+    )
 
 
 def cmd_euclid_run(cfg, out_dir, seed, workers):
-    spec = _parse_euclid_spec(cfg)
+    data_cfg = _get(cfg, "data", dict)
+    spec = _parse_euclid_spec(
+        cfg, _parse_params(cfg), data_cfg, _get(data_cfg, "epsilon"), h=None,
+        shape=_get(data_cfg, "shape", str, "weight"),
+        scheme=_get(cfg, "scheme", str, "imex"),
+    )
+    dt_cfg = _get(cfg, "dt", dict, {})
+    odi_cap = _get(cfg, "odi_cap", float, 1e5)
     tf = testfn.build_test_function(spec.params.n)
     state = euclid.make_initial_state(spec, tf)
     U0, V0 = euclid.weighted_functionals(state, spec, tf)
-    dt_cfg = cfg.get("dt", {})
-    odi_cap = float(cfg.get("odi_cap", 1e5))
     run = euclid.run_euclid(
         spec, tf,
-        t_end=float(_require(cfg, "t_end", (int, float))),
-        dt_max=float(dt_cfg.get("dt_max", 2e-3)),
-        functional_threshold=cfg.get("functional_threshold", 1e5),
-        field_threshold=float(cfg.get("field_threshold", 1e7)),
-        dt_safety=float(dt_cfg.get("safety", 0.05)),
+        t_end=_get(cfg, "t_end"),
+        dt_max=_get(dt_cfg, "dt_max", float, 2e-3),
+        functional_threshold=_get(cfg, "functional_threshold", float, 1e5),
+        field_threshold=_get(cfg, "field_threshold", float, 1e7),
+        dt_safety=_get(dt_cfg, "safety", float, 0.05),
         state=state,
     )
     series = run.series
@@ -542,10 +549,10 @@ def _functional_escape(series, threshold, gamma_u, gamma_v):
 # scaling-study
 
 def _scaling_epsilons(cfg):
-    block = _require(cfg, "epsilon", dict)
-    start = float(_require(block, "start", (int, float)))
-    factor = float(_require(block, "factor", (int, float)))
-    count = int(_require(block, "count", int))
+    block = _get(cfg, "epsilon", dict)
+    start = _get(block, "start")
+    factor = _get(block, "factor")
+    count = _get(block, "count", int)
     if count < 5:
         raise ConfigError("epsilon ladder needs at least 5 points")
     if not (0 < factor != 1.0):
@@ -568,43 +575,20 @@ def _ladder_point(eps, run):
 
 
 def _euclid_scaling_case(args):
-    cfg, params, eps = args
-    tf = testfn.build_test_function(params.n)
-    spec = euclid.EuclidRunSpec(
-        params=params,
-        R=float(cfg["R"]),
-        box_half_width=float(cfg["box_half_width"]),
-        h=float(cfg["h"]),
-        data=euclid.DataSpec(
-            epsilon=eps,
-            r_data=float(cfg.get("r_data", 1.0)),
-            amp_u=float(cfg.get("amp_u", 1.0)),
-            amp_v=float(cfg.get("amp_v", 1.0)),
-        ),
-    )
-    return _ladder_point(eps, euclid.run_euclid(
-        spec, tf,
-        t_end=float(cfg.get("time_budget", 200.0)),
-        dt_max=float(cfg.get("dt_max", 2e-3)),
-        functional_threshold=float(cfg.get("functional_threshold", 1e6)),
-        field_threshold=float(cfg.get("field_threshold", 1e10)),
-    ))
+    spec, run = args
+    tf = testfn.build_test_function(spec.params.n)
+    return _ladder_point(spec.data.epsilon, euclid.run_euclid(spec, tf, **run))
 
 
 def _torus_scaling_case(args):
-    cfg, params, eps = args
-    grid = torus.make_grid(params.n, int(cfg.get("modes", 32)))
-    return _ladder_point(eps, torus.run_torus(
-        params, torus.constant_state(grid, eps, eps),
-        t_end=float(cfg.get("time_budget", 200.0)),
-        dt_max=float(cfg.get("dt_max", 1e-3)),
-        field_threshold=float(cfg.get("field_threshold", 1e6)),
-        check_zero_mode=False,
-    ))
+    params, grid, eps, run = args
+    state = torus.constant_state(grid, eps, eps)
+    return _ladder_point(
+        eps, torus.run_torus(params, state, check_zero_mode=False, **run))
 
 
 def cmd_scaling_study(cfg, out_dir, seed, workers):
-    mode = _require(cfg, "mode", str)
+    mode = _get(cfg, "mode", str)
     if mode not in ("euclid", "torus_homogeneous"):
         raise ConfigError(f"unknown scaling mode {mode!r}")
     params = _parse_params(cfg)
@@ -612,23 +596,35 @@ def cmd_scaling_study(cfg, out_dir, seed, workers):
         raise ConfigError("scaling study requires dissipative alpha")
     n, p, q = params.n, params.p, params.q
     gap = (p + 1.0) / (p * q - 1.0) - n / 2.0
+    epsilons = _scaling_epsilons(cfg)
+    run = {"t_end": _get(cfg, "time_budget", float, 200.0)}
     if mode == "euclid":
         if gap <= 0:
             raise ConfigError(
                 "critical or supercritical exponents: (p+1)/(pq-1) must exceed n/2"
             )
         predicted = -1.0 / gap
-        tolerance = float(cfg.get("slope_tolerance", 0.15))
+        tolerance = _get(cfg, "slope_tolerance", float, 0.15)
+        spec = _parse_euclid_spec(cfg, params, cfg, epsilons[0], r_data=1.0)
+        run.update(
+            dt_max=_get(cfg, "dt_max", float, 2e-3),
+            functional_threshold=_get(cfg, "functional_threshold", float, 1e6),
+            field_threshold=_get(cfg, "field_threshold", float, 1e10),
+        )
         case = _euclid_scaling_case
-        if "R" not in cfg or "box_half_width" not in cfg or "h" not in cfg:
-            raise ConfigError("euclid scaling requires R, box_half_width and h")
+        jobs = [(replace(spec, data=replace(spec.data, epsilon=eps)), run)
+                for eps in epsilons]
     else:
         predicted = -(p * q - 1.0) / (p + 1.0)
-        tolerance = float(cfg.get("slope_tolerance", 0.10))
+        tolerance = _get(cfg, "slope_tolerance", float, 0.10)
+        grid = torus.make_grid(n, _get(cfg, "modes", int, 32))
+        run.update(dt_max=_get(cfg, "dt_max", float, 1e-3),
+                   field_threshold=_get(cfg, "field_threshold", float, 1e6))
         case = _torus_scaling_case
-
-    epsilons = _scaling_epsilons(cfg)
-    results = _pmap(case, [(cfg, params, eps) for eps in epsilons], workers)
+        jobs = [(params, grid, eps, run) for eps in epsilons]
+    if tolerance <= 0:
+        raise ConfigError("slope_tolerance must be positive")
+    results = _pmap(case, jobs, workers)
 
     complete = [r for r in results if r["complete"]]
     write_csv(
@@ -693,18 +689,16 @@ def cmd_scaling_study(cfg, out_dir, seed, workers):
 # testfn-check
 
 def cmd_testfn_check(cfg, out_dir, seed, workers):
-    dims = cfg.get("dimensions", [1, 2])
-    if not (isinstance(dims, list) and dims
-            and all(isinstance(d, int) for d in dims)):
+    dims = _get(cfg, "dimensions", list, [1, 2])
+    if not dims:
         raise ConfigError("dimensions must be a non-empty list of integers")
-    resolution = int(cfg.get("resolution", 4096))
+    resolution = _get(cfg, "resolution", int, 4096)
+    profile_csv = _get(cfg, "profile_csv", bool, True)
+    # every weight is built, so every dimension checked, before any output
+    tfs = [testfn.build_test_function(_get(dims, i, int)) for i in range(len(dims))]
     entries = []
     ok = True
-    for n in dims:
-        try:
-            tf = testfn.build_test_function(n)
-        except ValidationError as exc:
-            raise ConfigError(str(exc))
+    for n, tf in zip(dims, tfs):
         violation = testfn.verify_phi_inequality(tf, resolution)
         tol = 1e-10 if n == 1 else 1e-8
         passed = bool(violation <= tol)
@@ -719,7 +713,7 @@ def cmd_testfn_check(cfg, out_dir, seed, workers):
             "tolerance": tol,
             "passed": passed,
         })
-        if cfg.get("profile_csv", True):
+        if profile_csv:
             tf.to_csv(os.path.join(out_dir, f"profile_n{n}.csv"),
                       resolution=min(resolution, 4096))
     write_json(os.path.join(out_dir, "report.json"), {
@@ -757,6 +751,8 @@ def main(argv=None) -> int:
         sp.add_argument("--workers", type=int, default=1)
 
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     created = not os.path.exists(args.out)
     try:
         cfg = _load_config(args.config)

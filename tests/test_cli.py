@@ -3,14 +3,20 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import stdtrit
 
 import cgl_blowup
+from cgl_blowup import cli
 from cgl_blowup.cli import main
 from cgl_blowup.serialize import write_json
+
+CONFIGS = Path(__file__).parents[1] / "scripts" / "configs"
 
 
 def run_cli(args):
@@ -52,6 +58,33 @@ def euclid_config(**overrides):
     return cfg
 
 
+def scaling_torus_config(**overrides):
+    cfg = {
+        "schema_version": 1,
+        "mode": "torus_homogeneous",
+        "params": {"n": 1, "p": 2, "q": 2, "alpha1": [-1, 0],
+                   "alpha2": [-1, 0], "beta1": [1, 0], "beta2": [1, 0]},
+        "epsilon": {"start": 0.5, "factor": 1.3, "count": 5},
+        "modes": 32,
+        "dt_max": 0.001,
+        "time_budget": 30.0,
+        "field_threshold": 1e6,
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+def weight_config(**overrides):
+    cfg = {"schema_version": 1, "dimensions": [1, 2], "resolution": 1024}
+    cfg.update(overrides)
+    return cfg
+
+
+_BASE_CONFIGS = {"torus-run": torus_config, "euclid-run": euclid_config,
+                 "scaling-study": scaling_torus_config,
+                 "testfn-check": weight_config}
+
+
 def test_malformed_config_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -87,21 +120,104 @@ _BAD_RUN_INPUTS = {
                  id="euclid-run-functional_threshold_negative"),
     pytest.param("torus-run", {"grid": {"modes": "x"}},
                  id="torus-run-modes_not_int"),
+    pytest.param("torus-run", {"pad": "no"}, id="torus-run-pad_not_bool"),
+    pytest.param("scaling-study", {"modes": "x"},
+                 id="scaling-study-modes_not_int"),
+    # dimension 1 is valid, so its profile must not be written before 4 fails
+    pytest.param("testfn-check", {"dimensions": [1, 4]},
+                 id="testfn-check-dimension_out_of_range"),
 ])
 def test_bad_run_inputs_exit_2(tmp_path, command, overrides):
-    base = torus_config if command == "torus-run" else euclid_config
     cfg = tmp_path / "c.json"
     # json.dumps, unlike write_json, keeps NaN as NaN
-    cfg.write_text(json.dumps(base(**overrides)))
+    cfg.write_text(json.dumps(_BASE_CONFIGS[command](**overrides)))
     out = tmp_path / "out"
     assert run_cli([command, "--config", cfg, "--out", out]) == 2
     assert not out.exists()
 
 
+def test_negative_seed_exits_2(tmp_path):
+    cfg = write_config(tmp_path / "c.json", {"schema_version": 1, "n_specs": 1})
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["ode-verify", "--config", cfg, "--out", out, "--seed", -1])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def _json_type(value):
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, (int, float)):
+        return "number"
+    return type(value).__name__
+
+
+def _config_mutations():
+    """(config, path, value) for every leaf and block of every packaged
+    config and every replacement of another JSON type; NaN also replaces
+    numbers."""
+    mutations = []
+    for config in sorted(CONFIGS.glob("*.json")):
+        stack = [((), json.loads(config.read_text()))]
+        while stack:
+            path, node = stack.pop()
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, value in items:
+                for new in ("x", None, {}, True, math.nan):
+                    if _json_type(new) != _json_type(value) or new is math.nan:
+                        mutations.append((config.name, path + (key,), new))
+                if isinstance(value, (dict, list)):
+                    stack.append((path + (key,), value))
+    return mutations
+
+
+_COMMAND_OF = {
+    "euclid_suite.json": "euclid-run", "ode_verify.json": "ode-verify",
+    "scaling_euclid.json": "scaling-study", "scaling_torus.json": "scaling-study",
+    "testfn_check.json": "testfn-check", "torus_rate_check.json": "torus-run",
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.sampled_from(_config_mutations()))
+def test_mutated_packaged_config_exits_2(mutation):
+    name, path, new = mutation
+    cfg = json.loads((CONFIGS / name).read_text())
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = new
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "c.json", Path(tmp) / "out"
+        config.write_text(json.dumps(cfg))
+        assert run_cli([_COMMAND_OF[name], "--config", config, "--out", out]) == 2
+        assert not out.exists()
+
+
+def test_pool_forks_no_more_workers_than_jobs(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    assert cli._pmap(abs, [-1, -2, -3], 64) == [1, 2, 3]
+    assert started == [3]
+
+
 def test_testfn_check_passes(tmp_path):
-    cfg = write_config(tmp_path / "c.json", {
-        "schema_version": 1, "dimensions": [1, 2], "resolution": 1024,
-    })
+    cfg = write_config(tmp_path / "c.json", weight_config())
     out = tmp_path / "out"
     assert run_cli(["testfn-check", "--config", cfg, "--out", out]) == 0
     report = json.loads((out / "report.json").read_text())
@@ -234,17 +350,7 @@ def test_ode_verify_reports_residual_defect(tmp_path):
 
 
 def test_scaling_study_torus(tmp_path):
-    cfg = write_config(tmp_path / "c.json", {
-        "schema_version": 1,
-        "mode": "torus_homogeneous",
-        "params": {"n": 1, "p": 2, "q": 2, "alpha1": [-1, 0],
-                   "alpha2": [-1, 0], "beta1": [1, 0], "beta2": [1, 0]},
-        "epsilon": {"start": 0.5, "factor": 1.3, "count": 5},
-        "modes": 32,
-        "dt_max": 0.001,
-        "time_budget": 30.0,
-        "field_threshold": 1e6,
-    })
+    cfg = write_config(tmp_path / "c.json", scaling_torus_config())
     out = tmp_path / "out"
     assert run_cli(["scaling-study", "--config", cfg, "--out", out]) == 0
     report = json.loads((out / "report.json").read_text())
