@@ -27,7 +27,7 @@ from . import euclid, ode_core, ratefit, testfn, torus
 from .errors import IntegrationError, ValidationError
 from .sampling import sample_coupled_specs
 from .serialize import write_csv, write_json
-from .system import SystemParams
+from .system import FunctionalSeries, SystemParams
 
 SCHEMA_VERSION = 1
 
@@ -316,14 +316,9 @@ def cmd_torus_run(cfg, out_dir, seed, workers):
     odi = torus.check_growth_inequality(series, params)
     bounds = torus.blowup_bounds(params, float(series.U[0]), float(series.V[0]))
     bound_samples = _bound_sample_times(bounds)
-    fit_block = None
-    if run.status == ode_core.BLOWUP and series.U[-1] > 0:
-        try:
-            window = ratefit.trailing_decade_window(series.times, series.U)
-            fit_block = ratefit.fit_power_law(series.times, series.U,
-                                              window=window).to_json_dict()
-        except ValidationError:
-            fit_block = None
+    fit = None
+    if run.status == ode_core.BLOWUP:
+        fit = ratefit.fit_trailing_decade(series.times, series.U)
 
     escape = run.escape_time()
     bound_ok = True
@@ -339,7 +334,7 @@ def cmd_torus_run(cfg, out_dir, seed, workers):
         "lap_zero_mode_max": run.lap_zero_mode_max,
         "bounds": bounds.to_json_dict(bound_samples),
         "odi": odi.to_json_dict(),
-        "fit_U": fit_block,
+        "fit_U": fit.to_json_dict() if fit else None,
         "exponent_caveat": bool(params.exponent_caveat),
         "checks": {
             "odi_clean": odi.passed,
@@ -356,10 +351,8 @@ def cmd_torus_run(cfg, out_dir, seed, workers):
             "series": ["U", "V"],
             "yscale": "log",
             "reference_slopes": [
-                {"gamma": (params.p + 1) / (params.p * params.q - 1),
-                 "label": "U rate"},
-                {"gamma": (params.q + 1) / (params.p * params.q - 1),
-                 "label": "V rate"},
+                {"gamma": params.rates[0], "label": "U rate"},
+                {"gamma": params.rates[1], "label": "V rate"},
             ],
         }],
     })
@@ -459,9 +452,10 @@ def cmd_euclid_run(cfg, out_dir, seed, workers):
     cap_mask = (series.U <= odi_cap) & (series.V <= odi_cap)
     capped = _mask_series(series, cap_mask)
     odi = euclid.check_weighted_growth_inequality(capped, spec, tf)
+    # a cap below the initial functionals leaves no node to check
+    odi_ok = odi.passed and odi.n_checked > 0
 
-    gamma_u = (spec.params.p + 1) / (spec.params.p * spec.params.q - 1)
-    gamma_v = (spec.params.q + 1) / (spec.params.p * spec.params.q - 1)
+    gamma_u, gamma_v = spec.params.rates
     escape, escape_corrected = _functional_escape(series, odi_cap, gamma_u, gamma_v)
     bound_ok = True
     if bounds.hypothesis_satisfied and escape_corrected is not None:
@@ -470,15 +464,10 @@ def cmd_euclid_run(cfg, out_dir, seed, workers):
     fits = {}
     for label, column, target in (
         ("U", series.U, gamma_u),
-        ("V", series.V, (spec.params.q + 1) / (spec.params.p * spec.params.q - 1)),
+        ("V", series.V, gamma_v),
     ):
-        try:
-            window = ratefit.trailing_decade_window(series.times, column,
-                                                    top=float(column[-1]))
-            fit = ratefit.fit_power_law(series.times, column, window=window)
-            fits[label] = {**fit.to_json_dict(), "target_gamma": target}
-        except ValidationError:
-            fits[label] = None
+        fit = ratefit.fit_trailing_decade(series.times, column)
+        fits[label] = {**fit.to_json_dict(), "target_gamma": target} if fit else None
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -494,7 +483,7 @@ def cmd_euclid_run(cfg, out_dir, seed, workers):
         "fits": fits,
         "exponent_caveat": bool(spec.params.exponent_caveat),
         "checks": {
-            "odi_clean": odi.passed,
+            "odi_clean": odi_ok,
             "bound_respected": bound_ok,
         },
     }
@@ -511,13 +500,10 @@ def cmd_euclid_run(cfg, out_dir, seed, workers):
             ],
         }],
     })
-    ok = odi.passed and bound_ok
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    return EXIT_OK if odi_ok and bound_ok else EXIT_VERIFICATION
 
 
 def _mask_series(series, mask):
-    from .system import FunctionalSeries
-
     if mask.all():
         return series
     idx = np.nonzero(~mask)[0]
@@ -555,6 +541,8 @@ def _scaling_epsilons(cfg):
     count = _get(block, "count", int)
     if count < 5:
         raise ConfigError("epsilon ladder needs at least 5 points")
+    if not start > 0:
+        raise ConfigError("epsilon start must be positive")
     if not (0 < factor != 1.0):
         raise ConfigError("epsilon factor must be positive and != 1")
     return [start * factor ** k for k in range(count)]
@@ -565,13 +553,9 @@ def _ladder_point(eps, run):
     trailing decade of U, or the last time when the fit fails."""
     if run.status != ode_core.BLOWUP:
         return {"epsilon": eps, "complete": False, "T": math.nan}
-    s = run.series
-    try:
-        window = ratefit.trailing_decade_window(s.times, s.U)
-        t_star = ratefit.fit_power_law(s.times, s.U, window=window).t_star
-    except ValidationError:
-        t_star = float(s.times[-1])
-    return {"epsilon": eps, "complete": True, "T": float(t_star)}
+    fit = ratefit.fit_trailing_decade(run.series.times, run.series.U)
+    t_star = fit.t_star if fit else float(run.series.times[-1])
+    return {"epsilon": eps, "complete": True, "T": t_star}
 
 
 def _euclid_scaling_case(args):
@@ -595,7 +579,7 @@ def cmd_scaling_study(cfg, out_dir, seed, workers):
     if params.alpha1.real >= 0 or params.alpha2.real >= 0:
         raise ConfigError("scaling study requires dissipative alpha")
     n, p, q = params.n, params.p, params.q
-    gap = (p + 1.0) / (p * q - 1.0) - n / 2.0
+    gap = params.rates[0] - n / 2.0
     epsilons = _scaling_epsilons(cfg)
     run = {"t_end": _get(cfg, "time_budget", float, 200.0)}
     if mode == "euclid":
@@ -648,11 +632,9 @@ def cmd_scaling_study(cfg, out_dir, seed, workers):
 
     log_eps = np.log([r["epsilon"] for r in complete])
     log_t = np.log([r["T"] for r in complete])
-    x = log_eps - log_eps.mean()
-    slope = float(x @ (log_t - log_t.mean()) / (x @ x))
-    resid = log_t - log_t.mean() - slope * x
+    slope, _, ss, sxx = ratefit.least_squares(log_eps, log_t)
     dof = max(len(complete) - 2, 1)
-    stderr = float(np.sqrt((resid @ resid) / dof / (x @ x)))
+    stderr = float(np.sqrt(ss / dof / sxx))
     half_width = float(stdtrit(dof, 0.975)) * stderr
     rel_err = abs(slope - predicted) / abs(predicted)
     matches = bool(rel_err <= tolerance)

@@ -11,7 +11,7 @@ scanning the weight radius produces the amplitude-scaling bound T1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -19,12 +19,12 @@ from scipy.linalg import solve_banded
 
 from .errors import IntegrationError, ValidationError
 from .ode_core import (
-    BLOWUP,
     BoundReport,
     CoupledODESpec,
     damped_bounds,
 )
-from .system import FunctionalSeries, OdiReport, SystemParams, check_growth_pair, march
+from .ratefit import golden_section
+from .system import FunctionalSeries, OdiReport, Run, SystemParams, check_growth_pair, march
 from .testfn import TestFunctionData
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "EuclidRunSpec",
     "EuclidGrid",
     "EuclidState",
-    "EuclidRun",
     "ThresholdConstants",
     "EuclidBounds",
     "make_initial_state",
@@ -89,7 +88,7 @@ class EuclidRunSpec:
             raise ValidationError("alpha coefficients must be negative")
         if not (pr.p >= pr.q >= 1.0):
             raise ValidationError("need p >= q >= 1")
-        if not ((pr.p + 1.0) / (pr.p * pr.q - 1.0) > pr.n / 2.0):
+        if not (pr.rates[0] > pr.n / 2.0):
             raise ValidationError("need (p+1)/(pq-1) > n/2")
         if not (self.box_half_width >= 2.0 * self.R):
             raise ValidationError("box_half_width must be at least 2R")
@@ -144,9 +143,6 @@ class EuclidState:
     u: np.ndarray
     v: np.ndarray
     t: float
-
-    def max_abs(self) -> float:
-        return float(max(np.abs(self.u).max(), np.abs(self.v).max()))
 
 
 def make_initial_state(spec: EuclidRunSpec, tf: TestFunctionData) -> EuclidState:
@@ -349,16 +345,6 @@ def functional_derivatives(
     return dU, dV
 
 
-@dataclass(frozen=True)
-class EuclidRun:
-    series: FunctionalSeries
-    final_state: EuclidState
-    status: str
-
-    def escape_time(self):
-        return float(self.series.times[-1]) if self.status == BLOWUP else None
-
-
 def run_euclid(
     spec: EuclidRunSpec,
     tf: TestFunctionData,
@@ -368,12 +354,12 @@ def run_euclid(
     field_threshold: float = 1e7,
     dt_safety: float = 0.05,
     state: Optional[EuclidState] = None,
-) -> EuclidRun:
+) -> Run:
     """Advance until t_end, until U or V crosses functional_threshold, or
     until max |field| crosses field_threshold (status blow_up...)."""
     if state is None:
         state = make_initial_state(spec, tf)
-    series, state, status = march(
+    return march(
         spec.params, state, t_end, dt_max, dt_safety,
         lambda s, dt: euclid_step(s, spec, dt),
         lambda s: (*weighted_functionals(s, spec, tf),
@@ -381,7 +367,6 @@ def run_euclid(
         field_threshold, functional_threshold,
         dt_cap=0.9 * cfl_limit(spec) if spec.scheme == "explicit" else math.inf,
     )
-    return EuclidRun(series=series, final_state=state, status=status)
 
 
 def check_weighted_growth_inequality(
@@ -426,20 +411,7 @@ class ThresholdConstants:
     r_exceeds_r0: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "R0": self.R0,
-            "R1": self.R1,
-            "R2": self.R2,
-            "C1": self.C1,
-            "C2": self.C2,
-            "C3": self.C3,
-            "omega": self.omega,
-            "lam_tilde": self.lam_tilde,
-            "lambda_eff": self.lambda_eff,
-            "p_equals_q": self.p_equals_q,
-            "radius": self.radius,
-            "r_exceeds_r0": self.r_exceeds_r0,
-        }
+        return asdict(self)
 
 
 def evaluate_thresholds(
@@ -556,21 +528,7 @@ def _minimize_radius_factor(theta: float, lo: float) -> tuple[float, float]:
         hi *= 2.0
         if hi > 1e12:
             break
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - golden * (b - a)
-    d = a + golden * (b - a)
-    fc, fd = m(c), m(d)
-    while b - a > 1e-10 * max(1.0, abs(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - golden * (b - a)
-            fc = m(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + golden * (b - a)
-            fd = m(d)
-    x = 0.5 * (a + b)
+    x = golden_section(m, lo, hi, lambda a, b: b - a <= 1e-10 * max(1.0, abs(b)))
     return x, m(x)
 
 

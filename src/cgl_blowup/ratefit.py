@@ -1,20 +1,22 @@
-"""Power-law singularity fitting: extract the blow-up time T*, the rate
-exponent gamma, and the amplitude A of a diverging series y ~ A (T*-t)^(-gamma).
+"""Blow-up measurement: extract the blow-up time T*, the rate exponent gamma,
+and the amplitude A of a diverging series y ~ A (T*-t)^(-gamma).
 
 Three-parameter fit via a golden-section search on T* with a closed-form
 inner linear regression in log space; derivative-free and deterministic.
+The T1 radius search and the lifespan-scaling slope share the two parts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["RateFit", "fit_power_law", "trailing_decade_window"]
+__all__ = ["RateFit", "fit_power_law", "fit_trailing_decade", "golden_section",
+           "least_squares", "trailing_decade_window"]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -36,37 +38,48 @@ class RateFit:
             raise ValidationError("residual must be non-negative")
 
     def to_json_dict(self) -> dict:
-        return {
-            "t_star": self.t_star,
-            "gamma": self.gamma,
-            "amplitude": self.amplitude,
-            "residual": self.residual,
-            "window": [self.window[0], self.window[1]],
-        }
+        return asdict(self)
 
 
-def _regress(log_y: np.ndarray, log_s: np.ndarray) -> tuple[float, float, float]:
-    """Least squares for log y = log A - gamma * log s; returns
-    (gamma, log A, sum of squared residuals)."""
-    x_mean = log_s.mean()
-    y_mean = log_y.mean()
-    dx = log_s - x_mean
-    dy = log_y - y_mean
+def least_squares(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float, float]:
+    """Least-squares line y = a + b x; returns (b, a, the sum of squared
+    residuals, the sum of squared deviations of x from its mean)."""
+    x_mean = x.mean()
+    y_mean = y.mean()
+    dx = x - x_mean
+    dy = y - y_mean
     denom = float(dx @ dx)
     slope = float(dx @ dy) / denom if denom > 0 else 0.0
     resid = dy - slope * dx
-    return -slope, y_mean - slope * x_mean, float(resid @ resid)
+    return slope, y_mean - slope * x_mean, float(resid @ resid), denom
 
 
-def trailing_decade_window(times, values, top: float | None = None) -> tuple[float, float]:
-    """Window covering the trailing decade of growth, [top/10, top] in value.
+def golden_section(f, a: float, b: float, converged) -> float:
+    """Golden-section minimizer of a unimodal ``f`` on [a, b]: the bracket
+    midpoint once ``converged(a, b)`` holds, or after 200 steps."""
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(200):
+        if converged(a, b):
+            break
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
 
-    ``top`` defaults to the final (largest) value of the series.
-    """
+
+def trailing_decade_window(times, values) -> tuple[float, float]:
+    """Window covering the trailing decade of growth: [top/10, top] in value,
+    ``top`` the final value of the series."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if top is None:
-        top = float(values[-1])
+    top = float(values[-1])
     lo_mask = values >= top / 10.0
     hi_mask = values <= top
     mask = lo_mask & hi_mask
@@ -107,32 +120,24 @@ def fit_power_law(times, values, window: tuple[float, float] | None = None) -> R
     t_end = float(t[-1])
 
     def misfit(t_star: float) -> float:
-        return _regress(log_y, np.log(t_star - t))[2]
+        return least_squares(np.log(t_star - t), log_y)[2]
 
-    # golden-section on [t_end+, t_hi + 10 span]
-    lo = t_end + 1e-12 * span
-    hi = t_hi + 10.0 * span
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = misfit(c), misfit(d)
-    for _ in range(200):
-        if b - a < 1e-13 * span:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = misfit(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = misfit(d)
-    t_star = 0.5 * (a + b)
-    gamma, log_a, ss = _regress(log_y, np.log(t_star - t))
+    t_star = golden_section(misfit, t_end + 1e-12 * span, t_hi + 10.0 * span,
+                            lambda a, b: b - a < 1e-13 * span)
+    slope, log_a, ss, _ = least_squares(np.log(t_star - t), log_y)
     return RateFit(
         t_star=t_star,
-        gamma=gamma,
+        gamma=-slope,
         amplitude=math.exp(log_a),
         residual=math.sqrt(ss / t.size),
         window=(t_lo, t_hi),
     )
+
+
+def fit_trailing_decade(times, values) -> RateFit | None:
+    """``fit_power_law`` on the trailing decade of growth, or None if none fits."""
+    try:
+        window = trailing_decade_window(times, values)
+        return fit_power_law(times, values, window=window)
+    except ValidationError:
+        return None

@@ -1,6 +1,6 @@
-"""Shared PDE-side types: system coefficients, functional time series, and
-growth-inequality reports, plus the adaptive marching loop both PDE backends
-drive."""
+"""Shared PDE-side types: system coefficients, functional time series,
+growth-inequality reports and the run record, plus the adaptive marching loop
+both PDE backends drive."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ValidationError
 from .ode_core import BLOWUP, COMPLETED, STEP_COLLAPSE
 
-__all__ = ["SystemParams", "FunctionalSeries", "OdiReport", "march"]
+__all__ = ["SystemParams", "FunctionalSeries", "OdiReport", "Run", "march"]
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,12 @@ class SystemParams:
     def exponent_caveat(self) -> bool:
         """q < 1 leaves the verified regime of the growth inequality."""
         return self.q < 1.0
+
+    @property
+    def rates(self) -> tuple[float, float]:
+        """The blow-up rate exponents (p+1)/(pq-1) of U and (q+1)/(pq-1) of V."""
+        D = self.p * self.q - 1.0
+        return (self.p + 1.0) / D, (self.q + 1.0) / D
 
 
 @dataclass(frozen=True)
@@ -158,6 +164,18 @@ def check_growth_pair(
     )
 
 
+@dataclass(frozen=True)
+class Run:
+    """A marched run: the functional series, the final state and the status."""
+
+    series: FunctionalSeries
+    final_state: object
+    status: str
+
+    def escape_time(self):
+        return float(self.series.times[-1]) if self.status == BLOWUP else None
+
+
 def _positive(value, finite: bool = True) -> bool:
     return (isinstance(value, Real) and value > 0
             and (math.isfinite(value) or not finite))
@@ -171,7 +189,7 @@ def march(params, state, t_end, dt_max, dt_safety, step, observe,
 
     dt shrinks with the nonlinear growth rate near blow-up and never exceeds
     ``dt_cap``; ``observe(state)`` gives (U, V, U', V') at every node.
-    Returns the series, the final state and the status.
+    Returns the :class:`Run`.
     """
     if not _positive(t_end - state.t):
         raise ValidationError("t_end must be finite and exceed the state time")
@@ -184,11 +202,13 @@ def march(params, state, t_end, dt_max, dt_safety, step, observe,
     ab1, ab2 = abs(params.beta1), abs(params.beta2)
     p, q = params.p, params.q
 
+    def amplitudes(s):
+        return float(np.abs(s.u).max()), float(np.abs(s.v).max())
+
     rows = [(state.t, *observe(state))]
+    au, av = amplitudes(state)
     status = COMPLETED
     while state.t < t_end * (1.0 - 1e-12):
-        au = float(np.abs(state.u).max())
-        av = float(np.abs(state.v).max())
         rate = max(
             ab1 * max(av, 1e-30) ** p / max(au, 1e-30),
             ab2 * max(au, 1e-30) ** q / max(av, 1e-30),
@@ -200,10 +220,11 @@ def march(params, state, t_end, dt_max, dt_safety, step, observe,
             break
         state = step(state, dt)
         rows.append((state.t, *observe(state)))
-        if state.max_abs() >= field_threshold or (
+        au, av = amplitudes(state)
+        if max(au, av) >= field_threshold or (
             functional_threshold is not None
             and max(rows[-1][1:3]) >= functional_threshold  # max(U, V)
         ):
             status = BLOWUP
             break
-    return FunctionalSeries(*np.array(rows).T), state, status
+    return Run(FunctionalSeries(*np.array(rows).T), state, status)

@@ -141,14 +141,6 @@ class TestFunctionData:
             val = val + (self.n - 1) * 2.0 * self.psi(r) * self._dpsi_over_r(r)
         return np.where(inside, val, 0.0)
 
-    def lap_psi(self, r):
-        r = np.asarray(r, dtype=float)
-        inside = r < 1.0
-        val = self._ddpsi(r)
-        if self.n > 1:
-            val = val + (self.n - 1) * self._dpsi_over_r(r)
-        return np.where(inside, val, 0.0)
-
     def profile(self, resolution: int):
         """Radial samples (r, phi, lap_phi) on [0, 1]."""
         r = np.linspace(0.0, 1.0, resolution)

@@ -18,8 +18,8 @@ from numbers import Integral
 import numpy as np
 
 from .errors import IntegrationError, ValidationError
-from .ode_core import BLOWUP, BoundReport, undamped_bounds, CoupledODESpec
-from .system import FunctionalSeries, OdiReport, SystemParams, check_growth_pair, march
+from .ode_core import BoundReport, undamped_bounds, CoupledODESpec
+from .system import FunctionalSeries, OdiReport, Run, SystemParams, check_growth_pair, march
 
 __all__ = [
     "TorusGrid",
@@ -96,9 +96,6 @@ class FieldState:
             raise ValidationError("field shapes must match the grid")
         if not (np.all(np.isfinite(u.view(float))) and np.all(np.isfinite(v.view(float)))):
             raise ValidationError("fields must be finite")
-
-    def max_abs(self) -> float:
-        return float(max(np.abs(self.u).max(), np.abs(self.v).max()))
 
 
 def constant_state(grid: TorusGrid, cu: complex, cv: complex) -> FieldState:
@@ -239,14 +236,8 @@ def laplacian_zero_mode(state: FieldState, params: SystemParams) -> float:
 
 
 @dataclass(frozen=True)
-class TorusRun:
-    series: FunctionalSeries
-    final_state: FieldState
-    status: str
+class TorusRun(Run):
     lap_zero_mode_max: float
-
-    def escape_time(self):
-        return float(self.series.times[-1]) if self.status == BLOWUP else None
 
 
 def run_torus(
@@ -268,12 +259,12 @@ def run_torus(
             lap.append(laplacian_zero_mode(s, params))
         return (*functionals(s, params), *functional_derivatives(s, params))
 
-    series, state, status = march(
+    run = march(
         params, state, t_end, dt_max, dt_safety,
         lambda s, dt: torus_step(s, params, dt, pad=pad), observe,
         field_threshold,
     )
-    return TorusRun(series=series, final_state=state, status=status,
+    return TorusRun(run.series, run.final_state, run.status,
                     lap_zero_mode_max=max(lap, default=0.0))
 
 

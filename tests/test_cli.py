@@ -123,6 +123,12 @@ _BAD_RUN_INPUTS = {
     pytest.param("torus-run", {"pad": "no"}, id="torus-run-pad_not_bool"),
     pytest.param("scaling-study", {"modes": "x"},
                  id="scaling-study-modes_not_int"),
+    pytest.param("scaling-study",
+                 {"epsilon": {"start": -0.5, "factor": 1.3, "count": 5}},
+                 id="scaling-study-start_negative"),
+    pytest.param("scaling-study",
+                 {"epsilon": {"start": 0, "factor": 1.3, "count": 5}},
+                 id="scaling-study-start_zero"),
     # dimension 1 is valid, so its profile must not be written before 4 fails
     pytest.param("testfn-check", {"dimensions": [1, 4]},
                  id="testfn-check-dimension_out_of_range"),
@@ -279,6 +285,17 @@ def test_torus_run_perturbed_constant_data(tmp_path):
     assert report["checks"]["odi_clean"]
     assert report["bounds"]["hypothesis_satisfied"]
     assert len(report["bounds"]["lower_bound"]) == 33
+
+
+@pytest.mark.parametrize("odi_cap", [-1, 0])
+def test_euclid_run_fails_when_odi_cap_leaves_no_node(tmp_path, odi_cap):
+    # a cap at or below U0, V0 cuts the series to no node: nothing is checked
+    cfg = write_config(tmp_path / "c.json", euclid_config(odi_cap=odi_cap))
+    out = tmp_path / "out"
+    assert run_cli(["euclid-run", "--config", cfg, "--out", out]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["odi"]["n_checked"] == 0
+    assert not report["checks"]["odi_clean"]
 
 
 def test_euclid_run_gaussian_data(tmp_path):

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cgl_blowup.errors import ValidationError
-from cgl_blowup.ratefit import RateFit, fit_power_law, trailing_decade_window
+from cgl_blowup.ratefit import (
+    RateFit, fit_power_law, fit_trailing_decade, trailing_decade_window,
+)
 
 
 def synthetic(gamma=1.5, t_star=1.0, amplitude=1.0, t_max=0.9, n=200):
@@ -88,6 +90,14 @@ def test_trailing_decade_window():
     before = t[t < lo]
     if before.size:
         assert y[t < lo][-1] < y[-1] / 10.0
+
+
+def test_fit_trailing_decade():
+    t, y = synthetic(t_max=0.99, n=4000)
+    fit = fit_trailing_decade(t, y)
+    assert fit == fit_power_law(t, y, window=trailing_decade_window(t, y))
+    # a decaying series has no trailing decade of growth
+    assert fit_trailing_decade(t, y[::-1]) is None
 
 
 def test_validation_gates():
