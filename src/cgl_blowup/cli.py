@@ -466,7 +466,9 @@ def cmd_euclid_run(cfg, out_dir, seed, workers):
         ("U", series.U, gamma_u),
         ("V", series.V, gamma_v),
     ):
-        fit = ratefit.fit_trailing_decade(series.times, column)
+        # a rate is only measured on a run that blew up
+        fit = (ratefit.fit_trailing_decade(series.times, column)
+               if run.status == ode_core.BLOWUP else None)
         fits[label] = {**fit.to_json_dict(), "target_gamma": target} if fit else None
 
     report = {

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgtsv
 
 from .errors import IntegrationError, ValidationError
 from .ode_core import (
@@ -99,7 +100,7 @@ class EuclidRunSpec:
         if self.scheme not in ("imex", "explicit"):
             raise ValidationError(f"unknown scheme {self.scheme!r}")
 
-    @property
+    @cached_property
     def grid(self) -> "EuclidGrid":
         return EuclidGrid(self.params.n, self.box_half_width, self.h)
 
@@ -110,11 +111,11 @@ class EuclidGrid:
     half_width: float
     h_nominal: float
 
-    @property
+    @cached_property
     def npoints(self) -> int:
         return int(math.ceil(2.0 * self.half_width / self.h_nominal)) + 1
 
-    @property
+    @cached_property
     def h(self) -> float:
         return 2.0 * self.half_width / (self.npoints - 1)
 
@@ -133,7 +134,7 @@ class EuclidGrid:
     def shape(self):
         return (self.npoints,) * self.n
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         return self.h ** self.n
 
@@ -187,36 +188,37 @@ def discrete_laplacian(a: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _nonlinearity(state: EuclidState, params: SystemParams, checked: bool = False):
+def _nonlinearity(state: EuclidState, params: SystemParams):
+    """beta1 |v|^p and beta2 |u|^q, non-finite where they overflow."""
     with np.errstate(over="ignore", invalid="ignore"):
         nu = params.beta1 * np.abs(state.v) ** params.p
         nv = params.beta2 * np.abs(state.u) ** params.q
-    if checked and not (
-        np.all(np.isfinite(nu.view(float))) and np.all(np.isfinite(nv.view(float)))
-    ):
-        raise IntegrationError(
-            f"nonlinearity overflow at t={state.t}", last_node=state
-        )
     return nu, nv
 
 
-def _tridiag_solve(rhs: np.ndarray, r: float) -> np.ndarray:
+def _all_finite(*arrays) -> bool:
+    return all(np.all(np.isfinite(a.view(float))) for a in arrays)
+
+
+def solve_banded(rhs: np.ndarray, r: float, state: Optional[EuclidState] = None) -> np.ndarray:
     """Solve (I - r/2 * T) x = rhs on the interior, T = tridiag(1, -2, 1).
 
-    rhs has shape (m,) or (m, k) with m interior nodes; solves along axis 0.
+    rhs has shape (m,) or (m, k) with m interior nodes; solves along axis 0
+    with LAPACK's tridiagonal LU, the routine scipy's ``solve_banded`` calls
+    for one band each side, without building its band matrix.  A singular
+    system raises IntegrationError carrying ``state``.
     """
     m = rhs.shape[0]
-    ab = np.zeros((3, m), dtype=complex)
-    ab[0, 1:] = -0.5 * r
-    ab[1, :] = 1.0 + r
-    ab[2, :-1] = -0.5 * r
-    return solve_banded((1, 1), ab, rhs, check_finite=False)
+    off = np.full(m - 1, -0.5 * r, dtype=complex)
+    x, info = zgtsv(off, np.full(m, 1.0 + r, dtype=complex), off, rhs)[3:]
+    if info != 0:
+        raise IntegrationError(f"tridiagonal solve failed (info {info})", last_node=state)
+    return x
 
 
-def _imex_step_1d(state, params, dt, h):
+def _imex_step_1d(state, params, dt, h, nu, nv):
     d1 = -params.alpha1.real
     d2 = -params.alpha2.real
-    nu, nv = _nonlinearity(state, params, checked=True)
 
     def advance(a, d, force):
         r = dt * d / (h * h)
@@ -225,7 +227,7 @@ def _imex_step_1d(state, params, dt, h):
         lap = a[:-2] - 2.0 * interior + a[2:]
         rhs = interior + 0.5 * r * lap + dt * force[1:-1]
         out = np.zeros_like(a)
-        out[1:-1] = _tridiag_solve(rhs, r)
+        out[1:-1] = solve_banded(rhs, r, state)
         return out
 
     return EuclidState(
@@ -235,11 +237,10 @@ def _imex_step_1d(state, params, dt, h):
     )
 
 
-def _imex_step_2d(state, params, dt, h):
+def _imex_step_2d(state, params, dt, h, nu, nv):
     # Peaceman-Rachford ADI with the nonlinearity split over the half steps
     d1 = -params.alpha1.real
     d2 = -params.alpha2.real
-    nu, nv = _nonlinearity(state, params, checked=True)
 
     def along_x(a):
         return a[:-2, 1:-1] - 2.0 * a[1:-1, 1:-1] + a[2:, 1:-1]
@@ -253,11 +254,11 @@ def _imex_step_2d(state, params, dt, h):
         # x-implicit half step
         rhs = a[1:-1, 1:-1] + 0.5 * r * along_y(a) + 0.5 * dt * f
         half = np.zeros_like(a)
-        half[1:-1, 1:-1] = _tridiag_solve(rhs, r)
+        half[1:-1, 1:-1] = solve_banded(rhs, r, state)
         # y-implicit half step (solve along axis 1 via transpose)
         rhs2 = half[1:-1, 1:-1] + 0.5 * r * along_x(half) + 0.5 * dt * f
         out = np.zeros_like(a)
-        out[1:-1, 1:-1] = _tridiag_solve(rhs2.T, r).T
+        out[1:-1, 1:-1] = solve_banded(rhs2.T, r, state).T
         return out
 
     return EuclidState(
@@ -267,10 +268,10 @@ def _imex_step_2d(state, params, dt, h):
     )
 
 
-def _rhs(state, params, h):
+def _rhs(state, params, h, nonlinearity=None):
     """Discrete right-hand side -alpha Lap_h + beta |.|^p of both components,
     zero on the boundary."""
-    nu, nv = _nonlinearity(state, params)
+    nu, nv = nonlinearity or _nonlinearity(state, params)
     du = -params.alpha1.real * discrete_laplacian(state.u, h) + nu
     dv = -params.alpha2.real * discrete_laplacian(state.v, h) + nv
     _zero_boundary(du)
@@ -278,9 +279,9 @@ def _rhs(state, params, h):
     return du, dv
 
 
-def _explicit_step(state, params, dt, h):
+def _explicit_step(state, params, dt, h, nonlinearity):
     # Heun's method on the full right-hand side
-    du1, dv1 = _rhs(state, params, h)
+    du1, dv1 = _rhs(state, params, h, nonlinearity)
     mid = EuclidState(u=state.u + dt * du1, v=state.v + dt * dv1, t=state.t)
     du2, dv2 = _rhs(mid, params, h)
     return EuclidState(
@@ -295,22 +296,26 @@ def cfl_limit(spec: EuclidRunSpec) -> float:
     return spec.grid.h ** 2 / (2.0 * spec.params.n * dmax)
 
 
-def euclid_step(state: EuclidState, spec: EuclidRunSpec, dt: float) -> EuclidState:
-    """One IMEX (default) or explicit step; raises on field overflow."""
+def euclid_step(state: EuclidState, spec: EuclidRunSpec, dt: float,
+                nonlinearity=None) -> EuclidState:
+    """One IMEX (default) or explicit step; raises on field overflow.
+    ``nonlinearity``: ``_nonlinearity(state, spec.params)``, if at hand."""
     if dt <= 0:
         raise ValidationError("dt must be positive")
     h = spec.grid.h
+    nonlinearity = nonlinearity or _nonlinearity(state, spec.params)
     if spec.scheme == "explicit":
         if dt > cfl_limit(spec) * (1 + 1e-12):
             raise ValidationError(
                 f"explicit step dt={dt} exceeds the diffusion limit {cfl_limit(spec)}"
             )
-        new = _explicit_step(state, spec.params, dt, h)
-    elif spec.params.n == 1:
-        new = _imex_step_1d(state, spec.params, dt, h)
+        new = _explicit_step(state, spec.params, dt, h, nonlinearity)
     else:
-        new = _imex_step_2d(state, spec.params, dt, h)
-    if not (np.all(np.isfinite(new.u.view(float))) and np.all(np.isfinite(new.v.view(float)))):
+        if not _all_finite(*nonlinearity):
+            raise IntegrationError(f"nonlinearity overflow at t={state.t}", last_node=state)
+        imex = _imex_step_1d if spec.params.n == 1 else _imex_step_2d
+        new = imex(state, spec.params, dt, h, *nonlinearity)
+    if not _all_finite(new.u, new.v):
         raise IntegrationError(f"field overflow at t={state.t}", last_node=state)
     return new
 
@@ -323,10 +328,11 @@ def _weight_values(spec: EuclidRunSpec, tf: TestFunctionData) -> np.ndarray:
 
 
 def weighted_functionals(
-    state: EuclidState, spec: EuclidRunSpec, tf: TestFunctionData
+    state: EuclidState, spec: EuclidRunSpec, tf: TestFunctionData, weight=None
 ) -> tuple[float, float]:
-    """Grid quadrature of Re(conj(beta) field) * phi(x/R)."""
-    w = _weight_values(spec, tf)
+    """Grid quadrature of Re(conj(beta) field) * phi(x/R) (``weight``, if
+    at hand)."""
+    w = _weight_values(spec, tf) if weight is None else weight
     vol = spec.grid.cell_volume
     U = float(np.sum((np.conj(spec.params.beta1) * state.u).real * w) * vol)
     V = float(np.sum((np.conj(spec.params.beta2) * state.v).real * w) * vol)
@@ -334,12 +340,14 @@ def weighted_functionals(
 
 
 def functional_derivatives(
-    state: EuclidState, spec: EuclidRunSpec, tf: TestFunctionData
+    state: EuclidState, spec: EuclidRunSpec, tf: TestFunctionData,
+    weight=None, nonlinearity=None,
 ) -> tuple[float, float]:
-    """d/dt of the weighted functionals from the discrete right-hand side."""
-    w = _weight_values(spec, tf)
+    """d/dt of the weighted functionals from the discrete right-hand side
+    (``weight`` and ``nonlinearity`` as in weighted_functionals, euclid_step)."""
+    w = _weight_values(spec, tf) if weight is None else weight
     vol = spec.grid.cell_volume
-    du, dv = _rhs(state, spec.params, spec.grid.h)
+    du, dv = _rhs(state, spec.params, spec.grid.h, nonlinearity)
     dU = float(np.sum((np.conj(spec.params.beta1) * du).real * w) * vol)
     dV = float(np.sum((np.conj(spec.params.beta2) * dv).real * w) * vol)
     return dU, dV
@@ -356,14 +364,30 @@ def run_euclid(
     state: Optional[EuclidState] = None,
 ) -> Run:
     """Advance until t_end, until U or V crosses functional_threshold, or
-    until max |field| crosses field_threshold (status blow_up...)."""
+    until max |field| crosses field_threshold (status blow_up...).
+
+    The weight is evaluated once per run, and the nonlinearity once per
+    node: the step from a node reuses the one its observation computed.
+    """
     if state is None:
         state = make_initial_state(spec, tf)
+    weight = _weight_values(spec, tf)
+    held = None  # (node, its nonlinearity) until the step from that node
+
+    def observe(s):
+        nonlocal held
+        held = (s, _nonlinearity(s, spec.params))
+        return (*weighted_functionals(s, spec, tf, weight),
+                *functional_derivatives(s, spec, tf, weight, held[1]))
+
+    def step(s, dt):
+        nonlocal held
+        nonlinearity = held[1] if held is not None and held[0] is s else None
+        held = None
+        return euclid_step(s, spec, dt, nonlinearity)
+
     return march(
-        spec.params, state, t_end, dt_max, dt_safety,
-        lambda s, dt: euclid_step(s, spec, dt),
-        lambda s: (*weighted_functionals(s, spec, tf),
-                   *functional_derivatives(s, spec, tf)),
+        spec.params, state, t_end, dt_max, dt_safety, step, observe,
         field_threshold, functional_threshold,
         dt_cap=0.9 * cfl_limit(spec) if spec.scheme == "explicit" else math.inf,
     )

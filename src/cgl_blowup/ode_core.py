@@ -488,7 +488,8 @@ def undamped_bounds(spec: CoupledODESpec) -> BoundReport:
         * spec.f0 ** (-D / pp)
     )
     B = 2.0 ** (-p * q / qq) * D * spec.C_p ** (q / qq) * spec.C_q ** (1.0 / qq)
-    shift = (spec.C_q * spec.f0 ** qq / spec.C_p - spec.g0 ** pp) ** (1.0 / pp)
+    # from the F0 - G0 >= 0 just tested, so that F0 == G0 gives shift 0
+    shift = ((F0 - G0) / spec.C_p) ** (1.0 / pp)
     lifespan = (
         2.0 ** (p * q / qq) / D
         * spec.C_p ** (-1.0 / pp)

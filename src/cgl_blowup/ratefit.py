@@ -19,6 +19,7 @@ __all__ = ["RateFit", "fit_power_law", "fit_trailing_decade", "golden_section",
            "least_squares", "trailing_decade_window"]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,10 @@ def fit_power_law(times, values, window: tuple[float, float] | None = None) -> R
 
     Requires the windowed series to be strictly positive and increasing with
     at least 20 nodes.  T* is bracketed in [t_hi, t_hi + 10 (t_hi - t_lo)]
-    and located by golden-section search on the inner-regression misfit.
+    and located by golden-section search on the inner-regression misfit; a
+    T* at the upper end of the bracket, to the sqrt(eps) relative precision
+    a golden-section search resolves a minimizer to, is no minimum and is
+    rejected.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -122,8 +126,11 @@ def fit_power_law(times, values, window: tuple[float, float] | None = None) -> R
     def misfit(t_star: float) -> float:
         return least_squares(np.log(t_star - t), log_y)[2]
 
-    t_star = golden_section(misfit, t_end + 1e-12 * span, t_hi + 10.0 * span,
+    t_max = t_hi + 10.0 * span
+    t_star = golden_section(misfit, t_end + 1e-12 * span, t_max,
                             lambda a, b: b - a < 1e-13 * span)
+    if t_max - t_star < _SQRT_EPS * (abs(t_max) + span):
+        raise ValidationError("fitted t_star is the upper end of its search bracket")
     slope, log_a, ss, _ = least_squares(np.log(t_star - t), log_y)
     return RateFit(
         t_star=t_star,

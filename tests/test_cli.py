@@ -343,6 +343,15 @@ def test_euclid_run_small(tmp_path):
     assert thresholds["r_exceeds_r0"]
 
 
+def test_euclid_run_fits_no_rate_to_a_run_that_did_not_blow_up(tmp_path):
+    cfg = write_config(tmp_path / "c.json", euclid_config())
+    out = tmp_path / "out"
+    assert run_cli(["euclid-run", "--config", cfg, "--out", out]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "completed"
+    assert report["fits"] == {"U": None, "V": None}
+
+
 def test_ode_verify_reports_residual_defect(tmp_path):
     cfg = write_config(tmp_path / "c.json", {
         "schema_version": 1, "n_specs": 8, "t_end": 3.0,

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from cgl_blowup import euclid, testfn
 from cgl_blowup.errors import IntegrationError, ValidationError
 from cgl_blowup.euclid import (
     DataSpec,
@@ -16,6 +18,7 @@ from cgl_blowup.euclid import (
     functional_derivatives,
     make_initial_state,
     run_euclid,
+    solve_banded,
     weighted_functionals,
 )
 from cgl_blowup.ode_core import BLOWUP, damped_bounds, damped_hypothesis_terms
@@ -147,6 +150,77 @@ def test_overflow_carries_last_state(tf1):
     with pytest.raises(IntegrationError) as exc:
         euclid_step(state, spec, 1e-3)
     assert exc.value.last_node is state
+
+
+@pytest.mark.parametrize("r", [0.02, 0.73, 40.0])
+@pytest.mark.parametrize("shape,transposed", [((37,), False), ((37, 5), False),
+                                              ((5, 37), True)])
+def test_solve_banded_matches_scipy_bit_for_bit(r, shape, transposed):
+    rng = np.random.default_rng(7)
+    rhs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if transposed:  # the ADI's second half step solves along a transpose
+        rhs = rhs.T
+    m = rhs.shape[0]
+    ab = np.zeros((3, m), dtype=complex)
+    ab[0, 1:] = -0.5 * r
+    ab[1, :] = 1.0 + r
+    ab[2, :-1] = -0.5 * r
+    expected = scipy.linalg.solve_banded((1, 1), ab, rhs)
+    got = solve_banded(rhs, r)
+    assert got.shape == expected.shape == rhs.shape
+    assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+def test_singular_solve_carries_the_state():
+    # r = -2 on two nodes gives [[-1, 1], [1, -1]]
+    state = EuclidState(u=np.zeros(4, dtype=complex), v=np.zeros(4, dtype=complex), t=0.5)
+    with pytest.raises(IntegrationError) as exc:
+        solve_banded(np.ones(2, dtype=complex), -2.0, state)
+    assert exc.value.last_node is state
+
+
+def test_run_sets_up_the_weight_once_and_the_nonlinearity_once_per_node(
+        tf1, monkeypatch):
+    calls = {"phi": 0, "nonlinearity": 0}
+    phi, nonlinearity = testfn.TestFunctionData.phi, euclid._nonlinearity
+
+    def counted_phi(self, r):
+        calls["phi"] += 1
+        return phi(self, r)
+
+    def counted_nonlinearity(state, params):
+        calls["nonlinearity"] += 1
+        return nonlinearity(state, params)
+
+    monkeypatch.setattr(testfn.TestFunctionData, "phi", counted_phi)
+    monkeypatch.setattr(euclid, "_nonlinearity", counted_nonlinearity)
+    run = run_euclid(small_spec(tf1), tf1, t_end=0.2, dt_max=2e-3)
+    assert run.series.times.size > 100
+    assert calls["phi"] <= 2  # the initial data and the weight
+    assert calls["nonlinearity"] == run.series.times.size
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_run_to_nonlinearity_overflow_raises_with_the_last_good_node(
+        tf1, monkeypatch):
+    # the step from a node reuses the nonlinearity its observation computed,
+    # and must still refuse one that overflowed
+    nodes = []
+    nonlinearity = euclid._nonlinearity
+
+    def overflowing(state, params):
+        nodes.append(state)
+        nu, nv = nonlinearity(state, params)
+        if len(nodes) == 5:
+            nu = np.where(nu != 0, np.inf, nu)
+        return nu, nv
+
+    monkeypatch.setattr(euclid, "_nonlinearity", overflowing)
+    with pytest.raises(IntegrationError, match="nonlinearity overflow") as exc:
+        run_euclid(small_spec(tf1), tf1, t_end=0.2, dt_max=2e-3)
+    last = exc.value.last_node
+    assert last is nodes[4] and last.t > 0
+    assert np.all(np.isfinite(last.u)) and np.all(np.isfinite(last.v))
 
 
 # ---------------------------------------------------------------------------

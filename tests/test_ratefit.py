@@ -100,6 +100,15 @@ def test_fit_trailing_decade():
     assert fit_trailing_decade(t, y[::-1]) is None
 
 
+def test_t_star_at_the_bracket_edge_is_rejected():
+    # exponential growth has no finite blow-up time: the misfit keeps falling
+    # to the upper end of the T* bracket
+    t = np.linspace(0.0, 1.0, 100)
+    with pytest.raises(ValidationError, match="upper end"):
+        fit_power_law(t, np.exp(t))
+    assert fit_trailing_decade(t, np.exp(5.0 * t)) is None
+
+
 def test_validation_gates():
     t, y = synthetic()
     with pytest.raises(ValidationError):

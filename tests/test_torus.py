@@ -176,6 +176,21 @@ def test_bounds_sign_gate():
     assert not report.hypothesis_satisfied
 
 
+def test_bounds_of_symmetric_data_are_real():
+    # U0 == V0 and p == q give F0 == G0: the lower-bound curve's shift is 0,
+    # and must not come out of a rounded negative base as a complex number
+    for p in np.linspace(1.1, 4.0, 30):
+        params = SystemParams(n=1, p=float(p), q=float(p), alpha1=-1, alpha2=-1,
+                              beta1=1, beta2=1)
+        for eps in (0.1, 0.3, 1.0, 3.0, 10.0):
+            report = blowup_bounds(params, eps, eps)
+            assert report.hypothesis_satisfied
+            times = np.linspace(0.0, 0.99 * report.lifespan_bound, 33)
+            curve = report.to_json_dict(times)["lower_bound"]
+            assert all(np.isfinite(curve))
+            assert curve[0] == pytest.approx(eps, rel=1e-12)
+
+
 def test_simulated_blowup_before_bound():
     state = constant_state(make_grid(1, 64), 1.0, 1.0)
     run = run_torus(HEAT, state, t_end=5.0, dt_max=1e-3, field_threshold=1e5)
