@@ -554,7 +554,8 @@ def damped_bounds(spec: CoupledODESpec) -> BoundReport:
         * spec.C_q ** (1.0 / qq)
         * spec.C_p ** (q / qq)
     )
-    shift = (spec.C_q * spec.f0 ** qq / spec.C_p - spec.g0 ** pp) ** (1.0 / pp)
+    # clamped: the base rounds negative where f0 is just above term_ordering
+    shift = max(spec.C_q * spec.f0 ** qq / spec.C_p - spec.g0 ** pp, 0.0) ** (1.0 / pp)
     decay = spec.omega * D / (pp * qq)
 
     x = (

@@ -10,7 +10,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import IntegrationError, ValidationError
 from .ode_core import BLOWUP, COMPLETED, STEP_COLLAPSE
 
 __all__ = ["SystemParams", "FunctionalSeries", "OdiReport", "Run", "march"]
@@ -209,10 +209,14 @@ def march(params, state, t_end, dt_max, dt_safety, step, observe,
     au, av = amplitudes(state)
     status = COMPLETED
     while state.t < t_end * (1.0 - 1e-12):
-        rate = max(
-            ab1 * max(av, 1e-30) ** p / max(au, 1e-30),
-            ab2 * max(au, 1e-30) ** q / max(av, 1e-30),
-        )
+        try:
+            rate = max(
+                ab1 * max(av, 1e-30) ** p / max(au, 1e-30),
+                ab2 * max(au, 1e-30) ** q / max(av, 1e-30),
+            )
+        except OverflowError:  # max|field|^p beyond the float range
+            raise IntegrationError(
+                f"step rate overflow at t={state.t}", last_node=state) from None
         dt = min(dt_max, dt_safety / rate) if rate > 0 else dt_max
         dt = min(dt, dt_cap, t_end - state.t)
         if dt < 1e-14 * max(state.t, 1e-3 * t_end):

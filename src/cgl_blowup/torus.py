@@ -28,6 +28,7 @@ __all__ = [
     "make_grid",
     "constant_state",
     "state_from_arrays",
+    "TorusStepper",
     "torus_step",
     "functionals",
     "functional_derivatives",
@@ -111,94 +112,96 @@ def state_from_arrays(grid: TorusGrid, u, v, t: float = 0.0) -> FieldState:
     return FieldState(grid=grid, u=u, v=v, t=t)
 
 
-def _fft(a, n):
-    return np.fft.fftn(a, norm="forward") if n == 2 else np.fft.fft(a, norm="forward")
-
-
-def _ifft(a, n):
-    return np.fft.ifftn(a, norm="forward") if n == 2 else np.fft.ifft(a, norm="forward")
-
-
 def _resize_spectrum(ah: np.ndarray, modes: int, size: int, n: int) -> np.ndarray:
-    """Copy the ``modes`` retained coefficients per axis of ``ah`` into a
-    zero spectrum of ``size`` points per axis: zero padding or truncation.
-    norm="forward" coefficients need no rescaling either way."""
+    """Copy the ``modes`` retained coefficients per axis of the last ``n`` axes
+    of ``ah`` into zeros of ``size`` points per axis: zero padding or
+    truncation.  norm="forward" coefficients need no rescaling either way."""
     half = modes // 2
-    out = np.zeros((size,) * n, dtype=complex)
+    out = np.zeros(ah.shape[:-n] + (size,) * n, dtype=complex)
     for corner in itertools.product((slice(None, half), slice(-half, None)), repeat=n):
-        out[corner] = ah[corner]
+        out[(..., *corner)] = ah[(..., *corner)]
     return out
 
 
-def _make_nonlinearity(params: SystemParams, grid: TorusGrid, pad: bool):
-    n, p, q = grid.n, params.p, params.q
-    b1, b2 = params.beta1, params.beta2
-    if not pad:
-        def nonlin(uh, vh):
-            u = _ifft(uh, n)
-            v = _ifft(vh, n)
-            return b1 * _fft(np.abs(v) ** p, n), b2 * _fft(np.abs(u) ** q, n)
-        return nonlin
+class TorusStepper:
+    """What the steps of one run share: ``k^2``, the linear symbols
+    ``alpha_i k^2`` and ``beta_i`` of both fields stacked on a leading axis,
+    and the propagators of the last dt.  u and v travel as one
+    ``(2, *grid.shape)`` array, so each transform of the pair is one FFT
+    call."""
 
-    padded = 3 * grid.modes // 2
+    def __init__(self, grid: TorusGrid, params: SystemParams, pad: bool = False):
+        self.grid, self.pad = grid, pad
+        self.p, self.q = params.p, params.q
+        k2 = grid.wavenumbers_squared()
+        self.lin = np.stack((params.alpha1 * k2, params.alpha2 * k2))
+        self.beta = np.array((params.beta1, params.beta2)).reshape((2,) + (1,) * grid.n)
+        self._dt = self._propagators = None
+        # the nonlinearity's fields, powers and their spectra: held, as fresh
+        # stacked 2-d arrays cost page faults on every transform
+        size = 3 * grid.modes // 2 if pad else grid.modes
+        self._work = np.empty((3, 2) + (size,) * grid.n, dtype=complex)
 
-    def nonlin_padded(uh, vh):
-        up = _ifft(_resize_spectrum(uh, grid.modes, padded, n), n)
-        vp = _ifft(_resize_spectrum(vh, grid.modes, padded, n), n)
-        nu = _fft(np.abs(vp) ** p, n)
-        nv = _fft(np.abs(up) ** q, n)
-        return (
-            b1 * _resize_spectrum(nu, grid.modes, grid.modes, n),
-            b2 * _resize_spectrum(nv, grid.modes, grid.modes, n),
-        )
+    def propagators(self, dt: float):
+        """exp(dt/2 lin) and its square, rebuilt only when dt changes."""
+        if dt != self._dt:
+            e = np.exp(0.5 * dt * self.lin)
+            self._dt, self._propagators = dt, (e, e * e)
+        return self._propagators
 
-    return nonlin_padded
+    def fft(self, a, out=None):
+        return (np.fft.fftn(a, axes=(-2, -1), norm="forward", out=out) if self.grid.n == 2
+                else np.fft.fft(a, norm="forward", out=out))
+
+    def ifft(self, a, out=None):
+        return (np.fft.ifftn(a, axes=(-2, -1), norm="forward", out=out) if self.grid.n == 2
+                else np.fft.ifft(a, norm="forward", out=out))
+
+    def nonlinearity(self, yh):
+        """Spectra of beta1 |v|^p and beta2 |u|^q from the stacked spectra of
+        u and v, evaluated on the 3/2-padded grid when ``pad``."""
+        n, modes = self.grid.n, self.grid.modes
+        y, powers, nh = self._work
+        if self.pad:
+            yh = _resize_spectrum(yh, modes, 3 * modes // 2, n)
+        self.ifft(yh, y)
+        powers[0] = np.abs(y[1]) ** self.p
+        powers[1] = np.abs(y[0]) ** self.q
+        self.fft(powers, nh)
+        if self.pad:
+            nh = _resize_spectrum(nh, modes, modes, n)
+        return self.beta * nh
 
 
 def torus_step(
-    state: FieldState, params: SystemParams, dt: float, pad: bool = False
+    state: FieldState, params: SystemParams, dt: float, pad: bool = False,
+    stepper: TorusStepper | None = None,
 ) -> FieldState:
-    """One integrating-factor RK4 step (linear part exact per mode)."""
+    """One integrating-factor RK4 step (linear part exact per mode).
+    ``stepper``: the run's ``TorusStepper(state.grid, params, pad)``, if at
+    hand."""
     if dt <= 0.0:
         raise ValidationError("dt must be positive")
     if params.alpha1.real > 0.0 or params.alpha2.real > 0.0:
         raise ValidationError(
             "simulation requires Re(alpha) <= 0 (growing linear modes)"
         )
-    grid = state.grid
-    n = grid.n
-    k2 = grid.wavenumbers_squared()
-    lin_u = params.alpha1 * k2
-    lin_v = params.alpha2 * k2
-    eu = np.exp(0.5 * dt * lin_u)
-    ev = np.exp(0.5 * dt * lin_v)
-    eu2 = eu * eu
-    ev2 = ev * ev
-    nonlin = _make_nonlinearity(params, grid, pad)
+    if stepper is None:
+        stepper = TorusStepper(state.grid, params, pad)
+    e, e2 = stepper.propagators(dt)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        uh = _fft(state.u, n)
-        vh = _fft(state.v, n)
-        n1u, n1v = nonlin(uh, vh)
-        au = eu * (uh + 0.5 * dt * n1u)
-        av = ev * (vh + 0.5 * dt * n1v)
-        n2u, n2v = nonlin(au, av)
-        bu = eu * uh + 0.5 * dt * n2u
-        bv = ev * vh + 0.5 * dt * n2v
-        n3u, n3v = nonlin(bu, bv)
-        cu = eu2 * uh + dt * eu * n3u
-        cv = ev2 * vh + dt * ev * n3v
-        n4u, n4v = nonlin(cu, cv)
-        uh_new = eu2 * uh + dt / 6.0 * (eu2 * n1u + 2.0 * eu * (n2u + n3u) + n4u)
-        vh_new = ev2 * vh + dt / 6.0 * (ev2 * n1v + 2.0 * ev * (n2v + n3v) + n4v)
-
-        u_new = _ifft(uh_new, n)
-        v_new = _ifft(vh_new, n)
-    if not (np.all(np.isfinite(u_new.view(float))) and np.all(np.isfinite(v_new.view(float)))):
+        yh = stepper.fft(np.stack((state.u, state.v)))
+        n1 = stepper.nonlinearity(yh)
+        n2 = stepper.nonlinearity(e * (yh + 0.5 * dt * n1))
+        n3 = stepper.nonlinearity(e * yh + 0.5 * dt * n2)
+        n4 = stepper.nonlinearity(e2 * yh + dt * e * n3)
+        y = stepper.ifft(e2 * yh + dt / 6.0 * (e2 * n1 + 2.0 * e * (n2 + n3) + n4))
+    if not np.all(np.isfinite(y.view(float))):
         raise IntegrationError(
             f"field overflow at t={state.t}", last_node=state
         )
-    return FieldState(grid=grid, u=u_new, v=v_new, t=state.t + dt)
+    return FieldState(grid=state.grid, u=y[0], v=y[1], t=state.t + dt)
 
 
 def functionals(state: FieldState, params: SystemParams) -> tuple[float, float]:
@@ -221,17 +224,17 @@ def functional_derivatives(state: FieldState, params: SystemParams) -> tuple[flo
     return float(du), float(dv)
 
 
-def laplacian_zero_mode(state: FieldState, params: SystemParams) -> float:
+def laplacian_zero_mode(state: FieldState, params: SystemParams,
+                        stepper: TorusStepper | None = None) -> float:
     """Physical-space mean of the Laplacian terms; machine-zero check of
-    the exactness that drives the mean-field growth inequality."""
-    grid = state.grid
-    n = grid.n
-    k2 = grid.wavenumbers_squared()
-    lap_u = _ifft(params.alpha1 * k2 * _fft(state.u, n), n)
-    lap_v = _ifft(params.alpha2 * k2 * _fft(state.v, n), n)
-    vol = grid.volume
-    cu = (np.conj(params.beta1) * vol * np.mean(lap_u)).real
-    cv = (np.conj(params.beta2) * vol * np.mean(lap_v)).real
+    the exactness that drives the mean-field growth inequality.
+    ``stepper``: the run's ``TorusStepper``, if at hand."""
+    if stepper is None:
+        stepper = TorusStepper(state.grid, params)
+    lap = stepper.ifft(stepper.lin * stepper.fft(np.stack((state.u, state.v))))
+    vol = state.grid.volume
+    cu = (np.conj(params.beta1) * vol * np.mean(lap[0])).real
+    cv = (np.conj(params.beta2) * vol * np.mean(lap[1])).real
     return float(max(abs(cu), abs(cv)))
 
 
@@ -252,16 +255,17 @@ def run_torus(
 ) -> TorusRun:
     """Advance to t_end or to the first state with max |field| above the
     threshold, shrinking dt with the nonlinear amplitude near blow-up."""
+    stepper = TorusStepper(state.grid, params, pad)
     lap = []
 
     def observe(s):
         if check_zero_mode:
-            lap.append(laplacian_zero_mode(s, params))
+            lap.append(laplacian_zero_mode(s, params, stepper))
         return (*functionals(s, params), *functional_derivatives(s, params))
 
     run = march(
         params, state, t_end, dt_max, dt_safety,
-        lambda s, dt: torus_step(s, params, dt, pad=pad), observe,
+        lambda s, dt: torus_step(s, params, dt, pad, stepper), observe,
         field_threshold,
     )
     return TorusRun(run.series, run.final_state, run.status,

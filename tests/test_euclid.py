@@ -152,6 +152,17 @@ def test_overflow_carries_last_state(tf1):
     assert exc.value.last_node is state
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_run_past_the_float_range_raises_with_the_last_good_node(tf1):
+    spec = small_spec(tf1)
+    huge = np.full(spec.grid.shape, 1e200, dtype=complex)
+    state = EuclidState(u=huge, v=huge, t=0.0)
+    with pytest.raises(IntegrationError) as exc:
+        run_euclid(spec, tf1, t_end=1.0, dt_max=1e-3, state=state)
+    assert exc.value.last_node is state
+
+
 @pytest.mark.parametrize("r", [0.02, 0.73, 40.0])
 @pytest.mark.parametrize("shape,transposed", [((37,), False), ((37, 5), False),
                                               ((5, 37), True)])

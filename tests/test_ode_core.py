@@ -233,6 +233,28 @@ def test_damped_strict_boundary_fails():
     assert not damped_bounds(spec).hypothesis_satisfied
 
 
+def test_damped_bounds_just_above_the_ordering_term_are_real():
+    # f0 one ulp above term_ordering: the curve's shift base is 0 up to
+    # rounding and must not come out of a rounded negative base as complex
+    rng = np.random.default_rng(0)
+    checked = 0
+    while checked < 300:
+        q = rng.uniform(0.8, 3.0)
+        p = rng.uniform(q, 4.0)
+        if p * q <= 1.05:
+            continue
+        kw = dict(p=p, q=q, C_p=rng.uniform(0.1, 2), C_q=rng.uniform(0.1, 2),
+                  omega=rng.uniform(0.01, 0.5), g0=rng.uniform(0.5, 5))
+        damping, ordering = damped_hypothesis_terms(CoupledODESpec(f0=1.0, **kw))
+        if not damping < ordering:
+            continue
+        report = damped_bounds(CoupledODESpec(f0=np.nextafter(ordering, np.inf), **kw))
+        assert report.hypothesis_satisfied
+        times = np.linspace(0.0, 0.9 * report.lifespan_bound, 5)
+        assert np.all(np.isfinite(report.to_json_dict(times)["lower_bound"]))
+        checked += 1
+
+
 def test_damped_rejects_undamped_spec():
     with pytest.raises(ValidationError):
         damped_bounds(WORKED)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from cgl_blowup import torus
 from cgl_blowup.errors import IntegrationError, ValidationError
 from cgl_blowup.ode_core import BLOWUP, COMPLETED, SingleODESpec, single_blowup_solution
 from cgl_blowup.system import FunctionalSeries, SystemParams
 from cgl_blowup.torus import (
+    TorusGrid,
     blowup_bounds,
     check_growth_inequality,
     constant_state,
@@ -249,6 +251,90 @@ def test_step_overflow_carries_last_state():
     state = constant_state(make_grid(1, 32), 1e200, 1e200)
     with pytest.raises(IntegrationError) as exc:
         torus_step(state, HEAT, 1.0)
+    assert exc.value.last_node is state
+
+
+def _bumped_state(grid, amplitude=1.0):
+    x = grid.axes()[0]
+    if grid.n == 2:
+        x = x[:, None] + 0.5 * x[None, :]
+    return state_from_arrays(grid, amplitude * (1.0 + 0.2 * np.cos(x)) + 0j,
+                             amplitude * (0.9 + 0.1j * np.sin(x)))
+
+
+def _recorded_steps(monkeypatch):
+    """Record the (state, dt, stepper) of every torus_step a run makes."""
+    calls = []
+    step = torus.torus_step
+
+    def recorded(state, params, dt, pad=False, stepper=None):
+        calls.append((state, dt, stepper))
+        return step(state, params, dt, pad, stepper)
+
+    monkeypatch.setattr(torus, "torus_step", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("n,modes", [(1, 32), (2, 16)])
+@pytest.mark.parametrize("pad", [False, True])
+def test_run_stepper_gives_the_standalone_steps_bits(n, modes, pad, monkeypatch):
+    params = SystemParams(n=n, p=2, q=1.5, alpha1=-1 - 0.3j, alpha2=-0.5,
+                          beta1=0.8 + 0.6j, beta2=1)
+    start = _bumped_state(make_grid(n, modes))
+    calls = _recorded_steps(monkeypatch)
+    run = run_torus(params, start, t_end=3.0, dt_max=1e-2, field_threshold=1e3,
+                    pad=pad)
+    assert run.status == BLOWUP
+    dts = [dt for _, dt, _ in calls]
+    assert len(set(dts)) > 10  # dt shrinks near blow-up
+    state, rows, lap = start, [], []
+    for dt in [None] + dts:
+        if dt is not None:
+            state = torus_step(state, params, dt, pad=pad)
+        rows.append((state.t, *functionals(state, params),
+                     *functional_derivatives(state, params)))
+        lap.append(laplacian_zero_mode(state, params))
+    series = run.series
+    assert np.array(rows).T.tobytes() == np.array(
+        [series.times, series.U, series.V, series.dU, series.dV]).tobytes()
+    assert state.u.tobytes() == run.final_state.u.tobytes()
+    assert state.v.tobytes() == run.final_state.v.tobytes()
+    assert run.lap_zero_mode_max == max(lap)
+    stepper = calls[0][2]
+    for node, _, _ in calls[::20]:
+        assert laplacian_zero_mode(node, params, stepper) == laplacian_zero_mode(node, params)
+
+
+def test_run_sets_up_once_and_transforms_both_fields_together(monkeypatch):
+    counts = {"fft": 0, "k2": 0, "exp": 0}
+
+    def counted(key, function):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        monkeypatch.setattr(np.fft, name, counted("fft", getattr(np.fft, name)))
+    monkeypatch.setattr(TorusGrid, "wavenumbers_squared",
+                        counted("k2", TorusGrid.wavenumbers_squared))
+    monkeypatch.setattr(np, "exp", counted("exp", np.exp))
+    calls = _recorded_steps(monkeypatch)
+    run = run_torus(HEAT, _bumped_state(make_grid(1, 32), 0.5), t_end=3.0,
+                    dt_max=1e-2, field_threshold=1e3, check_zero_mode=False)
+    assert run.status == BLOWUP
+    dts = [dt for _, dt, _ in calls]
+    dt_changes = sum(a != b for a, b in zip(dts, dts[1:]))
+    assert dt_changes < len(dts) // 2  # most steps run at dt_max
+    assert counts == {"fft": 10 * len(dts), "k2": 1, "exp": 1 + dt_changes}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_run_past_the_float_range_raises_with_the_last_good_node():
+    state = constant_state(make_grid(1, 32), 1e200, 1e200)
+    with pytest.raises(IntegrationError) as exc:
+        run_torus(HEAT, state, t_end=1.0, dt_max=1e-3)
     assert exc.value.last_node is state
 
 
