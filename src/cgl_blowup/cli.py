@@ -195,7 +195,7 @@ def cmd_ode_verify(cfg, out_dir, seed, workers):
                                          blowup_threshold=1e5)
         sub = ode_core.integrate_coupled(sub_spec, t_end=t_end, tol=tol,
                                          blowup_threshold=1e5)
-        verdict = ode_core.check_comparison(sub, sup)
+        verdict = ode_core.check_comparison(sub, sup, spec)
         if not verdict.passed:
             comparison_failures.append(
                 {"index": i, "time": verdict.first_violation_time,

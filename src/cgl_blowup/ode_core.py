@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, IntegrationError, ValidationError
 
@@ -597,12 +596,15 @@ class ComparisonVerdict:
     component: Optional[str] = None
 
 
-def check_comparison(sub: Trajectory, super_: Trajectory) -> ComparisonVerdict:
+def check_comparison(sub: Trajectory, super_: Trajectory,
+                     spec: CoupledODESpec) -> ComparisonVerdict:
     """Check strict componentwise ordering sub < super at all common nodes.
 
     Trajectories on different grids are resampled onto the union of their
-    nodes inside the overlapping time range by monotone cubic interpolation.
-    Returns the first violating node when strictness fails anywhere.
+    nodes inside the overlapping time range by the cubic Hermite model of
+    ``integrate_coupled``, on node slopes from ``spec`` (which serves both
+    runs: the slopes do not depend on the initial data), exactly at each
+    run's own nodes.  Returns the first violating node when strictness fails.
     """
     lo = max(sub.times[0], super_.times[0])
     hi = min(sub.times[-1], super_.times[-1])
@@ -615,10 +617,14 @@ def check_comparison(sub: Trajectory, super_: Trajectory) -> ComparisonVerdict:
         raise ValidationError("empty common grid")
 
     def resample(traj):
-        if traj.times.size < 2:
-            return np.repeat(traj.values, grid.size, axis=0)
-        interp = PchipInterpolator(traj.times, traj.values, axis=0)
-        return interp(grid)
+        t, w = traj.times, traj.values
+        if t.size < 2:
+            return np.repeat(w, grid.size, axis=0)
+        d = np.column_stack(_rhs(spec, traj.f, traj.g))
+        i = np.clip(np.searchsorted(t, grid, side="right") - 1, 0, t.size - 2)
+        h = (t[i + 1] - t[i])[:, None]
+        theta = (grid - t[i])[:, None] / h
+        return _hermite(theta, h, w[i], d[i], w[i + 1], d[i + 1])
 
     vs = resample(sub)
     vp = resample(super_)

@@ -4,7 +4,8 @@ eigenfunction psi of -Laplace on the unit ball (n = 1, 2, 3).
 psi is normalized by max psi = psi(0) = 1 and extended by zero outside B(1),
 so phi is C^1 on R^n (phi and its radial derivative vanish at r = 1) and
 satisfies -Laplace(phi) = 2*lam*phi - 2|grad psi|^2 <= lambda_eff * phi with
-lambda_eff = 2*lam.  All evaluators are radial, vectorized and total on R^n.
+lambda_eff = 2*lam.  Its L^1 norm is a closed form: 1, pi J1(j01)^2 and 2/pi
+for n = 1, 2, 3.  All evaluators are radial, vectorized and total on R^n.
 """
 
 from __future__ import annotations
@@ -12,15 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.special import j0, j1
 
 from .errors import ValidationError
 
 __all__ = ["TestFunctionData", "build_test_function", "verify_phi_inequality"]
 
-_SURFACE = {1: 2.0, 2: 2.0 * np.pi, 3: 4.0 * np.pi}  # |S^{n-1}|
+_J01 = 2.404825557695773  # first zero of J_0, correctly rounded
 
 
 def _sinc(x):
@@ -156,29 +155,21 @@ class TestFunctionData:
 def build_test_function(n: int) -> TestFunctionData:
     """First Dirichlet eigenpair of the unit ball, squared.
 
-    n=1: psi = cos(pi x / 2), lam = pi^2/4.  n=2: psi = J0(j01 r), lam = j01^2
-    with the zero bracketed in [2, 3] and refined to 1e-14.  n=3:
-    psi = sin(pi r)/(pi r), lam = pi^2.  The L^1 norm is computed by adaptive
-    radial quadrature (relative tolerance well below 1e-10).
+    n=1: psi = cos(pi x / 2), lam = pi^2/4, ||phi||_1 = 1.  n=2:
+    psi = J0(j01 r), lam = j01^2, ||phi||_1 = pi J1(j01)^2, with j01 the
+    first zero of J0 as a double.  n=3: psi = sin(pi r)/(pi r), lam = pi^2,
+    ||phi||_1 = 2/pi.
     """
     if n not in (1, 2, 3):
         raise ValidationError(f"dimension must be 1, 2 or 3, got {n}")
     if n == 1:
-        lam = 0.25 * np.pi ** 2
-        zero = 0.0
+        lam, zero, l1 = 0.25 * np.pi ** 2, 0.0, 1.0
     elif n == 2:
-        zero = brentq(j0, 2.0, 3.0, xtol=1e-14, rtol=8.9e-16)
-        lam = zero * zero
+        lam, zero, l1 = _J01 * _J01, _J01, np.pi * j1(_J01) ** 2
     else:
-        lam = np.pi ** 2
-        zero = 0.0
-    tf = TestFunctionData(n=n, lam=float(lam), lambda_eff=float(2 * lam),
-                          l1_norm=1.0, bessel_zero=float(zero))
-    integrand = lambda r: float(tf.phi(r)) * r ** (n - 1)
-    val, err = quad(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=1e-13, limit=200)
-    l1 = _SURFACE[n] * val
-    object.__setattr__(tf, "l1_norm", float(l1))
-    return tf
+        lam, zero, l1 = np.pi ** 2, 0.0, 2.0 / np.pi
+    return TestFunctionData(n=n, lam=float(lam), lambda_eff=float(2 * lam),
+                            l1_norm=float(l1), bessel_zero=float(zero))
 
 
 def verify_phi_inequality(tf: TestFunctionData, grid_resolution: int) -> float:

@@ -197,11 +197,12 @@ def torus_step(
         n3 = stepper.nonlinearity(e * yh + 0.5 * dt * n2)
         n4 = stepper.nonlinearity(e2 * yh + dt * e * n3)
         y = stepper.ifft(e2 * yh + dt / 6.0 * (e2 * n1 + 2.0 * e * (n2 + n3) + n4))
-    if not np.all(np.isfinite(y.view(float))):
+    try:  # FieldState checks finiteness, once per step
+        return FieldState(grid=state.grid, u=y[0], v=y[1], t=state.t + dt)
+    except ValidationError:
         raise IntegrationError(
             f"field overflow at t={state.t}", last_node=state
-        )
-    return FieldState(grid=state.grid, u=y[0], v=y[1], t=state.t + dt)
+        ) from None
 
 
 def functionals(state: FieldState, params: SystemParams) -> tuple[float, float]:

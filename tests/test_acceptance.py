@@ -143,7 +143,7 @@ def test_criterion_4_comparison_suite():
                                          blowup_threshold=1e5)
         sub = ode_core.integrate_coupled(sub_spec, t_end=3.0, tol=1e-11,
                                          blowup_threshold=1e5)
-        verdict = ode_core.check_comparison(sub, sup)
+        verdict = ode_core.check_comparison(sub, sup, spec)
         assert verdict.passed, f"ordering broke at t={verdict.first_violation_time}"
     elapsed = time.monotonic() - t0
     ok = elapsed < 10.0

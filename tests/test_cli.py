@@ -445,6 +445,20 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0
 
 
+def test_cli_import_leaves_unused_scipy_subpackages_unloaded():
+    # a fresh interpreter, since these tests import scipy themselves
+    src = str(Path(cgl_blowup.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    unused = ["scipy.integrate", "scipy.interpolate", "scipy.optimize"]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, cgl_blowup.cli; print([m for m in {unused!r} if m in sys.modules])"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_workers_do_not_change_results(tmp_path):
     cfg = write_config(tmp_path / "c.json", {
         "schema_version": 1, "n_specs": 4, "t_end": 2.0,

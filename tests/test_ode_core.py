@@ -297,13 +297,13 @@ def test_comparison_scaled_initial_data_stays_ordered():
     sub_spec = CoupledODESpec(p=2, q=1.5, C_p=1, C_q=1, omega=0, f0=0.99, g0=0.99)
     super_traj = integrate_coupled(spec, t_end=10.0, tol=1e-12, blowup_threshold=1e5)
     sub_traj = integrate_coupled(sub_spec, t_end=10.0, tol=1e-12, blowup_threshold=1e5)
-    verdict = check_comparison(sub_traj, super_traj)
+    verdict = check_comparison(sub_traj, super_traj, spec)
     assert verdict.passed
 
 
 def test_comparison_equal_trajectories_violate_strictness():
     traj = integrate_coupled(WORKED, t_end=10.0, tol=1e-10, blowup_threshold=1e3)
-    verdict = check_comparison(traj, traj)
+    verdict = check_comparison(traj, traj, WORKED)
     assert not verdict.passed
     assert verdict.first_violation_index == 0
     assert verdict.first_violation_time == traj.times[0]
@@ -323,7 +323,19 @@ def test_comparison_bound_curves_are_sub_solutions():
         ),
         status=COMPLETED,
     )
-    assert check_comparison(sub, traj).passed
+    assert check_comparison(sub, traj, spec).passed
+
+
+@pytest.mark.parametrize("scale,ordered", [(1 - 1e-7, True), (1 + 1e-7, False)])
+def test_comparison_resampling_resolves_a_relative_gap_of_1e_7(scale, ordered):
+    # WORKED has the exact solution f = g = 1/(1-3t); the sub-solution is it,
+    # scaled, at the midpoints of the super-solution's steps
+    sup = integrate_coupled(WORKED, t_end=1.0, tol=1e-10, blowup_threshold=1e3)
+    mid = 0.5 * (sup.times[:-1] + sup.times[1:])
+    exact = scale / (1.0 - 3.0 * mid)
+    sub = Trajectory(times=mid, values=np.column_stack([exact, exact]),
+                     status=COMPLETED)
+    assert check_comparison(sub, sup, WORKED).passed is ordered
 
 
 def test_comparison_incompatible_ranges():
@@ -332,7 +344,7 @@ def test_comparison_incompatible_ranges():
     b = Trajectory(times=np.array([2.0, 3.0]), values=np.ones((2, 2)) * 2,
                    status=COMPLETED)
     with pytest.raises(ValidationError):
-        check_comparison(a, b)
+        check_comparison(a, b, WORKED)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +386,7 @@ def test_property_ordered_data_stays_ordered(spec, shrink):
     )
     super_traj = integrate_coupled(spec, t_end=3.0, tol=1e-11, blowup_threshold=1e5)
     sub_traj = integrate_coupled(sub_spec, t_end=3.0, tol=1e-11, blowup_threshold=1e5)
-    assert check_comparison(sub_traj, super_traj).passed
+    assert check_comparison(sub_traj, super_traj, spec).passed
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import j1
+from scipy.optimize import brentq
+from scipy.special import j0, j1
 
 from cgl_blowup.errors import ValidationError
 from cgl_blowup.testfn import build_test_function, verify_phi_inequality
@@ -34,7 +35,8 @@ def test_one_dimensional_closed_forms():
 
 def test_two_dimensional_bessel_eigenpair():
     tf2 = build_test_function(2)
-    assert tf2.bessel_zero == pytest.approx(2.404825557695773, abs=1e-12)
+    # the literal is the root search's result, bit for bit
+    assert tf2.bessel_zero == brentq(j0, 2.0, 3.0, xtol=1e-14, rtol=8.9e-16)
     assert tf2.lam == pytest.approx(tf2.bessel_zero ** 2, rel=1e-15)
     # closed-form disk norm: 2 pi * int J0(kr)^2 r dr = pi J1(k)^2 at a zero of J0
     assert tf2.l1_norm == pytest.approx(np.pi * j1(tf2.bessel_zero) ** 2, rel=1e-12)
