@@ -343,24 +343,25 @@ def cmd_torus_run(cfg, out_dir, seed, workers):
         },
     }
     write_json(os.path.join(out_dir, "report.json"), report)
-    write_json(os.path.join(out_dir, "plots.json"), {
-        "schema_version": SCHEMA_VERSION,
-        "plots": [{
-            "csv": "functionals.csv",
-            "x": "t",
-            "series": ["U", "V"],
-            "yscale": "log",
-            "reference_slopes": [
-                {"gamma": params.rates[0], "label": "U rate"},
-                {"gamma": params.rates[1], "label": "V rate"},
-            ],
-        }],
-    })
+    _write_plots(out_dir, "functionals.csv", "t", ["U", "V"], [
+        {"gamma": params.rates[0], "label": "U rate"},
+        {"gamma": params.rates[1], "label": "V rate"},
+    ], yscale="log")
     if snapshots:
         _write_snapshot(out_dir, "final_state", run.final_state.u,
                         run.final_state.v, run.final_state.t)
     ok = odi.passed and bound_ok and zero_mode_ok
     return EXIT_OK if ok else EXIT_VERIFICATION
+
+
+def _write_plots(out_dir, csv, x, series, reference_slopes, **scales):
+    """The plots.json sidecar: one plot of ``series`` against ``x`` from
+    ``csv``, with axis scales given as ``xscale=``/``yscale=``."""
+    write_json(os.path.join(out_dir, "plots.json"), {
+        "schema_version": SCHEMA_VERSION,
+        "plots": [{"csv": csv, "x": x, "series": series, **scales,
+                   "reference_slopes": reference_slopes}],
+    })
 
 
 def _bound_sample_times(bounds, count: int = 33):
@@ -427,22 +428,19 @@ def cmd_euclid_run(cfg, out_dir, seed, workers):
     )
     dt_cfg = _get(cfg, "dt", dict, {})
     odi_cap = _get(cfg, "odi_cap", float, 1e5)
-    tf = testfn.build_test_function(spec.params.n)
-    state = euclid.make_initial_state(spec, tf)
-    U0, V0 = euclid.weighted_functionals(state, spec, tf)
     run = euclid.run_euclid(
-        spec, tf,
+        spec,
         t_end=_get(cfg, "t_end"),
         dt_max=_get(dt_cfg, "dt_max", float, 2e-3),
         functional_threshold=_get(cfg, "functional_threshold", float, 1e5),
         field_threshold=_get(cfg, "field_threshold", float, 1e7),
         dt_safety=_get(dt_cfg, "safety", float, 0.05),
-        state=state,
     )
     series = run.series
     series.to_csv(os.path.join(out_dir, "functionals.csv"))
+    U0, V0 = float(series.U[0]), float(series.V[0])
 
-    bounds = euclid.blowup_bounds(spec, tf, U0, V0)
+    bounds = euclid.blowup_bounds(spec, U0, V0)
     write_json(os.path.join(out_dir, "thresholds.json"), {
         "schema_version": SCHEMA_VERSION,
         **bounds.thresholds.to_json_dict(),
@@ -451,7 +449,7 @@ def cmd_euclid_run(cfg, out_dir, seed, workers):
 
     cap_mask = (series.U <= odi_cap) & (series.V <= odi_cap)
     capped = _mask_series(series, cap_mask)
-    odi = euclid.check_weighted_growth_inequality(capped, spec, tf)
+    odi = euclid.check_weighted_growth_inequality(capped, spec)
     # a cap below the initial functionals leaves no node to check
     odi_ok = odi.passed and odi.n_checked > 0
 
@@ -490,18 +488,8 @@ def cmd_euclid_run(cfg, out_dir, seed, workers):
         },
     }
     write_json(os.path.join(out_dir, "report.json"), report)
-    write_json(os.path.join(out_dir, "plots.json"), {
-        "schema_version": SCHEMA_VERSION,
-        "plots": [{
-            "csv": "functionals.csv",
-            "x": "t",
-            "series": ["U", "V"],
-            "yscale": "log",
-            "reference_slopes": [
-                {"gamma": gamma_u, "label": "U rate"},
-            ],
-        }],
-    })
+    _write_plots(out_dir, "functionals.csv", "t", ["U", "V"],
+                 [{"gamma": gamma_u, "label": "U rate"}], yscale="log")
     return EXIT_OK if odi_ok and bound_ok else EXIT_VERIFICATION
 
 
@@ -562,8 +550,7 @@ def _ladder_point(eps, run):
 
 def _euclid_scaling_case(args):
     spec, run = args
-    tf = testfn.build_test_function(spec.params.n)
-    return _ladder_point(spec.data.epsilon, euclid.run_euclid(spec, tf, **run))
+    return _ladder_point(spec.data.epsilon, euclid.run_euclid(spec, **run))
 
 
 def _torus_scaling_case(args):
@@ -655,17 +642,9 @@ def cmd_scaling_study(cfg, out_dir, seed, workers):
         "matches_prediction": matches,
     }
     write_json(os.path.join(out_dir, "report.json"), report)
-    write_json(os.path.join(out_dir, "plots.json"), {
-        "schema_version": SCHEMA_VERSION,
-        "plots": [{
-            "csv": "runs.csv",
-            "x": "epsilon",
-            "series": ["T"],
-            "xscale": "log",
-            "yscale": "log",
-            "reference_slopes": [{"slope": predicted, "label": "predicted"}],
-        }],
-    })
+    _write_plots(out_dir, "runs.csv", "epsilon", ["T"],
+                 [{"slope": predicted, "label": "predicted"}],
+                 xscale="log", yscale="log")
     return EXIT_OK if matches else EXIT_VERIFICATION
 
 
@@ -740,7 +719,10 @@ def main(argv=None) -> int:
     created = not os.path.exists(args.out)
     try:
         cfg = _load_config(args.config)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:  # e.g. --out names a file or lies below one
+            raise ConfigError(f"cannot create --out {args.out}: {exc.strerror}") from None
         code = _COMMANDS[args.command](cfg, args.out, args.seed, args.workers)
     except (ConfigError, ValidationError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

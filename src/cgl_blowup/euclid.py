@@ -18,6 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg.lapack import zgtsv
 
+from . import testfn
 from .errors import IntegrationError, ValidationError
 from .ode_core import (
     BoundReport,
@@ -104,6 +105,18 @@ class EuclidRunSpec:
     def grid(self) -> "EuclidGrid":
         return EuclidGrid(self.params.n, self.box_half_width, self.h)
 
+    @cached_property
+    def tf(self) -> TestFunctionData:
+        """The test function of dimension n, phi = psi^2."""
+        return testfn.build_test_function(self.params.n)
+
+    @cached_property
+    def weight(self) -> np.ndarray:
+        """phi(x/R) on the grid, the weight of the functionals."""
+        if self.R > self.grid.half_width:
+            raise ValidationError("weight support B(R) must lie inside the box")
+        return self.tf.phi(self.grid.radii() / self.R)
+
 
 @dataclass(frozen=True)
 class EuclidGrid:
@@ -146,14 +159,14 @@ class EuclidState:
     t: float
 
 
-def make_initial_state(spec: EuclidRunSpec, tf: TestFunctionData) -> EuclidState:
+def make_initial_state(spec: EuclidRunSpec) -> EuclidState:
     """Data eps * amp * phase(beta) * profile(|x| / r_data); the phases make
     conj(beta1) u0 and conj(beta2) v0 positive reals on the support."""
     grid = spec.grid
     r = grid.radii()
     d = spec.data
     if d.shape == "weight":
-        profile = tf.phi(r / d.r_data)
+        profile = spec.tf.phi(r / d.r_data)
     else:
         profile = np.exp(-(r * r) / (2.0 * d.r_data ** 2))
     b1, b2 = spec.params.beta1, spec.params.beta2
@@ -320,19 +333,9 @@ def euclid_step(state: EuclidState, spec: EuclidRunSpec, dt: float,
     return new
 
 
-def _weight_values(spec: EuclidRunSpec, tf: TestFunctionData) -> np.ndarray:
-    grid = spec.grid
-    if spec.R > grid.half_width:
-        raise ValidationError("weight support B(R) must lie inside the box")
-    return tf.phi(grid.radii() / spec.R)
-
-
-def weighted_functionals(
-    state: EuclidState, spec: EuclidRunSpec, tf: TestFunctionData, weight=None
-) -> tuple[float, float]:
-    """Grid quadrature of Re(conj(beta) field) * phi(x/R) (``weight``, if
-    at hand)."""
-    w = _weight_values(spec, tf) if weight is None else weight
+def weighted_functionals(state: EuclidState, spec: EuclidRunSpec) -> tuple[float, float]:
+    """Grid quadrature of Re(conj(beta) field) * phi(x/R)."""
+    w = spec.weight
     vol = spec.grid.cell_volume
     U = float(np.sum((np.conj(spec.params.beta1) * state.u).real * w) * vol)
     V = float(np.sum((np.conj(spec.params.beta2) * state.v).real * w) * vol)
@@ -340,12 +343,11 @@ def weighted_functionals(
 
 
 def functional_derivatives(
-    state: EuclidState, spec: EuclidRunSpec, tf: TestFunctionData,
-    weight=None, nonlinearity=None,
+    state: EuclidState, spec: EuclidRunSpec, nonlinearity=None
 ) -> tuple[float, float]:
     """d/dt of the weighted functionals from the discrete right-hand side
-    (``weight`` and ``nonlinearity`` as in weighted_functionals, euclid_step)."""
-    w = _weight_values(spec, tf) if weight is None else weight
+    (``nonlinearity`` as in euclid_step)."""
+    w = spec.weight
     vol = spec.grid.cell_volume
     du, dv = _rhs(state, spec.params, spec.grid.h, nonlinearity)
     dU = float(np.sum((np.conj(spec.params.beta1) * du).real * w) * vol)
@@ -355,7 +357,6 @@ def functional_derivatives(
 
 def run_euclid(
     spec: EuclidRunSpec,
-    tf: TestFunctionData,
     t_end: float,
     dt_max: float,
     functional_threshold: Optional[float] = 1e5,
@@ -366,19 +367,19 @@ def run_euclid(
     """Advance until t_end, until U or V crosses functional_threshold, or
     until max |field| crosses field_threshold (status blow_up...).
 
-    The weight is evaluated once per run, and the nonlinearity once per
-    node: the step from a node reuses the one its observation computed.
+    The weight is evaluated once per run (``spec.weight``), and the
+    nonlinearity once per node: the step from a node reuses the one its
+    observation computed.
     """
     if state is None:
-        state = make_initial_state(spec, tf)
-    weight = _weight_values(spec, tf)
+        state = make_initial_state(spec)
     held = None  # (node, its nonlinearity) until the step from that node
 
     def observe(s):
         nonlocal held
         held = (s, _nonlinearity(s, spec.params))
-        return (*weighted_functionals(s, spec, tf, weight),
-                *functional_derivatives(s, spec, tf, weight, held[1]))
+        return (*weighted_functionals(s, spec),
+                *functional_derivatives(s, spec, held[1]))
 
     def step(s, dt):
         nonlocal held
@@ -394,14 +395,14 @@ def run_euclid(
 
 
 def check_weighted_growth_inequality(
-    series: FunctionalSeries, spec: EuclidRunSpec, tf: TestFunctionData
+    series: FunctionalSeries, spec: EuclidRunSpec
 ) -> OdiReport:
     """Verify U' + |alpha1| lambda_eff R^-2 U >= R^(-n(p-1)) ||phi||^(1-p)
     |b1|^2 |b2|^-p V^p (and symmetrically) wherever U, V >= 0."""
     params = spec.params
     n, p, q = params.n, params.p, params.q
     ab1, ab2 = abs(params.beta1), abs(params.beta2)
-    R = spec.R
+    tf, R = spec.tf, spec.R
     phi_l1 = tf.l1_norm
     coef_u = R ** (-n * (p - 1.0)) * phi_l1 ** (-(p - 1.0)) * ab1 ** 2 * ab2 ** (-p)
     coef_v = R ** (-n * (q - 1.0)) * phi_l1 ** (-(q - 1.0)) * ab2 ** 2 * ab1 ** (-q)
@@ -524,8 +525,7 @@ def evaluate_thresholds(
 
 
 def coupling_spec(
-    spec: EuclidRunSpec, tf: TestFunctionData, U0: float, V0: float,
-    lam_override: Optional[float] = None,
+    spec: EuclidRunSpec, U0: float, V0: float, lam_override: Optional[float] = None,
 ) -> CoupledODESpec:
     """The damped comparison system the weighted functionals obey."""
     params = spec.params
@@ -533,8 +533,8 @@ def coupling_spec(
     pp, qq = p + 1.0, q + 1.0
     ab1, ab2 = abs(params.beta1), abs(params.beta2)
     amax = max(abs(params.alpha1), abs(params.alpha2))
+    tf, R = spec.tf, spec.R
     lam_eff = tf.lambda_eff if lam_override is None else lam_override
-    R = spec.R
     phi_l1 = tf.l1_norm
     C_p = phi_l1 ** (1.0 - p) * ab1 ** 2 * ab2 ** (-p) * R ** (-n * (p - 1.0)) / pp
     C_q = phi_l1 ** (1.0 - q) * ab2 ** 2 * ab1 ** (-q) * R ** (-n * (q - 1.0)) / qq
@@ -605,9 +605,7 @@ def _amplitude_scaling_bound(
     return T1, x_min
 
 
-def blowup_bounds(
-    spec: EuclidRunSpec, tf: TestFunctionData, U0: float, V0: float
-) -> EuclidBounds:
+def blowup_bounds(spec: EuclidRunSpec, U0: float, V0: float) -> EuclidBounds:
     """Bounds for the weighted functionals at the run radius R.
 
     Requires R > R0; the lower-bound curve and lifespan come from the damped
@@ -616,13 +614,14 @@ def blowup_bounds(
     """
     if U0 <= 0.0 or V0 <= 0.0:
         raise ValidationError("U0 and V0 must be positive")
+    tf = spec.tf
     tc = evaluate_thresholds(spec.params, tf, U0, V0, spec.R)
     T1, x_min = _amplitude_scaling_bound(spec.params, tc, tf.l1_norm, U0, tf.lambda_eff)
 
     tc_psi = evaluate_thresholds(spec.params, tf, U0, V0, spec.R,
                                  lam_override=tf.lam)
     T1_psi, _ = _amplitude_scaling_bound(spec.params, tc_psi, tf.l1_norm, U0, tf.lam)
-    ode_psi = coupling_spec(spec, tf, U0, V0, lam_override=tf.lam)
+    ode_psi = coupling_spec(spec, U0, V0, lam_override=tf.lam)
     psi_report = damped_bounds(ode_psi)
     psi_variant = {
         "lambda": tf.lam,
@@ -639,7 +638,7 @@ def blowup_bounds(
             thresholds=tc, T1=T1, minimizer=x_min,
             lambda_psi_variant=psi_variant,
         )
-    ode = coupling_spec(spec, tf, U0, V0)
+    ode = coupling_spec(spec, U0, V0)
     report = damped_bounds(ode)
     return EuclidBounds(
         report=report, thresholds=tc, T1=T1, minimizer=x_min,

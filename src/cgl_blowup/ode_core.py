@@ -195,6 +195,7 @@ _MIN_FAC = 0.2
 _MAX_FAC = 6.0
 _K_ALPHA = 0.7 / 5.0  # PI controller, proportional exponent for order 5
 _K_BETA = 0.4 / 5.0   # PI controller, integral exponent
+_MAX_STEPS = 2_000_000  # attempted steps before integrate_coupled gives up
 
 
 def integrate_coupled(
@@ -202,7 +203,6 @@ def integrate_coupled(
     t_end: float,
     tol: float = 1e-10,
     blowup_threshold: float = 1e6,
-    max_steps: int = 2_000_000,
 ) -> Trajectory:
     """Integrate the coupled system with an embedded Dormand-Prince 5(4) pair.
 
@@ -244,7 +244,7 @@ def integrate_coupled(
     status = None
     last_clipped = False
 
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if t >= t_end * (1.0 - 1e-15):
             status = COMPLETED
             break

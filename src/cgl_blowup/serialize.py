@@ -22,9 +22,12 @@ def fmt_float(x: float) -> str:
     return s
 
 
-def _render(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+_INDENT = 2
+
+
+def _render(obj, level: int) -> str:
+    pad = " " * (_INDENT * (level + 1))
+    close_pad = " " * (_INDENT * level)
     if obj is None:
         return "null"
     if isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -34,35 +37,35 @@ def _render(obj, indent: int, level: int) -> str:
     if isinstance(obj, (float, np.floating)):
         return fmt_float(float(obj))
     if isinstance(obj, complex):
-        return _render([obj.real, obj.imag], indent, level)
+        return _render([obj.real, obj.imag], level)
     if isinstance(obj, str):
         out = obj.replace("\\", "\\\\").replace('"', '\\"')
         out = out.replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r")
         return f'"{out}"'
     if isinstance(obj, np.ndarray):
-        return _render(list(obj), indent, level)
+        return _render(list(obj), level)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [
-            f'{pad}"{k}": {_render(v, indent, level + 1)}' for k, v in obj.items()
+            f'{pad}"{k}": {_render(v, level + 1)}' for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + close_pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [f"{pad}{_render(v, indent, level + 1)}" for v in obj]
+        items = [f"{pad}{_render(v, level + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + "\n" + close_pad + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def to_json_text(obj, indent: int = 2) -> str:
-    return _render(obj, indent, 0) + "\n"
+def to_json_text(obj) -> str:
+    return _render(obj, 0) + "\n"
 
 
-def write_json(path, obj, indent: int = 2) -> None:
+def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_json_text(obj, indent))
+        fh.write(to_json_text(obj))
 
 
 def write_csv(path, header: str, columns) -> None:

@@ -231,15 +231,14 @@ def _euclid_spec(box_half_width=16.0):
 
 def test_criterion_7_euclid_suite():
     t0 = time.monotonic()
-    tf = testfn.build_test_function(1)
     spec = _euclid_spec()
-    state = euclid.make_initial_state(spec, tf)
-    U0, V0 = euclid.weighted_functionals(state, spec, tf)
-    bounds = euclid.blowup_bounds(spec, tf, U0, V0)
+    state = euclid.make_initial_state(spec)
+    U0, V0 = euclid.weighted_functionals(state, spec)
+    bounds = euclid.blowup_bounds(spec, U0, V0)
     assert bounds.thresholds.r_exceeds_r0
     assert bounds.hypothesis_satisfied
 
-    run = euclid.run_euclid(spec, tf, t_end=30.0, dt_max=2e-3,
+    run = euclid.run_euclid(spec, t_end=30.0, dt_max=2e-3,
                             functional_threshold=1e9, field_threshold=1e13,
                             state=state)
     assert run.status == ode_core.BLOWUP
@@ -250,7 +249,7 @@ def test_criterion_7_euclid_suite():
     cut = int(cap[0]) if cap.size else s.times.size
     capped = FunctionalSeries(times=s.times[:cut], U=s.U[:cut], V=s.V[:cut],
                               dU=s.dU[:cut], dV=s.dV[:cut])
-    odi = euclid.check_weighted_growth_inequality(capped, spec, tf)
+    odi = euclid.check_weighted_growth_inequality(capped, spec)
 
     # escape through 1e5 with the power-law tail correction
     gamma_u = 1.5
@@ -267,11 +266,11 @@ def test_criterion_7_euclid_suite():
     # box doubling on a fixed time grid (identical dt sequence by design)
     def fixed_dt_series(box):
         sp = _euclid_spec(box_half_width=box)
-        st = euclid.make_initial_state(sp, tf)
+        st = euclid.make_initial_state(sp)
         out = []
         for _ in range(500):
             st = euclid.euclid_step(st, sp, 2e-3)
-            out.append(euclid.weighted_functionals(st, sp, tf))
+            out.append(euclid.weighted_functionals(st, sp))
         return np.array(out)
 
     base = fixed_dt_series(16.0)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.special import stdtrit
 
 import cgl_blowup
-from cgl_blowup import cli
+from cgl_blowup import cli, testfn
 from cgl_blowup.cli import main
 from cgl_blowup.serialize import write_json
 
@@ -149,6 +149,19 @@ def test_negative_seed_exits_2(tmp_path):
         run_cli(["ode-verify", "--config", cfg, "--out", out, "--seed", -1])
     assert exc.value.code == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [False, True],
+                         ids=["out_is_a_file", "out_below_a_file"])
+def test_unusable_out_exits_2_and_keeps_the_file(tmp_path, capsys, below):
+    cfg = write_config(tmp_path / "c.json", weight_config())
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    out = taken / "sub" if below else taken
+    assert run_cli(["testfn-check", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert taken.read_text() == "not a directory"
 
 
 def _json_type(value):
@@ -350,6 +363,23 @@ def test_euclid_run_fits_no_rate_to_a_run_that_did_not_blow_up(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "completed"
     assert report["fits"] == {"U": None, "V": None}
+
+
+def test_euclid_run_evaluates_phi_for_the_data_and_the_weight_only(
+        tmp_path, monkeypatch):
+    calls = []
+    phi = testfn.TestFunctionData.phi
+
+    def counted_phi(self, r):
+        calls.append(r)
+        return phi(self, r)
+
+    monkeypatch.setattr(testfn.TestFunctionData, "phi", counted_phi)
+    cfg = json.loads((CONFIGS / "euclid_suite.json").read_text())
+    cfg["t_end"] = 0.2
+    path = write_config(tmp_path / "c.json", cfg)
+    assert run_cli(["euclid-run", "--config", path, "--out", tmp_path / "out"]) == 0
+    assert len(calls) <= 2  # the initial data and the weight
 
 
 def test_ode_verify_reports_residual_defect(tmp_path):

@@ -31,17 +31,12 @@ def tf1():
     return build_test_function(1)
 
 
-@pytest.fixture(scope="module")
-def tf2():
-    return build_test_function(2)
-
-
 def heat_params(n=1, p=2.0, q=1.5, beta1=1.0, beta2=1.0):
     return SystemParams(n=n, p=p, q=q, alpha1=-1, alpha2=-1,
                         beta1=beta1, beta2=beta2)
 
 
-def small_spec(tf, **kw):
+def small_spec(**kw):
     defaults = dict(
         params=heat_params(),
         R=4.0,
@@ -56,12 +51,12 @@ def small_spec(tf, **kw):
 # ---------------------------------------------------------------------------
 # stepper oracles
 
-def test_heat_kernel_oracle(tf1):
+def test_heat_kernel_oracle():
     params = SystemParams(n=1, p=2, q=1.5, alpha1=-1, alpha2=-1,
                           beta1=1e-14, beta2=1e-14)
     spec = EuclidRunSpec(params=params, R=4.0, box_half_width=12.0, h=1 / 32,
                          data=DataSpec(epsilon=1.0, r_data=1.0, shape="gaussian"))
-    state = make_initial_state(spec, tf1)
+    state = make_initial_state(spec)
     while state.t < 0.5 - 1e-12:
         state = euclid_step(state, spec, min(2e-3, 0.5 - state.t))
     x = spec.grid.axis
@@ -71,12 +66,12 @@ def test_heat_kernel_oracle(tf1):
     assert err < 10 * spec.grid.h ** 2
 
 
-def test_heat_kernel_oracle_2d(tf2):
+def test_heat_kernel_oracle_2d():
     params = SystemParams(n=2, p=2, q=1.5, alpha1=-1, alpha2=-1,
                           beta1=1e-14, beta2=1e-14)
     spec = EuclidRunSpec(params=params, R=3.0, box_half_width=6.0, h=3 / 64,
                          data=DataSpec(epsilon=1.0, r_data=0.7, shape="gaussian"))
-    state = make_initial_state(spec, tf2)
+    state = make_initial_state(spec)
     while state.t < 0.2 - 1e-12:
         state = euclid_step(state, spec, min(2e-3, 0.2 - state.t))
     r = spec.grid.radii()
@@ -86,19 +81,19 @@ def test_heat_kernel_oracle_2d(tf2):
     assert np.max(np.abs(state.u.real - exact)) < 50 * spec.grid.h ** 2
 
 
-def test_symmetric_case_preserved(tf1):
+def test_symmetric_case_preserved():
     params = SystemParams(n=1, p=2, q=2, alpha1=-1.5, alpha2=-1.5,
                           beta1=2, beta2=2)
-    spec = small_spec(tf1, params=params,
+    spec = small_spec(params=params,
                       data=DataSpec(epsilon=0.5, r_data=2.0))
-    state = make_initial_state(spec, tf1)
+    state = make_initial_state(spec)
     for _ in range(200):
         state = euclid_step(state, spec, 1e-3)
     assert np.max(np.abs(state.u - state.v)) < 1e-12
 
 
-def test_zero_data_fixed_point(tf1):
-    spec = small_spec(tf1)
+def test_zero_data_fixed_point():
+    spec = small_spec()
     state = EuclidState(
         u=np.zeros(spec.grid.shape, dtype=complex),
         v=np.zeros(spec.grid.shape, dtype=complex),
@@ -108,16 +103,16 @@ def test_zero_data_fixed_point(tf1):
     assert np.all(out.u == 0) and np.all(out.v == 0)
 
 
-def test_explicit_scheme_cross_checks_imex(tf1):
+def test_explicit_scheme_cross_checks_imex():
     params = SystemParams(n=1, p=2, q=2, alpha1=-1.5, alpha2=-1.5,
                           beta1=2, beta2=2)
-    imex = small_spec(tf1, params=params, data=DataSpec(epsilon=0.5, r_data=2.0))
-    expl = small_spec(tf1, params=params, data=DataSpec(epsilon=0.5, r_data=2.0),
+    imex = small_spec(params=params, data=DataSpec(epsilon=0.5, r_data=2.0))
+    expl = small_spec(params=params, data=DataSpec(epsilon=0.5, r_data=2.0),
                       scheme="explicit")
-    s_imex = make_initial_state(imex, tf1)
+    s_imex = make_initial_state(imex)
     for _ in range(400):
         s_imex = euclid_step(s_imex, imex, 0.2 / 400)
-    s_expl = make_initial_state(expl, tf1)
+    s_expl = make_initial_state(expl)
     cfl = cfl_limit(expl)
     n_steps = int(0.2 / (0.9 * cfl)) + 1
     for _ in range(n_steps):
@@ -125,26 +120,26 @@ def test_explicit_scheme_cross_checks_imex(tf1):
     assert np.max(np.abs(s_imex.u - s_expl.u)) < 1e-3
 
 
-def test_explicit_scheme_rejects_large_dt(tf1):
-    spec = small_spec(tf1, scheme="explicit")
-    state = make_initial_state(spec, tf1)
+def test_explicit_scheme_rejects_large_dt():
+    spec = small_spec(scheme="explicit")
+    state = make_initial_state(spec)
     with pytest.raises(ValidationError):
         euclid_step(state, spec, 10 * cfl_limit(spec))
 
 
-def test_explicit_run_caps_dt_below_the_diffusion_limit(tf1):
-    spec = small_spec(tf1, scheme="explicit")
+def test_explicit_run_caps_dt_below_the_diffusion_limit():
+    spec = small_spec(scheme="explicit")
     cfl = cfl_limit(spec)
     # dt_max far above the limit, so the cap is what bounds the step
-    run = run_euclid(spec, tf1, t_end=50 * cfl, dt_max=1.0)
+    run = run_euclid(spec, t_end=50 * cfl, dt_max=1.0)
     steps = np.diff(run.series.times)
     assert steps.size >= 50
     assert np.all(steps <= 0.9 * cfl * (1 + 1e-12))
     assert steps.max() == pytest.approx(0.9 * cfl, rel=1e-12)
 
 
-def test_overflow_carries_last_state(tf1):
-    spec = small_spec(tf1)
+def test_overflow_carries_last_state():
+    spec = small_spec()
     huge = np.full(spec.grid.shape, 1e200, dtype=complex)
     state = EuclidState(u=huge, v=huge, t=0.0)
     with pytest.raises(IntegrationError) as exc:
@@ -154,12 +149,12 @@ def test_overflow_carries_last_state(tf1):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
-def test_run_past_the_float_range_raises_with_the_last_good_node(tf1):
-    spec = small_spec(tf1)
+def test_run_past_the_float_range_raises_with_the_last_good_node():
+    spec = small_spec()
     huge = np.full(spec.grid.shape, 1e200, dtype=complex)
     state = EuclidState(u=huge, v=huge, t=0.0)
     with pytest.raises(IntegrationError) as exc:
-        run_euclid(spec, tf1, t_end=1.0, dt_max=1e-3, state=state)
+        run_euclid(spec, t_end=1.0, dt_max=1e-3, state=state)
     assert exc.value.last_node is state
 
 
@@ -190,8 +185,7 @@ def test_singular_solve_carries_the_state():
     assert exc.value.last_node is state
 
 
-def test_run_sets_up_the_weight_once_and_the_nonlinearity_once_per_node(
-        tf1, monkeypatch):
+def test_run_sets_up_the_weight_once_and_the_nonlinearity_once_per_node(monkeypatch):
     calls = {"phi": 0, "nonlinearity": 0}
     phi, nonlinearity = testfn.TestFunctionData.phi, euclid._nonlinearity
 
@@ -205,15 +199,14 @@ def test_run_sets_up_the_weight_once_and_the_nonlinearity_once_per_node(
 
     monkeypatch.setattr(testfn.TestFunctionData, "phi", counted_phi)
     monkeypatch.setattr(euclid, "_nonlinearity", counted_nonlinearity)
-    run = run_euclid(small_spec(tf1), tf1, t_end=0.2, dt_max=2e-3)
+    run = run_euclid(small_spec(), t_end=0.2, dt_max=2e-3)
     assert run.series.times.size > 100
     assert calls["phi"] <= 2  # the initial data and the weight
     assert calls["nonlinearity"] == run.series.times.size
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_run_to_nonlinearity_overflow_raises_with_the_last_good_node(
-        tf1, monkeypatch):
+def test_run_to_nonlinearity_overflow_raises_with_the_last_good_node(monkeypatch):
     # the step from a node reuses the nonlinearity its observation computed,
     # and must still refuse one that overflowed
     nodes = []
@@ -228,7 +221,7 @@ def test_run_to_nonlinearity_overflow_raises_with_the_last_good_node(
 
     monkeypatch.setattr(euclid, "_nonlinearity", overflowing)
     with pytest.raises(IntegrationError, match="nonlinearity overflow") as exc:
-        run_euclid(small_spec(tf1), tf1, t_end=0.2, dt_max=2e-3)
+        run_euclid(small_spec(), t_end=0.2, dt_max=2e-3)
     last = exc.value.last_node
     assert last is nodes[4] and last.t > 0
     assert np.all(np.isfinite(last.u)) and np.all(np.isfinite(last.v))
@@ -237,63 +230,63 @@ def test_run_to_nonlinearity_overflow_raises_with_the_last_good_node(
 # ---------------------------------------------------------------------------
 # functionals
 
-def test_initial_data_phase_alignment(tf1):
+def test_initial_data_phase_alignment():
     # complex couplings: conj(beta) * data must be positive real on the support
     params = SystemParams(n=1, p=2, q=1.5, alpha1=-1, alpha2=-1,
                           beta1=0.6 - 0.8j, beta2=-1j)
-    spec = small_spec(tf1, params=params)
-    state = make_initial_state(spec, tf1)
+    spec = small_spec(params=params)
+    state = make_initial_state(spec)
     wu = np.conj(params.beta1) * state.u
     wv = np.conj(params.beta2) * state.v
     inside = np.abs(spec.grid.axis) < spec.data.r_data * 0.99
     assert np.all(wu.real[inside] > 0)
     assert np.max(np.abs(wu.imag)) < 1e-14
     assert np.all(wv.real[inside] > 0)
-    U, V = weighted_functionals(state, spec, tf1)
+    U, V = weighted_functionals(state, spec)
     assert U > 0 and V > 0
 
 
-def test_weighted_functional_of_unit_field(tf1):
-    spec = small_spec(tf1)
+def test_weighted_functional_of_unit_field():
+    spec = small_spec()
     ones = np.ones(spec.grid.shape, dtype=complex)
     state = EuclidState(u=ones, v=ones, t=0.0)
-    U, V = weighted_functionals(state, spec, tf1)
+    U, V = weighted_functionals(state, spec)
     # n=1 norm of the weight is exactly 1, so the integral is R
     assert U == pytest.approx(spec.R, rel=1e-6)
     assert V == pytest.approx(spec.R, rel=1e-6)
 
 
-def test_weighted_functional_support(tf1):
-    spec = small_spec(tf1)
+def test_weighted_functional_support():
+    spec = small_spec()
     x = spec.grid.axis
     u = np.where(np.abs(x) > spec.R, 1.0 + 0j, 0.0)
     state = EuclidState(u=u, v=u.copy(), t=0.0)
-    U, V = weighted_functionals(state, spec, tf1)
+    U, V = weighted_functionals(state, spec)
     assert U == 0.0 and V == 0.0
 
 
 def test_weighted_functional_signed(tf1):
-    spec = small_spec(tf1)
+    spec = small_spec()
     x = spec.grid.axis
     u = np.sign(x) * tf1.phi(np.abs(x) / spec.R) + 0j
     state = EuclidState(u=u, v=u.copy(), t=0.0)
-    U, _ = weighted_functionals(state, spec, tf1)
+    U, _ = weighted_functionals(state, spec)
     # odd field: signed quadrature cancels, no positive part is taken
     assert abs(U) < 1e-12
 
 
-def test_weight_support_must_fit_box(tf1):
-    spec = small_spec(tf1)
+def test_weight_support_must_fit_box():
+    spec = small_spec()
     object.__setattr__(spec, "R", 10.0)  # past the box on purpose
     ones = np.ones(spec.grid.shape, dtype=complex)
     state = EuclidState(u=ones, v=ones, t=0.0)
     with pytest.raises(ValidationError):
-        weighted_functionals(state, spec, tf1)
+        weighted_functionals(state, spec)
 
 
 def test_laplacian_contribution_matches_weight_laplacian(tf1):
     # summation by parts: weight supported data, discrete flux consistency
-    spec = small_spec(tf1, box_half_width=12.0)
+    spec = small_spec(box_half_width=12.0)
     grid = spec.grid
     x = grid.axis
     u = tf1.phi(np.abs(x) / (spec.R / 2)) + 0j  # supported in B(R/2)
@@ -310,65 +303,65 @@ def test_laplacian_contribution_matches_weight_laplacian(tf1):
 # ---------------------------------------------------------------------------
 # growth inequality and bounds
 
-def test_growth_inequality_on_small_amplitude_run(tf1):
-    spec = small_spec(tf1)
-    run = run_euclid(spec, tf1, t_end=0.5, dt_max=1e-3,
+def test_growth_inequality_on_small_amplitude_run():
+    spec = small_spec()
+    run = run_euclid(spec, t_end=0.5, dt_max=1e-3,
                      functional_threshold=None)
-    report = check_weighted_growth_inequality(run.series, spec, tf1)
+    report = check_weighted_growth_inequality(run.series, spec)
     assert report.passed
     assert report.n_checked == run.series.times.size
 
 
-def test_growth_inequality_two_dimensional(tf2):
+def test_growth_inequality_two_dimensional():
     # subcritical in n=2 needs (p+1)/(pq-1) > 1
     params = SystemParams(n=2, p=1.5, q=1.5, alpha1=-1, alpha2=-1,
                           beta1=1, beta2=1)
     spec = EuclidRunSpec(params=params, R=2.0, box_half_width=4.0, h=2 / 64,
                          data=DataSpec(epsilon=0.8, r_data=1.0, amp_v=0.6))
-    run = run_euclid(spec, tf2, t_end=0.3, dt_max=1e-3,
+    run = run_euclid(spec, t_end=0.3, dt_max=1e-3,
                      functional_threshold=None)
-    report = check_weighted_growth_inequality(run.series, spec, tf2)
+    report = check_weighted_growth_inequality(run.series, spec)
     assert report.n_checked == run.series.times.size
     assert report.passed
 
 
 def test_growth_inequality_at_weight_shaped_data(tf1):
     # u0 = phi(x/R) itself: direct two-sided evaluation at t = 0
-    spec = small_spec(tf1, data=DataSpec(epsilon=1.0, r_data=4.0))
-    state = make_initial_state(spec, tf1)
-    U, V = weighted_functionals(state, spec, tf1)
-    dU, dV = functional_derivatives(state, spec, tf1)
+    spec = small_spec(data=DataSpec(epsilon=1.0, r_data=4.0))
+    state = make_initial_state(spec)
+    U, V = weighted_functionals(state, spec)
+    dU, dV = functional_derivatives(state, spec)
     lam = tf1.lambda_eff
     lhs = dU + lam / spec.R ** 2 * U
     rhs = spec.R ** (-1 * (2.0 - 1.0)) * 1.0 * V ** 2.0
     assert lhs >= rhs - 1e-9 * (1 + abs(dU))
 
 
-def test_blowup_run_stays_under_bounds(tf1):
+def test_blowup_run_stays_under_bounds():
     params = heat_params()
     R = 8.0
     spec = EuclidRunSpec(params=params, R=R, box_half_width=16.0, h=R / 128,
                          data=DataSpec(epsilon=0.55, r_data=2.0,
                                        amp_u=1.0, amp_v=0.5))
-    state = make_initial_state(spec, tf1)
-    U0, V0 = weighted_functionals(state, spec, tf1)
-    bounds = blowup_bounds(spec, tf1, U0, V0)
+    state = make_initial_state(spec)
+    U0, V0 = weighted_functionals(state, spec)
+    bounds = blowup_bounds(spec, U0, V0)
     assert bounds.hypothesis_satisfied
     assert bounds.thresholds.r_exceeds_r0
-    run = run_euclid(spec, tf1, t_end=30.0, dt_max=2e-3,
+    run = run_euclid(spec, t_end=30.0, dt_max=2e-3,
                      functional_threshold=1e5)
     assert run.status == BLOWUP
     assert run.escape_time() <= bounds.lifespan_bound
-    report = check_weighted_growth_inequality(run.series, spec, tf1)
+    report = check_weighted_growth_inequality(run.series, spec)
     assert report.passed
 
 
-def test_bounds_reduce_to_damped_ode_bounds(tf1):
-    spec = small_spec(tf1, R=4.0, box_half_width=16.0)
+def test_bounds_reduce_to_damped_ode_bounds():
+    spec = small_spec(R=4.0, box_half_width=16.0)
     U0, V0 = 1.2, 0.4
-    ode = coupling_spec(spec, tf1, U0, V0)
+    ode = coupling_spec(spec, U0, V0)
     direct = damped_bounds(ode)
-    wrapped = blowup_bounds(spec, tf1, U0, V0)
+    wrapped = blowup_bounds(spec, U0, V0)
     if wrapped.hypothesis_satisfied:
         assert wrapped.lifespan_bound == direct.lifespan_bound
     else:
@@ -376,11 +369,11 @@ def test_bounds_reduce_to_damped_ode_bounds(tf1):
 
 
 def test_bounds_unsatisfied_when_radius_too_small(tf1):
-    spec = small_spec(tf1)  # R = 4
+    spec = small_spec()  # R = 4
     U0, V0 = 0.05, 0.02  # small data pushes R1 above 4
     tc = evaluate_thresholds(spec.params, tf1, U0, V0, spec.R)
     assert tc.R0 > spec.R
-    bounds = blowup_bounds(spec, tf1, U0, V0)
+    bounds = blowup_bounds(spec, U0, V0)
     assert not bounds.hypothesis_satisfied
 
 
@@ -415,26 +408,26 @@ def test_hypothesis_crosses_at_r1(tf1):
     def damping_term(R):
         spec = EuclidRunSpec(params=params, R=R, box_half_width=2 * R, h=R / 128,
                              data=DataSpec(epsilon=1.0, r_data=2.0))
-        return damped_hypothesis_terms(coupling_spec(spec, tf1, U0, V0))[0]
+        return damped_hypothesis_terms(coupling_spec(spec, U0, V0))[0]
 
     assert damping_term(tc.R1 * 0.999) > U0
     assert damping_term(tc.R1 * 1.001) < U0
 
 
-def test_amplitude_scaling_of_lifespan_bound(tf1):
+def test_amplitude_scaling_of_lifespan_bound():
     params = heat_params()
     spec = EuclidRunSpec(params=params, R=8.0, box_half_width=16.0, h=8 / 128,
                          data=DataSpec(epsilon=1.0, r_data=2.0))
     U0, V0 = 1.0, 0.5
     eps = 0.5
-    b1 = blowup_bounds(spec, tf1, U0, V0)
-    b2 = blowup_bounds(spec, tf1, eps * U0, eps * V0)
+    b1 = blowup_bounds(spec, U0, V0)
+    b2 = blowup_bounds(spec, eps * U0, eps * V0)
     n, p, q = 1, 2.0, 1.5
     sigma = 1.0 / ((p + 1) / (p * q - 1) - n / 2)
     assert b2.T1 / b1.T1 == pytest.approx(eps ** (-sigma), rel=1e-9)
 
 
-def test_radius_factor_minimization_against_scan(tf1):
+def test_radius_factor_minimization_against_scan():
     # brute-force oracle for the inner 1-d minimization of the T1 bound
     from cgl_blowup.euclid import _minimize_radius_factor
 
@@ -461,7 +454,7 @@ def test_lower_bound_constants_rewrite_the_ode_constants(tf1):
     spec = EuclidRunSpec(params=params, R=R, box_half_width=2 * R, h=R / 128,
                          data=DataSpec(epsilon=1.0, r_data=2.0))
     tc = evaluate_thresholds(params, tf1, U0, V0, R)
-    ode = coupling_spec(spec, tf1, U0, V0)
+    ode = coupling_spec(spec, U0, V0)
     p, q, n = params.p, params.q, params.n
     pp, qq, D = p + 1, q + 1, p * q - 1
 
@@ -475,7 +468,7 @@ def test_lower_bound_constants_rewrite_the_ode_constants(tf1):
     assert lhs2 == pytest.approx(rhs2, rel=1e-12)
 
 
-def test_radius_optimized_bound_equals_direct_scan(tf1):
+def test_radius_optimized_bound_equals_direct_scan():
     # T1 from the closed-form constants must match minimizing the damped
     # lifespan bound of the instantiated system over the weight radius
     params = SystemParams(n=1, p=2, q=1.5, alpha1=-1, alpha2=-1,
@@ -483,7 +476,7 @@ def test_radius_optimized_bound_equals_direct_scan(tf1):
     U0, V0 = 1.0, 0.4
     spec0 = EuclidRunSpec(params=params, R=8.0, box_half_width=16.0, h=8 / 128,
                           data=DataSpec(epsilon=1.0, r_data=2.0))
-    bounds = blowup_bounds(spec0, tf1, U0, V0)
+    bounds = blowup_bounds(spec0, U0, V0)
     tc = bounds.thresholds
 
     radii = np.linspace(max(tc.R0, tc.R1) * (1 + 1e-6),
@@ -492,7 +485,7 @@ def test_radius_optimized_bound_equals_direct_scan(tf1):
     for R in radii:
         spec = EuclidRunSpec(params=params, R=R, box_half_width=2 * R,
                              h=R / 128, data=DataSpec(epsilon=1.0, r_data=2.0))
-        report = damped_bounds(coupling_spec(spec, tf1, U0, V0))
+        report = damped_bounds(coupling_spec(spec, U0, V0))
         if report.hypothesis_satisfied:
             direct.append(report.lifespan_bound)
     best = min(direct)
@@ -516,7 +509,7 @@ def test_r1_strictly_decreasing_in_amplitude(tf1):
         assert b.R1 < a.R1
 
 
-def test_box_doubling_insensitivity(tf1):
+def test_box_doubling_insensitivity():
     params = heat_params()
 
     def fixed_dt_functionals(box):
@@ -524,11 +517,11 @@ def test_box_doubling_insensitivity(tf1):
                              h=8 / 128,
                              data=DataSpec(epsilon=0.55, r_data=2.0,
                                            amp_u=1.0, amp_v=0.5))
-        state = make_initial_state(spec, tf1)
+        state = make_initial_state(spec)
         out = []
         for _ in range(500):
             state = euclid_step(state, spec, 2e-3)
-            out.append(weighted_functionals(state, spec, tf1))
+            out.append(weighted_functionals(state, spec))
         return np.array(out)
 
     base = fixed_dt_functionals(16.0)
@@ -537,7 +530,7 @@ def test_box_doubling_insensitivity(tf1):
     assert rel < 1e-6
 
 
-def test_spec_validation(tf1):
+def test_spec_validation():
     params = heat_params()
     good = dict(params=params, R=4.0, box_half_width=8.0, h=4 / 64,
                 data=DataSpec(epsilon=1.0, r_data=2.0))
