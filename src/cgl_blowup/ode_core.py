@@ -210,6 +210,11 @@ def integrate_coupled(
     max(f, g) (located inside the step with a cubic Hermite model), or when
     the adaptive step collapses below 1e-14 of the current time scale near
     blow-up.  The returned trajectory records every accepted step.
+
+    The step loop is one scalar kernel: the run constants are set up before
+    it, the stage right-hand sides are written out, and max/min/abs are
+    conditional expressions with the builtins' tie and NaN semantics, so a
+    step makes no Python-level call beyond isfinite, sqrt and the appends.
     """
     if not (0.0 < tol <= 1e-3):
         raise ValidationError(f"tol must lie in (0, 1e-3], got {tol}")
@@ -218,86 +223,103 @@ def integrate_coupled(
     if not (t_end > 0.0):
         raise ValidationError("t_end must be positive")
 
-    p, q, omega = spec.p, spec.q, spec.omega
+    p, q = spec.p, spec.q
     cp_fac = (p + 1.0) * spec.C_p
     cq_fac = (q + 1.0) * spec.C_q
-    om_f = omega / (q + 1.0)
-    om_g = omega / (p + 1.0)
-
-    def rhs(f, g):
-        return cp_fac * g ** p - om_f * f, cq_fac * f ** q - om_g * g
+    om_f = spec.omega / (q + 1.0)
+    om_g = spec.omega / (p + 1.0)
 
     t = 0.0
     f, g = spec.f0, spec.g0
-    df, dg = rhs(f, g)
+    # k1f, k1g hold the derivative at (t, f, g) (first same as last)
+    k1f, k1g = _rhs(spec, f, g)
+
+    # initial step from the local solution scale
+    scale = min(abs(f) / max(abs(k1f), 1e-300), abs(g) / max(abs(k1g), 1e-300))
+    h = min(1e-2 * scale, t_end) if scale > 0 else t_end * 1e-6
+    h = max(h, 1e-300)
+
+    # the step-collapse floor is 1e-14 * max(t, t_floor); t >= 0 throughout
+    t_floor = 1e-3 * t_end
+    if h < 1e-14 * t_floor:
+        raise ValidationError(
+            f"t_end={t_end:g} is too long for the run's initial time scale "
+            f"{scale:g}: the first step {h:g} is already below the "
+            f"step-collapse floor 1e-17 * t_end"
+        )
+    t_stop = t_end * (1.0 - 1e-15)
+    safety, min_fac, max_fac = _SAFETY, _MIN_FAC, _MAX_FAC
+    neg_alpha, beta = -_K_ALPHA, _K_BETA
+    isfinite, sqrt = math.isfinite, math.sqrt
 
     ts = [0.0]
     fs = [f]
     gs = [g]
-
-    # initial step from the local solution scale
-    scale = min(abs(f) / max(abs(df), 1e-300), abs(g) / max(abs(dg), 1e-300))
-    h = min(1e-2 * scale, t_end) if scale > 0 else t_end * 1e-6
-    h = max(h, 1e-300)
-
+    ts_append, fs_append, gs_append = ts.append, fs.append, gs.append
     err_prev = 1.0
-    status = None
-    last_clipped = False
 
     for _ in range(_MAX_STEPS):
-        if t >= t_end * (1.0 - 1e-15):
+        if t >= t_stop:
             status = COMPLETED
             break
-        t_scale = max(abs(t), 1e-3 * abs(t_end))
-        if h < 1e-14 * t_scale:
+        if h < 1e-14 * (t_floor if t_floor > t else t):
             status = STEP_COLLAPSE
             break
         last_clipped = h >= t_end - t
         if last_clipped:
             h = t_end - t
 
-        # Dormand-Prince stages (FSAL: df, dg hold the derivative at (t, f, g))
-        k1f, k1g = df, dg
-        yf = f + h * 0.2 * k1f
-        yg = g + h * 0.2 * k1g
-        k2f, k2g = rhs(yf, yg)
+        # Dormand-Prince stages
+        h5 = h * 0.2
+        yf = f + h5 * k1f
+        yg = g + h5 * k1g
+        k2f = cp_fac * yg ** p - om_f * yf
+        k2g = cq_fac * yf ** q - om_g * yg
         yf = f + h * (0.075 * k1f + 0.225 * k2f)
         yg = g + h * (0.075 * k1g + 0.225 * k2g)
-        k3f, k3g = rhs(yf, yg)
+        k3f = cp_fac * yg ** p - om_f * yf
+        k3g = cq_fac * yf ** q - om_g * yg
         yf = f + h * (44 / 45 * k1f - 56 / 15 * k2f + 32 / 9 * k3f)
         yg = g + h * (44 / 45 * k1g - 56 / 15 * k2g + 32 / 9 * k3g)
-        k4f, k4g = rhs(yf, yg)
+        k4f = cp_fac * yg ** p - om_f * yf
+        k4g = cq_fac * yf ** q - om_g * yg
         yf = f + h * (19372 / 6561 * k1f - 25360 / 2187 * k2f
                       + 64448 / 6561 * k3f - 212 / 729 * k4f)
         yg = g + h * (19372 / 6561 * k1g - 25360 / 2187 * k2g
                       + 64448 / 6561 * k3g - 212 / 729 * k4g)
-        k5f, k5g = rhs(yf, yg)
+        k5f = cp_fac * yg ** p - om_f * yf
+        k5g = cq_fac * yf ** q - om_g * yg
         yf = f + h * (9017 / 3168 * k1f - 355 / 33 * k2f + 46732 / 5247 * k3f
                       + 49 / 176 * k4f - 5103 / 18656 * k5f)
         yg = g + h * (9017 / 3168 * k1g - 355 / 33 * k2g + 46732 / 5247 * k3g
                       + 49 / 176 * k4g - 5103 / 18656 * k5g)
-        k6f, k6g = rhs(yf, yg)
+        k6f = cp_fac * yg ** p - om_f * yf
+        k6g = cq_fac * yf ** q - om_g * yg
         fn = f + h * (35 / 384 * k1f + 500 / 1113 * k3f + 125 / 192 * k4f
                       - 2187 / 6784 * k5f + 11 / 84 * k6f)
         gn = g + h * (35 / 384 * k1g + 500 / 1113 * k3g + 125 / 192 * k4g
                       - 2187 / 6784 * k5g + 11 / 84 * k6g)
-        if not (math.isfinite(fn) and math.isfinite(gn)):
+        if not (isfinite(fn) and isfinite(gn)):
             raise IntegrationError(
                 f"non-finite state at t={t}", last_node=(t, f, g)
             )
-        k7f, k7g = rhs(fn, gn)
+        k7f = cp_fac * gn ** p - om_f * fn
+        k7g = cq_fac * fn ** q - om_g * gn
 
         ef = h * (71 / 57600 * k1f - 71 / 16695 * k3f + 71 / 1920 * k4f
                   - 17253 / 339200 * k5f + 22 / 525 * k6f - 1 / 40 * k7f)
         eg = h * (71 / 57600 * k1g - 71 / 16695 * k3g + 71 / 1920 * k4g
                   - 17253 / 339200 * k5g + 22 / 525 * k6g - 1 / 40 * k7g)
-        sc_f = tol * max(abs(f), abs(fn)) + 1e-300
-        sc_g = tol * max(abs(g), abs(gn)) + 1e-300
-        err = math.sqrt(0.5 * ((ef / sc_f) ** 2 + (eg / sc_g) ** 2))
+        a0 = f if f >= 0.0 else -f
+        a1 = fn if fn >= 0.0 else -fn
+        sc_f = tol * (a1 if a1 > a0 else a0) + 1e-300
+        a0 = g if g >= 0.0 else -g
+        a1 = gn if gn >= 0.0 else -gn
+        sc_g = tol * (a1 if a1 > a0 else a0) + 1e-300
+        err = sqrt(0.5 * ((ef / sc_f) ** 2 + (eg / sc_g) ** 2))
 
         if err <= 1.0:
-            crossed = max(fn, gn) >= blowup_threshold
-            if crossed:
+            if fn >= blowup_threshold or gn >= blowup_threshold:
                 theta = 1.0
                 for w0, d0, w1, d1 in ((f, k1f, fn, k7f), (g, k1g, gn, k7g)):
                     if w1 < blowup_threshold:
@@ -313,32 +335,30 @@ def integrate_coupled(
                 t = t + theta * h
                 f = _hermite(theta, h, f, k1f, fn, k7f)
                 g = _hermite(theta, h, g, k1g, gn, k7g)
-                ts.append(t)
-                fs.append(f)
-                gs.append(g)
+                ts_append(t)
+                fs_append(f)
+                gs_append(g)
                 status = BLOWUP
                 break
             t = t + h
-            f, g = fn, gn
-            df, dg = k7f, k7g
-            ts.append(t)
-            fs.append(f)
-            gs.append(g)
+            f, g, k1f, k1g = fn, gn, k7f, k7g
+            ts_append(t)
+            fs_append(f)
+            gs_append(g)
             if err == 0.0:
-                fac = _MAX_FAC
+                fac = max_fac
             else:
-                fac = _SAFETY * err ** (-_K_ALPHA) * err_prev ** _K_BETA
-                fac = min(_MAX_FAC, max(_MIN_FAC, fac))
-            err_prev = max(err, 1e-10)
+                fac = safety * err ** neg_alpha * err_prev ** beta
+                fac = fac if fac > min_fac else min_fac
+                fac = fac if fac < max_fac else max_fac
+            err_prev = 1e-10 if 1e-10 > err else err
             if not last_clipped:
                 h *= fac
         else:
-            h *= max(_MIN_FAC, _SAFETY * err ** (-0.2))
+            fac = safety * err ** (-0.2)
+            h *= fac if fac > min_fac else min_fac
     else:
         raise IntegrationError("step budget exhausted", last_node=(t, f, g))
-
-    if status is None:
-        status = COMPLETED
 
     return Trajectory(
         times=np.array(ts),

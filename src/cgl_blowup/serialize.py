@@ -15,11 +15,11 @@ import numpy as np
 def fmt_float(x: float) -> str:
     if not math.isfinite(x):
         return "null"
-    s = format(float(x), ".17g")
-    # normalize "-0" so output does not depend on rounding direction of zero
-    if float(s) == 0.0:
+    # normalize "-0" so output does not depend on the sign of zero; .17g of
+    # a nonzero double always keeps a nonzero digit, so only zero prints 0
+    if x == 0.0:
         return "0"
-    return s
+    return format(float(x), ".17g")
 
 
 _INDENT = 2
@@ -74,7 +74,7 @@ def write_csv(path, header: str, columns) -> None:
     n = len(cols[0])
     if any(len(c) != n for c in cols):
         raise ValueError("csv columns must share a length")
+    rows = zip(*[c.tolist() for c in cols])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for i in range(n):
-            fh.write(",".join(fmt_float(c[i]) for c in cols) + "\n")
+        fh.writelines(",".join(map(fmt_float, row)) + "\n" for row in rows)

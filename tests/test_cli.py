@@ -142,6 +142,18 @@ def test_bad_run_inputs_exit_2(tmp_path, command, overrides):
     assert not out.exists()
 
 
+def test_ode_verify_t_end_beyond_the_collapse_floor_exits_2(tmp_path, capsys):
+    # at t_end = 1e16 every run's first step lies below the step-collapse
+    # floor 1e-17 * t_end, so no run would integrate past t = 0
+    cfg = write_config(tmp_path / "c.json",
+                       {"schema_version": 1, "n_specs": 20, "t_end": 1e16})
+    out = tmp_path / "out"
+    assert run_cli(["ode-verify", "--config", cfg, "--out", out,
+                    "--seed", 1]) == 2
+    assert "t_end" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_negative_seed_exits_2(tmp_path):
     cfg = write_config(tmp_path / "c.json", {"schema_version": 1, "n_specs": 1})
     out = tmp_path / "out"

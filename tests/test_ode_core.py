@@ -1,4 +1,6 @@
+import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from cgl_blowup.errors import DomainError, ValidationError
 from cgl_blowup.ode_core import (
     BLOWUP,
     COMPLETED,
+    STEP_COLLAPSE,
     CoupledODESpec,
     SingleODESpec,
     Trajectory,
@@ -17,6 +20,7 @@ from cgl_blowup.ode_core import (
     damped_bounds,
     damped_hypothesis_terms,
     integrate_coupled,
+    mirrored_spec,
     single_blowup_solution,
     single_blowup_time,
     tail_corrected_lifespan,
@@ -108,6 +112,93 @@ def test_trajectory_records_are_clean():
     assert np.all(traj.values >= 0)
     assert traj.values[-1].max() >= 1e4 * (1 - 1e-12)
     assert traj.escape_time() == traj.times[-1]
+
+
+def test_t_end_that_collapses_the_first_step_is_rejected():
+    # The collapse floor is 1e-14 * max(t, 1e-3 t_end): at t_end = 1e16 the
+    # first step 1/300 is already below it, so the run would end at t = 0.
+    with pytest.raises(ValidationError, match="t_end"):
+        integrate_coupled(WORKED, t_end=1e16)
+    # a long but usable t_end still integrates (and ends early by collapse)
+    traj = integrate_coupled(WORKED, t_end=1e13)
+    assert traj.status == STEP_COLLAPSE
+    assert traj.times.size > 1
+
+
+def _profiled(fn, *args, **kwargs):
+    """Run ``fn`` under ``sys.setprofile``; return its result and one entry
+    per Python-level call: the code object of a ``call`` event, or the
+    builtin of a ``c_call`` event."""
+    events = []
+
+    def hook(frame, event, arg):
+        if event == "call":
+            events.append(frame.f_code)
+        elif event == "c_call":
+            events.append(arg)
+
+    old = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        return fn(*args, **kwargs), events
+    finally:
+        sys.setprofile(old)
+
+
+_F_LEADS = CoupledODESpec(p=3, q=1.5, C_p=0.7, C_q=1.3, omega=0, f0=2.0, g0=0.5)
+# digests of times.tobytes() + values.tobytes() from the closure-based DP5
+# loop the kernel replaced: its arithmetic must be reproduced bit for bit
+_KERNEL_CASES = {
+    "crossing_in_f": (_F_LEADS, dict(t_end=10.0), BLOWUP, 591, 0,
+                      "53c6fbf85201351f"),
+    "crossing_in_g": (mirrored_spec(_F_LEADS), dict(t_end=10.0), BLOWUP, 591, 0,
+                      "6d7587fa4f85704e"),
+    "damped_crossing": (WORKED_DAMPED, dict(t_end=4.0), BLOWUP, 709, 0,
+                        "3f534249a9e5ce4c"),
+    "decay_to_clipped_t_end": (
+        CoupledODESpec(p=2, q=2, C_p=1, C_q=1, omega=3, f0=0.1, g0=0.2),
+        dict(t_end=2.5), COMPLETED, 92, 0, "e6628b7439a337f4"),
+    # sample_coupled_specs(20240809, 50)[43] and [48]
+    "collapse_undamped": (
+        CoupledODESpec(p=3.7964884632011446, q=3.892533335397247,
+                       C_p=2.7930146939912985, C_q=0.2920594947733829,
+                       omega=0.0, f0=1.1118427784116345, g0=0.7081880646655199),
+        dict(t_end=4.0), STEP_COLLAPSE, 821, 0, "7d5b2a28f9720307"),
+    "collapse_damped": (
+        CoupledODESpec(p=2.997862429674765, q=3.675032207457368,
+                       C_p=1.2559115464589394, C_q=0.945463931906599,
+                       omega=1.305908203468597, f0=0.9455989185531339,
+                       g0=0.9420181087878156),
+        dict(t_end=4.0), STEP_COLLAPSE, 908, 0, "2d60baca4b141260"),
+    "rejected_steps": (WORKED, dict(t_end=4.0, tol=1e-3), BLOWUP, 31, 22,
+                       "e7494b3f735366c3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNEL_CASES))
+def test_dp5_kernel_reproduces_recorded_trajectories(name):
+    spec, kwargs, status, nodes, rejected, digest = _KERNEL_CASES[name]
+    traj, events = _profiled(integrate_coupled, spec, **kwargs)
+    assert traj.status == status
+    assert traj.times.size == nodes
+    raw = traj.times.tobytes() + traj.values.tobytes()
+    assert hashlib.sha256(raw).hexdigest()[:16] == digest
+    # every attempted step takes one sqrt; every accepted one adds a node
+    assert sum(e is math.sqrt for e in events) - (nodes - 1) == rejected
+    if name == "crossing_in_f":
+        assert traj.f[-1] >= 1e6 > traj.g[-1]
+    elif name == "crossing_in_g":
+        assert traj.g[-1] >= 1e6 > traj.f[-1]
+    elif status == COMPLETED:
+        assert traj.times[-1] == kwargs["t_end"]
+
+
+def test_dp5_kernel_call_budget_per_node():
+    # The step loop calls isfinite twice, sqrt once and three appends per
+    # accepted step; a per-stage closure or max/min/abs call would add 6+.
+    traj, events = _profiled(integrate_coupled, WORKED, t_end=4.0)
+    assert traj.times.size == 724
+    assert len(events) <= 8 * traj.times.size
 
 
 # ---------------------------------------------------------------------------
