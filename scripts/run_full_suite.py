@@ -8,8 +8,6 @@ import argparse
 import pathlib
 import sys
 
-from cgl_blowup.cli import main as cli_main
-
 CONFIG_DIR = pathlib.Path(__file__).parent / "configs"
 
 RUNS = [
@@ -23,6 +21,8 @@ RUNS = [
 
 
 def run(outdir: pathlib.Path, seed: int, workers: int) -> int:
+    from cgl_blowup.cli import main as cli_main
+
     worst = 0
     for command, config in RUNS:
         name = config.removesuffix(".json")

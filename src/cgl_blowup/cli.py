@@ -48,7 +48,7 @@ def _load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
@@ -366,9 +366,7 @@ def _write_plots(out_dir, csv, x, series, reference_slopes, **scales):
 
 def _bound_sample_times(bounds, count: int = 33):
     """Sample grid for the lower-bound curve, stopping short of its pole."""
-    if not bounds.hypothesis_satisfied or bounds.lifespan_bound is None:
-        return None
-    if not math.isfinite(bounds.lifespan_bound):
+    if not (bounds.hypothesis_satisfied and math.isfinite(bounds.lifespan_bound)):
         return None
     return np.linspace(0.0, 0.99 * bounds.lifespan_bound, count)
 
@@ -496,8 +494,7 @@ def cmd_euclid_run(cfg, out_dir, seed, workers):
 def _mask_series(series, mask):
     if mask.all():
         return series
-    idx = np.nonzero(~mask)[0]
-    cut = idx[0] if idx.size else mask.size
+    cut = np.nonzero(~mask)[0][0]
     return FunctionalSeries(
         times=series.times[:cut], U=series.U[:cut], V=series.V[:cut],
         dU=series.dU[:cut], dV=series.dV[:cut],
@@ -724,7 +721,8 @@ def main(argv=None) -> int:
         except OSError as exc:  # e.g. --out names a file or lies below one
             raise ConfigError(f"cannot create --out {args.out}: {exc.strerror}") from None
         code = _COMMANDS[args.command](cfg, args.out, args.seed, args.workers)
-    except (ConfigError, ValidationError) as exc:
+    except (ConfigError, ValidationError, MemoryError) as exc:
+        # MemoryError: the config asks for arrays too large to allocate
         print(f"config error: {exc}", file=sys.stderr)
         # a config error writes nothing, so leave no empty --out behind
         if created and os.path.isdir(args.out) and not os.listdir(args.out):

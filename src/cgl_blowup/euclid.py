@@ -26,7 +26,8 @@ from .ode_core import (
     damped_bounds,
 )
 from .ratefit import golden_section
-from .system import FunctionalSeries, OdiReport, Run, SystemParams, check_growth_pair, march
+from .system import (FunctionalSeries, OdiReport, Run, SystemParams, check_growth_pair,
+                     jensen_coefficients, march)
 from .testfn import TestFunctionData
 
 __all__ = [
@@ -113,8 +114,6 @@ class EuclidRunSpec:
     @cached_property
     def weight(self) -> np.ndarray:
         """phi(x/R) on the grid, the weight of the functionals."""
-        if self.R > self.grid.half_width:
-            raise ValidationError("weight support B(R) must lie inside the box")
         return self.tf.phi(self.grid.radii() / self.R)
 
 
@@ -397,21 +396,19 @@ def run_euclid(
 def check_weighted_growth_inequality(
     series: FunctionalSeries, spec: EuclidRunSpec
 ) -> OdiReport:
-    """Verify U' + |alpha1| lambda_eff R^-2 U >= R^(-n(p-1)) ||phi||^(1-p)
-    |b1|^2 |b2|^-p V^p (and symmetrically) wherever U, V >= 0."""
-    params = spec.params
-    n, p, q = params.n, params.p, params.q
-    ab1, ab2 = abs(params.beta1), abs(params.beta2)
-    tf, R = spec.tf, spec.R
-    phi_l1 = tf.l1_norm
-    coef_u = R ** (-n * (p - 1.0)) * phi_l1 ** (-(p - 1.0)) * ab1 ** 2 * ab2 ** (-p)
-    coef_v = R ** (-n * (q - 1.0)) * phi_l1 ** (-(q - 1.0)) * ab2 ** 2 * ab1 ** (-q)
+    """Verify U' + |alpha1| lambda_eff R^-2 U >= |b1|^2 |b2|^-p
+    (R^n ||phi||_1)^(1-p) V^p (and symmetrically) wherever U, V >= 0."""
+    params, tf, R = spec.params, spec.tf, spec.R
     damp_u = -params.alpha1.real * tf.lambda_eff / (R * R)
     damp_v = -params.alpha2.real * tf.lambda_eff / (R * R)
-    return check_growth_pair(
-        series, coef_u, p, coef_v, q,
-        damping_u=damp_u, damping_v=damp_v, rel_tol=1e-6,
-    )
+    return check_growth_pair(series, params, R, tf.l1_norm,
+                             damping_u=damp_u, damping_v=damp_v, rel_tol=1e-6)
+
+
+def _damping(params: SystemParams, lam: float, R: float) -> tuple[float, float]:
+    """lam_tilde = max|alpha| lam and the damping rate omega = (p+1) lam_tilde / R^2."""
+    lam_tilde = max(abs(params.alpha1), abs(params.alpha2)) * lam
+    return lam_tilde, (params.p + 1.0) * lam_tilde / (R * R)
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +453,8 @@ def evaluate_thresholds(
     """
     if U0 <= 0 or V0 <= 0:
         raise ValidationError("U0 and V0 must be positive")
+    if tf.n != params.n:
+        raise ValidationError(f"test function of dimension {tf.n} for n = {params.n}")
     n = params.n
     p, q = params.p, params.q
     pp, qq, D = p + 1.0, q + 1.0, p * q - 1.0
@@ -464,7 +463,7 @@ def evaluate_thresholds(
     ab1, ab2 = abs(params.beta1), abs(params.beta2)
     amax = max(abs(params.alpha1), abs(params.alpha2))
     lam_eff = tf.lambda_eff if lam_override is None else lam_override
-    lam_tilde = amax * lam_eff
+    lam_tilde, omega = _damping(params, lam_eff, R)
     phi_l1 = tf.l1_norm
 
     mu1 = (
@@ -515,7 +514,7 @@ def evaluate_thresholds(
 
     return ThresholdConstants(
         R0=R0, R1=R1, R2=R2, C1=C1, C2=C2, C3=C3,
-        omega=pp * lam_tilde / (R * R),
+        omega=omega,
         lam_tilde=lam_tilde,
         lambda_eff=lam_eff,
         p_equals_q=p_equals_q,
@@ -528,18 +527,12 @@ def coupling_spec(
     spec: EuclidRunSpec, U0: float, V0: float, lam_override: Optional[float] = None,
 ) -> CoupledODESpec:
     """The damped comparison system the weighted functionals obey."""
-    params = spec.params
-    n, p, q = params.n, params.p, params.q
-    pp, qq = p + 1.0, q + 1.0
-    ab1, ab2 = abs(params.beta1), abs(params.beta2)
-    amax = max(abs(params.alpha1), abs(params.alpha2))
-    tf, R = spec.tf, spec.R
-    lam_eff = tf.lambda_eff if lam_override is None else lam_override
-    phi_l1 = tf.l1_norm
-    C_p = phi_l1 ** (1.0 - p) * ab1 ** 2 * ab2 ** (-p) * R ** (-n * (p - 1.0)) / pp
-    C_q = phi_l1 ** (1.0 - q) * ab2 ** 2 * ab1 ** (-q) * R ** (-n * (q - 1.0)) / qq
-    omega = pp * amax * lam_eff / (R * R)
-    return CoupledODESpec(p=p, q=q, C_p=C_p, C_q=C_q, omega=omega, f0=U0, g0=V0)
+    params, tf, R = spec.params, spec.tf, spec.R
+    p, q = params.p, params.q
+    lam = tf.lambda_eff if lam_override is None else lam_override
+    coef_u, coef_v = jensen_coefficients(params, R, tf.l1_norm)
+    return CoupledODESpec(p=p, q=q, C_p=coef_u / (p + 1.0), C_q=coef_v / (q + 1.0),
+                          omega=_damping(params, lam, R)[1], f0=U0, g0=V0)
 
 
 def _minimize_radius_factor(theta: float, lo: float) -> tuple[float, float]:
@@ -565,7 +558,7 @@ class EuclidBounds:
     thresholds: ThresholdConstants
     T1: Optional[float]
     minimizer: Optional[float]
-    lambda_psi_variant: Optional[dict] = None
+    lambda_psi_variant: dict
 
     @property
     def hypothesis_satisfied(self) -> bool:
@@ -580,16 +573,15 @@ class EuclidBounds:
         out["T1"] = self.T1
         out["minimizer"] = self.minimizer
         out["thresholds"] = self.thresholds.to_json_dict()
-        if self.lambda_psi_variant is not None:
-            out["lambda_psi_variant"] = self.lambda_psi_variant
+        out["lambda_psi_variant"] = self.lambda_psi_variant
         return out
 
 
 def _amplitude_scaling_bound(
-    params: SystemParams, tc: ThresholdConstants, phi_l1: float,
-    U0: float, lam_eff: float,
+    spec: EuclidRunSpec, tc: ThresholdConstants, U0: float,
 ) -> tuple[float, float]:
-    n, p, q = params.n, params.p, params.q
+    """T1 and its radius factor for the inequality constant tc.lambda_eff."""
+    n, p, q = spec.params.n, spec.params.p, spec.params.q
     pp, D = p + 1.0, p * q - 1.0
     theta = 2.0 - n * D / pp
     sigma = 1.0 / (pp / D - n / 2.0)
@@ -597,12 +589,21 @@ def _amplitude_scaling_bound(
     x_min, m_min = _minimize_radius_factor(theta, lo)
     T1 = (
         tc.C3
-        * lam_eff ** (0.5 * n * sigma)
-        * phi_l1 ** sigma
+        * tc.lambda_eff ** (0.5 * n * sigma)
+        * spec.tf.l1_norm ** sigma
         * U0 ** (-sigma)
         * m_min
     )
     return T1, x_min
+
+
+def _bounds_for(spec: EuclidRunSpec, U0: float, V0: float, lam: float):
+    """Threshold constants, T1 with its radius factor, and the damped bound
+    report at the run radius, all for the inequality constant ``lam``."""
+    tc = evaluate_thresholds(spec.params, spec.tf, U0, V0, spec.R, lam_override=lam)
+    T1, x_min = _amplitude_scaling_bound(spec, tc, U0)
+    report = damped_bounds(coupling_spec(spec, U0, V0, lam_override=lam))
+    return tc, T1, x_min, report
 
 
 def blowup_bounds(spec: EuclidRunSpec, U0: float, V0: float) -> EuclidBounds:
@@ -615,32 +616,17 @@ def blowup_bounds(spec: EuclidRunSpec, U0: float, V0: float) -> EuclidBounds:
     if U0 <= 0.0 or V0 <= 0.0:
         raise ValidationError("U0 and V0 must be positive")
     tf = spec.tf
-    tc = evaluate_thresholds(spec.params, tf, U0, V0, spec.R)
-    T1, x_min = _amplitude_scaling_bound(spec.params, tc, tf.l1_norm, U0, tf.lambda_eff)
-
-    tc_psi = evaluate_thresholds(spec.params, tf, U0, V0, spec.R,
-                                 lam_override=tf.lam)
-    T1_psi, _ = _amplitude_scaling_bound(spec.params, tc_psi, tf.l1_norm, U0, tf.lam)
-    ode_psi = coupling_spec(spec, U0, V0, lam_override=tf.lam)
-    psi_report = damped_bounds(ode_psi)
+    tc, T1, x_min, report = _bounds_for(spec, U0, V0, tf.lambda_eff)
+    if not tc.r_exceeds_r0:
+        report = BoundReport(False, omega=tc.omega,
+                             exponent_caveat=spec.params.exponent_caveat)
+    _, T1_psi, _, psi_report = _bounds_for(spec, U0, V0, tf.lam)
     psi_variant = {
         "lambda": tf.lam,
-        "omega": ode_psi.omega,
+        "omega": psi_report.omega,
         "T1": T1_psi,
         "lifespan_bound": psi_report.lifespan_bound,
         "hypothesis_satisfied": psi_report.hypothesis_satisfied,
     }
-
-    if not tc.r_exceeds_r0:
-        return EuclidBounds(
-            report=BoundReport(False, omega=tc.omega,
-                               exponent_caveat=spec.params.exponent_caveat),
-            thresholds=tc, T1=T1, minimizer=x_min,
-            lambda_psi_variant=psi_variant,
-        )
-    ode = coupling_spec(spec, U0, V0)
-    report = damped_bounds(ode)
-    return EuclidBounds(
-        report=report, thresholds=tc, T1=T1, minimizer=x_min,
-        lambda_psi_variant=psi_variant,
-    )
+    return EuclidBounds(report=report, thresholds=tc, T1=T1, minimizer=x_min,
+                        lambda_psi_variant=psi_variant)

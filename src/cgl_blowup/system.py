@@ -13,7 +13,8 @@ import numpy as np
 from .errors import IntegrationError, ValidationError
 from .ode_core import BLOWUP, COMPLETED, STEP_COLLAPSE
 
-__all__ = ["SystemParams", "FunctionalSeries", "OdiReport", "Run", "march"]
+__all__ = ["SystemParams", "FunctionalSeries", "OdiReport", "jensen_coefficients",
+           "Run", "march"]
 
 
 @dataclass(frozen=True)
@@ -125,18 +126,34 @@ class OdiReport:
         }
 
 
+def jensen_coefficients(params: SystemParams, scale: float,
+                        l1_norm: float = 1.0) -> tuple[float, float]:
+    """((p+1) C_p, (q+1) C_q), Jensen's coefficients for means weighted by a
+    weight of mass M = scale^n * l1_norm: (p+1) C_p = |b1|^2 |b2|^-p M^(1-p),
+    and (q+1) C_q likewise with (b1, p) and (b2, q) swapped."""
+
+    def coefficient(b_own, b_other, r):
+        return (b_own ** 2 * b_other ** (-r) * scale ** (-params.n * (r - 1.0))
+                * l1_norm ** (1.0 - r))
+
+    ab1, ab2 = abs(params.beta1), abs(params.beta2)
+    return coefficient(ab1, ab2, params.p), coefficient(ab2, ab1, params.q)
+
+
 def check_growth_pair(
     series: FunctionalSeries,
-    coef_u: float,
-    exp_u: float,
-    coef_v: float,
-    exp_v: float,
+    params: SystemParams,
+    scale: float,
+    l1_norm: float = 1.0,
     damping_u: float = 0.0,
     damping_v: float = 0.0,
     rel_tol: float = 1e-8,
 ) -> OdiReport:
-    """Verify dU + damping_u*U + tol >= coef_u * V^exp_u (and symmetrically
-    for V against U) at every node with U, V >= 0."""
+    """Verify dU + damping_u*U + tol >= coef_u * V^p (and symmetrically
+    for V against U^q) at every node with U, V >= 0, with the coefficients
+    ``jensen_coefficients(params, scale, l1_norm)``."""
+    coef_u, coef_v = jensen_coefficients(params, scale, l1_norm)
+    p, q = params.p, params.q
     violations = []
     unchecked = []
     n = series.times.size
@@ -149,11 +166,11 @@ def check_growth_pair(
         checked += 1
         t = series.times[i]
         lhs_u = series.dU[i] + damping_u * u
-        rhs_u = coef_u * v ** exp_u
+        rhs_u = coef_u * v ** p
         if lhs_u + rel_tol * (1.0 + abs(series.dU[i])) < rhs_u:
             violations.append((i, t, "U", lhs_u, rhs_u))
         lhs_v = series.dV[i] + damping_v * v
-        rhs_v = coef_v * u ** exp_v
+        rhs_v = coef_v * u ** q
         if lhs_v + rel_tol * (1.0 + abs(series.dV[i])) < rhs_v:
             violations.append((i, t, "V", lhs_v, rhs_v))
     return OdiReport(

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import IntegrationError, ValidationError
 from .ode_core import BoundReport, undamped_bounds, CoupledODESpec
-from .system import FunctionalSeries, OdiReport, Run, SystemParams, check_growth_pair, march
+from .system import (FunctionalSeries, OdiReport, Run, SystemParams, check_growth_pair,
+                     jensen_coefficients, march)
 
 __all__ = [
     "TorusGrid",
@@ -131,7 +132,7 @@ class TorusStepper:
     call."""
 
     def __init__(self, grid: TorusGrid, params: SystemParams, pad: bool = False):
-        self.grid, self.pad = grid, pad
+        self.grid, self.params, self.pad = grid, params, pad
         self.p, self.q = params.p, params.q
         k2 = grid.wavenumbers_squared()
         self.lin = np.stack((params.alpha1 * k2, params.alpha2 * k2))
@@ -179,7 +180,7 @@ def torus_step(
 ) -> FieldState:
     """One integrating-factor RK4 step (linear part exact per mode).
     ``stepper``: the run's ``TorusStepper(state.grid, params, pad)``, if at
-    hand."""
+    hand; one built for other grid or params objects, or another pad, is refused."""
     if dt <= 0.0:
         raise ValidationError("dt must be positive")
     if params.alpha1.real > 0.0 or params.alpha2.real > 0.0:
@@ -188,6 +189,8 @@ def torus_step(
         )
     if stepper is None:
         stepper = TorusStepper(state.grid, params, pad)
+    elif stepper.grid is not state.grid or stepper.params is not params or stepper.pad != pad:
+        raise ValidationError("the stepper was built for another grid, params or pad")
     e, e2 = stepper.propagators(dt)
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -232,6 +235,8 @@ def laplacian_zero_mode(state: FieldState, params: SystemParams,
     ``stepper``: the run's ``TorusStepper``, if at hand."""
     if stepper is None:
         stepper = TorusStepper(state.grid, params)
+    elif stepper.grid is not state.grid or stepper.params is not params:
+        raise ValidationError("the stepper was built for another grid or params")
     lap = stepper.ifft(stepper.lin * stepper.fft(np.stack((state.u, state.v))))
     vol = state.grid.volume
     cu = (np.conj(params.beta1) * vol * np.mean(lap[0])).real
@@ -276,20 +281,13 @@ def run_torus(
 def check_growth_inequality(series: FunctionalSeries, params: SystemParams) -> OdiReport:
     """Verify dU/dt >= |b1|^2 |b2|^-p (2pi)^(-n(p-1)) V^p and the symmetric
     inequality for dV/dt wherever U, V >= 0."""
-    n, p, q = params.n, params.p, params.q
-    ab1, ab2 = abs(params.beta1), abs(params.beta2)
-    coef_u = ab1 ** 2 * ab2 ** (-p) * VOLUME_FACTOR ** (-n * (p - 1.0))
-    coef_v = ab2 ** 2 * ab1 ** (-q) * VOLUME_FACTOR ** (-n * (q - 1.0))
-    return check_growth_pair(series, coef_u, p, coef_v, q, rel_tol=1e-8)
+    return check_growth_pair(series, params, VOLUME_FACTOR, rel_tol=1e-8)
 
 
 def coupling_coefficients(params: SystemParams) -> tuple[float, float]:
     """The (C_p, C_q) pair the mean-field functionals obey."""
-    n, p, q = params.n, params.p, params.q
-    ab1, ab2 = abs(params.beta1), abs(params.beta2)
-    C_p = ab1 ** 2 * ab2 ** (-p) * VOLUME_FACTOR ** (-n * (p - 1.0)) / (p + 1.0)
-    C_q = ab2 ** 2 * ab1 ** (-q) * VOLUME_FACTOR ** (-n * (q - 1.0)) / (q + 1.0)
-    return C_p, C_q
+    coef_u, coef_v = jensen_coefficients(params, VOLUME_FACTOR)
+    return coef_u / (params.p + 1.0), coef_v / (params.q + 1.0)
 
 
 def blowup_bounds(params: SystemParams, U0: float, V0: float) -> BoundReport:

@@ -93,6 +93,30 @@ def test_malformed_config_exits_2(tmp_path):
     assert not out.exists() or not list(out.iterdir())
 
 
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"schema_version": 1}')
+    out = tmp_path / "out"
+    assert run_cli(["testfn-check", "--config", bad, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+# sizes numpy refuses outright (hundreds of PiB), never ones it could allocate
+@pytest.mark.parametrize("command,config", [
+    ("euclid-run", euclid_config(box_half_width=1e15)),
+    ("testfn-check", weight_config(resolution=10 ** 17)),
+])
+def test_unallocatable_sizes_exit_2(tmp_path, capsys, command, config):
+    cfg = write_config(tmp_path / "c.json", config)
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "allocate" in err
+    assert not out.exists()
+
+
 def test_wrong_schema_version_exits_2(tmp_path):
     cfg = write_config(tmp_path / "c.json", {"schema_version": 99})
     assert run_cli(["testfn-check", "--config", cfg, "--out", tmp_path / "o"]) == 2

@@ -22,7 +22,7 @@ from cgl_blowup.euclid import (
     weighted_functionals,
 )
 from cgl_blowup.ode_core import BLOWUP, damped_bounds, damped_hypothesis_terms
-from cgl_blowup.system import SystemParams
+from cgl_blowup.system import FunctionalSeries, SystemParams
 from cgl_blowup.testfn import build_test_function
 
 
@@ -276,12 +276,10 @@ def test_weighted_functional_signed(tf1):
 
 
 def test_weight_support_must_fit_box():
-    spec = small_spec()
-    object.__setattr__(spec, "R", 10.0)  # past the box on purpose
-    ones = np.ones(spec.grid.shape, dtype=complex)
-    state = EuclidState(u=ones, v=ones, t=0.0)
+    # the spec itself refuses a weight support B(R) past the box, so no spec
+    # reaches the weight with one
     with pytest.raises(ValidationError):
-        weighted_functionals(state, spec)
+        small_spec(R=10.0, h=10.0 / 64)
 
 
 def test_laplacian_contribution_matches_weight_laplacian(tf1):
@@ -375,6 +373,46 @@ def test_bounds_unsatisfied_when_radius_too_small(tf1):
     assert tc.R0 > spec.R
     bounds = blowup_bounds(spec, U0, V0)
     assert not bounds.hypothesis_satisfied
+
+
+def _non_unit_spec(n):
+    """alpha and beta away from 1, so that the order of the operations forming
+    a constant shows in its last bits."""
+    params = SystemParams(n=n, p=2, q=1.5, alpha1=-0.7, alpha2=-1.3,
+                          beta1=1.7, beta2=0.6)
+    return EuclidRunSpec(params=params, R=5.0, box_half_width=10.0, h=5.0 / 64,
+                         data=DataSpec(epsilon=0.5, r_data=2.0))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_check_and_bound_share_the_jensen_coefficients(n):
+    spec = _non_unit_spec(n)
+    # one node at U = V = 1 that fails both inequalities, so the report
+    # carries each right-hand side: the bare coefficient
+    series = FunctionalSeries(times=[0.0], U=[1.0], V=[1.0], dU=[-1e6], dV=[-1e6])
+    report = check_weighted_growth_inequality(series, spec)
+    rhs = {c: r for (_, _, c, _, r) in report.violations}
+    ode = coupling_spec(spec, 1.0, 1.0)
+    assert rhs["U"] / 3.0 == ode.C_p
+    assert rhs["V"] / 2.5 == ode.C_q
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_thresholds_and_bound_share_omega(n):
+    spec = _non_unit_spec(n)
+    tc = evaluate_thresholds(spec.params, spec.tf, 1.0, 0.5, spec.R)
+    assert tc.omega == coupling_spec(spec, 1.0, 0.5).omega
+    bounds = blowup_bounds(spec, 1.0, 0.5)
+    assert bounds.report.omega == bounds.thresholds.omega
+    psi = evaluate_thresholds(spec.params, spec.tf, 1.0, 0.5, spec.R,
+                              lam_override=spec.tf.lam)
+    assert bounds.lambda_psi_variant["omega"] == psi.omega
+
+
+def test_thresholds_refuse_a_test_function_of_another_dimension(tf1):
+    params = heat_params(n=2)
+    with pytest.raises(ValidationError):
+        evaluate_thresholds(params, tf1, 1.0, 0.5, R=8.0)
 
 
 def test_threshold_scaling_and_monotonicity(tf1):

@@ -7,6 +7,7 @@ from cgl_blowup.ode_core import BLOWUP, COMPLETED, SingleODESpec, single_blowup_
 from cgl_blowup.system import FunctionalSeries, SystemParams
 from cgl_blowup.torus import (
     TorusGrid,
+    TorusStepper,
     blowup_bounds,
     check_growth_inequality,
     constant_state,
@@ -173,6 +174,16 @@ def test_bounds_constant_data_worked_case():
     assert report.lifespan_bound == pytest.approx(2 ** (4 / 3) / c, rel=1e-12)
 
 
+def test_check_and_bound_share_the_jensen_coefficients():
+    params = SystemParams(n=2, p=2, q=1.5, alpha1=-0.7, alpha2=-1.3,
+                          beta1=1.7, beta2=0.6)
+    series = FunctionalSeries(times=[0.0], U=[1.0], V=[1.0], dU=[-1e6], dV=[-1e6])
+    rhs = {c: r for (_, _, c, _, r) in check_growth_inequality(series, params).violations}
+    C_p, C_q = coupling_coefficients(params)
+    assert rhs["U"] / 3.0 == C_p
+    assert rhs["V"] / 2.5 == C_q
+
+
 def test_bounds_sign_gate():
     report = blowup_bounds(HEAT, -1.0, 1.0)
     assert not report.hypothesis_satisfied
@@ -260,6 +271,24 @@ def _bumped_state(grid, amplitude=1.0):
         x = x[:, None] + 0.5 * x[None, :]
     return state_from_arrays(grid, amplitude * (1.0 + 0.2 * np.cos(x)) + 0j,
                              amplitude * (0.9 + 0.1j * np.sin(x)))
+
+
+@pytest.mark.parametrize("other", ["params", "pad", "grid"])
+def test_step_refuses_a_stepper_built_for_another_run(other):
+    params = SystemParams(n=1, p=2, q=1.5, alpha1=-1, alpha2=-0.5, beta1=1, beta2=1)
+    state = _bumped_state(make_grid(1, 32))
+    built = {"params": params, "pad": False, "grid": state.grid}
+    built[other] = {
+        "params": SystemParams(n=1, p=2, q=1.5, alpha1=-2, alpha2=-0.5, beta1=1, beta2=1),
+        "pad": True,
+        "grid": make_grid(1, 64),
+    }[other]
+    stepper = TorusStepper(built["grid"], built["params"], built["pad"])
+    with pytest.raises(ValidationError):
+        torus_step(state, params, 1e-3, stepper=stepper)
+    if other != "pad":  # the Laplacian does not depend on pad
+        with pytest.raises(ValidationError):
+            laplacian_zero_mode(state, params, stepper)
 
 
 def _recorded_steps(monkeypatch):
