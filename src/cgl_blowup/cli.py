@@ -105,10 +105,15 @@ def _pmap(fn, items, workers):
         return list(pool.map(fn, items))
 
 
-def _build_info():
+def _write_report(out_dir, report):
+    """report.json: the schema version and the build info, then ``report``."""
     from . import __version__
 
-    return {"package": "cgl-blowup", "version": __version__}
+    write_json(os.path.join(out_dir, "report.json"), {
+        "schema_version": SCHEMA_VERSION,
+        "build_info": {"package": "cgl-blowup", "version": __version__},
+        **report,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +256,6 @@ def cmd_ode_verify(cfg, out_dir, seed, workers):
             or not r["monotone"])
     ]
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "build_info": _build_info(),
         "seed": seed,
         "n_specs": n_specs,
         "checks": checks,
@@ -260,7 +263,7 @@ def cmd_ode_verify(cfg, out_dir, seed, workers):
         "failing_cases": failing[:10],
         "all_passed": bool(all_passed),
     }
-    write_json(os.path.join(out_dir, "report.json"), report)
+    _write_report(out_dir, report)
 
     cols = ["p", "q", "C_p", "C_q", "omega", "f0", "g0", "escape_time",
             "lifespan_bound", "residual_literal", "residual_scaled"]
@@ -327,8 +330,6 @@ def cmd_torus_run(cfg, out_dir, seed, workers):
     zero_mode_ok = bool(run.lap_zero_mode_max < 1e-12)
 
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "build_info": _build_info(),
         "status": run.status,
         "escape_time": escape,
         "lap_zero_mode_max": run.lap_zero_mode_max,
@@ -342,7 +343,7 @@ def cmd_torus_run(cfg, out_dir, seed, workers):
             "zero_mode_exact": zero_mode_ok,
         },
     }
-    write_json(os.path.join(out_dir, "report.json"), report)
+    _write_report(out_dir, report)
     _write_plots(out_dir, "functionals.csv", "t", ["U", "V"], [
         {"gamma": params.rates[0], "label": "U rate"},
         {"gamma": params.rates[1], "label": "V rate"},
@@ -468,8 +469,6 @@ def cmd_euclid_run(cfg, out_dir, seed, workers):
         fits[label] = {**fit.to_json_dict(), "target_gamma": target} if fit else None
 
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "build_info": _build_info(),
         "status": run.status,
         "U0": U0,
         "V0": V0,
@@ -485,7 +484,7 @@ def cmd_euclid_run(cfg, out_dir, seed, workers):
             "bound_respected": bound_ok,
         },
     }
-    write_json(os.path.join(out_dir, "report.json"), report)
+    _write_report(out_dir, report)
     _write_plots(out_dir, "functionals.csv", "t", ["U", "V"],
                  [{"gamma": gamma_u, "label": "U rate"}], yscale="log")
     return EXIT_OK if odi_ok and bound_ok else EXIT_VERIFICATION
@@ -607,9 +606,7 @@ def cmd_scaling_study(cfg, out_dir, seed, workers):
         ],
     )
     if len(complete) < 4:
-        write_json(os.path.join(out_dir, "report.json"), {
-            "schema_version": SCHEMA_VERSION,
-            "build_info": _build_info(),
+        _write_report(out_dir, {
             "mode": mode,
             "error": "fewer than 4 complete runs",
             "n_complete": len(complete),
@@ -626,8 +623,6 @@ def cmd_scaling_study(cfg, out_dir, seed, workers):
     matches = bool(rel_err <= tolerance)
 
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "build_info": _build_info(),
         "mode": mode,
         "n_complete": len(complete),
         "slope": slope,
@@ -638,7 +633,7 @@ def cmd_scaling_study(cfg, out_dir, seed, workers):
         "tolerance": tolerance,
         "matches_prediction": matches,
     }
-    write_json(os.path.join(out_dir, "report.json"), report)
+    _write_report(out_dir, report)
     _write_plots(out_dir, "runs.csv", "epsilon", ["T"],
                  [{"slope": predicted, "label": "predicted"}],
                  xscale="log", yscale="log")
@@ -676,9 +671,7 @@ def cmd_testfn_check(cfg, out_dir, seed, workers):
         if profile_csv:
             tf.to_csv(os.path.join(out_dir, f"profile_n{n}.csv"),
                       resolution=min(resolution, 4096))
-    write_json(os.path.join(out_dir, "report.json"), {
-        "schema_version": SCHEMA_VERSION,
-        "build_info": _build_info(),
+    _write_report(out_dir, {
         "dimensions": entries,
         "all_passed": bool(ok),
     })

@@ -17,6 +17,7 @@ empirical comparison check for ordered trajectory pairs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -485,6 +486,51 @@ def _f_from_g_curve(spec: CoupledODESpec, g_curve):
     return f_curve
 
 
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max  # the normal floats
+_LOG_HUGE = math.log(_HUGE)
+
+
+def power_product(*factors, outer: float = 1.0) -> float:
+    """The product of ``base ** exponent`` over ``(base, exponent)`` pairs of
+    positive bases, raised to ``outer``.
+
+    The factors are multiplied left to right, as the formula is written; a
+    pair ``(base, exponent, "/")`` divides by ``base ** exponent``, and a base
+    may itself be a tuple of factors.  Exponents such as 1/(pq-1) grow without
+    bound near pq = 1, and those of the Euclidean thresholds near
+    (p+1)/(pq-1) = n/2, so one power can leave the float range where the
+    product does not.  Where a power or a partial product leaves the normal
+    floats, the value comes from the sum of the logs instead: inf or 0 only
+    where the product itself lies past the float range.
+    """
+    try:
+        value = _product(factors) ** outer
+    except ArithmeticError:
+        value = 0.0
+    if _TINY <= value <= _HUGE:
+        return value
+    log = outer * _log_product(factors)
+    return math.inf if log > _LOG_HUGE else math.exp(log)
+
+
+def _product(factors) -> float:
+    value = 1.0
+    for base, exponent, *over in factors:
+        term = (_product(base) if isinstance(base, tuple) else base) ** exponent
+        value = value / term if over else value * term
+        if not (_TINY <= term <= _HUGE and _TINY <= value <= _HUGE):
+            raise FloatingPointError("a power or partial product left the normal floats")
+    return value
+
+
+def _log_product(factors) -> float:
+    return sum(
+        (-exponent if over else exponent)
+        * (_log_product(base) if isinstance(base, tuple) else math.log(base))
+        for base, exponent, *over in factors
+    )
+
+
 def undamped_bounds(spec: CoupledODESpec) -> BoundReport:
     """Explicit lower-bound curve and lifespan bound for the omega = 0 system.
 
@@ -520,7 +566,10 @@ def undamped_bounds(spec: CoupledODESpec) -> BoundReport:
         base = A - B * t
         if base <= 0.0:
             return math.inf
-        return base ** (-qq / D) - shift
+        try:  # inline: the curve is evaluated at every node
+            return base ** (-qq / D) - shift
+        except OverflowError:
+            return math.inf
 
     return BoundReport(
         hypothesis_satisfied=True,
@@ -537,12 +586,12 @@ def damped_hypothesis_terms(spec: CoupledODESpec) -> tuple[float, float]:
     damped bounds to certify blow-up."""
     p, q = spec.p, spec.q
     pp, qq, D = p + 1.0, q + 1.0, p * q - 1.0
-    term_damping = (
-        2.0 ** ((pp / qq) * (p * q / D))
-        * (qq * pp) ** (-pp / D)
-        * spec.omega ** (pp / D)
-        * spec.C_p ** (-1.0 / D)
-        * spec.C_q ** (-p / D)
+    term_damping = power_product(
+        (2.0, (pp / qq) * (p * q / D)),
+        (qq * pp, -pp / D),
+        (spec.omega, pp / D),
+        (spec.C_p, -1.0 / D),
+        (spec.C_q, -p / D),
     )
     term_ordering = (spec.C_p / spec.C_q) ** (1.0 / qq) * spec.g0 ** (pp / qq)
     return term_damping, term_ordering
@@ -593,7 +642,11 @@ def damped_bounds(spec: CoupledODESpec) -> BoundReport:
         base = a - b * (-math.expm1(-decay * t))
         if base <= 0.0:
             return math.inf
-        return math.exp(-omega * t / pp) * (base ** (-qq / D) - shift)
+        try:  # inline, as in undamped_bounds
+            return math.exp(-omega * t / pp) * (base ** (-qq / D) - shift)
+        except OverflowError:  # the power alone may leave the float range
+            return (power_product((math.e, -omega * t / pp), (base, -qq / D))
+                    - math.exp(-omega * t / pp) * shift)
 
     return BoundReport(
         hypothesis_satisfied=True,

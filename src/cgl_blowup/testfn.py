@@ -180,6 +180,8 @@ def verify_phi_inequality(tf: TestFunctionData, grid_resolution: int) -> float:
     """
     if grid_resolution < 64:
         raise ValidationError("grid_resolution must be at least 64")
+    if grid_resolution * 8 > np.iinfo(np.intp).max:  # bytes of the radii
+        raise ValidationError(f"cannot allocate {grid_resolution} radial samples")
     r = np.linspace(0.0, 1.0, grid_resolution)
     violation = -tf.lap_phi(r) - tf.lambda_eff * tf.phi(r)
     return float(np.max(violation))

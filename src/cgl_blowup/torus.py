@@ -55,6 +55,8 @@ class TorusGrid:
             raise ValidationError("modes must be an integer")
         if self.modes < 8 or self.modes % 2:
             raise ValidationError("modes must be even and at least 8")
+        if self.modes ** self.n * 16 > np.iinfo(np.intp).max:  # bytes of a complex field
+            raise ValidationError(f"cannot allocate a grid of {self.modes}^{self.n} modes")
 
     @property
     def shape(self):
@@ -125,13 +127,17 @@ def _resize_spectrum(ah: np.ndarray, modes: int, size: int, n: int) -> np.ndarra
 
 
 class TorusStepper:
-    """What the steps of one run share: ``k^2``, the linear symbols
-    ``alpha_i k^2`` and ``beta_i`` of both fields stacked on a leading axis,
-    and the propagators of the last dt.  u and v travel as one
+    """What the steps of one run share: its params and pad, ``k^2``, the
+    linear symbols ``alpha_i k^2`` and ``beta_i`` of both fields stacked on a
+    leading axis, and the propagators of the last dt.  u and v travel as one
     ``(2, *grid.shape)`` array, so each transform of the pair is one FFT
     call."""
 
     def __init__(self, grid: TorusGrid, params: SystemParams, pad: bool = False):
+        if params.alpha1.real > 0.0 or params.alpha2.real > 0.0:
+            raise ValidationError(
+                "simulation requires Re(alpha) <= 0 (growing linear modes)"
+            )
         self.grid, self.params, self.pad = grid, params, pad
         self.p, self.q = params.p, params.q
         k2 = grid.wavenumbers_squared()
@@ -174,23 +180,13 @@ class TorusStepper:
         return self.beta * nh
 
 
-def torus_step(
-    state: FieldState, params: SystemParams, dt: float, pad: bool = False,
-    stepper: TorusStepper | None = None,
-) -> FieldState:
-    """One integrating-factor RK4 step (linear part exact per mode).
-    ``stepper``: the run's ``TorusStepper(state.grid, params, pad)``, if at
-    hand; one built for other grid or params objects, or another pad, is refused."""
+def torus_step(state: FieldState, stepper: TorusStepper, dt: float) -> FieldState:
+    """One integrating-factor RK4 step (linear part exact per mode) with the
+    run's ``stepper``, which holds the params and pad."""
     if dt <= 0.0:
         raise ValidationError("dt must be positive")
-    if params.alpha1.real > 0.0 or params.alpha2.real > 0.0:
-        raise ValidationError(
-            "simulation requires Re(alpha) <= 0 (growing linear modes)"
-        )
-    if stepper is None:
-        stepper = TorusStepper(state.grid, params, pad)
-    elif stepper.grid is not state.grid or stepper.params is not params or stepper.pad != pad:
-        raise ValidationError("the stepper was built for another grid, params or pad")
+    if stepper.grid is not state.grid and stepper.grid != state.grid:  # by value
+        raise ValidationError("the stepper was built for another grid")
     e, e2 = stepper.propagators(dt)
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -228,15 +224,12 @@ def functional_derivatives(state: FieldState, params: SystemParams) -> tuple[flo
     return float(du), float(dv)
 
 
-def laplacian_zero_mode(state: FieldState, params: SystemParams,
-                        stepper: TorusStepper | None = None) -> float:
+def laplacian_zero_mode(state: FieldState, stepper: TorusStepper) -> float:
     """Physical-space mean of the Laplacian terms; machine-zero check of
-    the exactness that drives the mean-field growth inequality.
-    ``stepper``: the run's ``TorusStepper``, if at hand."""
-    if stepper is None:
-        stepper = TorusStepper(state.grid, params)
-    elif stepper.grid is not state.grid or stepper.params is not params:
-        raise ValidationError("the stepper was built for another grid or params")
+    the exactness that drives the mean-field growth inequality."""
+    if stepper.grid is not state.grid and stepper.grid != state.grid:  # by value
+        raise ValidationError("the stepper was built for another grid")
+    params = stepper.params
     lap = stepper.ifft(stepper.lin * stepper.fft(np.stack((state.u, state.v))))
     vol = state.grid.volume
     cu = (np.conj(params.beta1) * vol * np.mean(lap[0])).real
@@ -266,12 +259,12 @@ def run_torus(
 
     def observe(s):
         if check_zero_mode:
-            lap.append(laplacian_zero_mode(s, params, stepper))
+            lap.append(laplacian_zero_mode(s, stepper))
         return (*functionals(s, params), *functional_derivatives(s, params))
 
     run = march(
         params, state, t_end, dt_max, dt_safety,
-        lambda s, dt: torus_step(s, params, dt, pad, stepper), observe,
+        lambda s, dt: torus_step(s, stepper, dt), observe,
         field_threshold,
     )
     return TorusRun(run.series, run.final_state, run.status,

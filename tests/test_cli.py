@@ -103,10 +103,14 @@ def test_non_utf8_config_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-# sizes numpy refuses outright (hundreds of PiB), never ones it could allocate
+# sizes numpy refuses outright (hundreds of PiB), never ones it could allocate;
+# the last three are past numpy's largest array, so they never reach numpy
 @pytest.mark.parametrize("command,config", [
     ("euclid-run", euclid_config(box_half_width=1e15)),
     ("testfn-check", weight_config(resolution=10 ** 17)),
+    ("euclid-run", euclid_config(box_half_width=1e300)),
+    ("testfn-check", weight_config(resolution=10 ** 30)),
+    ("torus-run", torus_config(grid={"modes": 10 ** 30})),
 ])
 def test_unallocatable_sizes_exit_2(tmp_path, capsys, command, config):
     cfg = write_config(tmp_path / "c.json", config)
@@ -399,6 +403,59 @@ def test_euclid_run_fits_no_rate_to_a_run_that_did_not_blow_up(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "completed"
     assert report["fits"] == {"U": None, "V": None}
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 1000.0])
+def test_euclid_run_reports_thresholds_past_the_float_range_as_null(tmp_path, capsys,
+                                                                     epsilon):
+    # near the critical line (p+1)/(pq-1) = n/2 the exponent of R1 grows
+    # without bound: R1 leaves the float range above for small data and
+    # below (to 0) for large data
+    params = {**euclid_config()["params"], "p": 2.99, "q": 2.99}
+    cfg = write_config(tmp_path / "c.json", euclid_config(
+        params=params, data={"epsilon": epsilon, "r_data": 1.5}, t_end=0.05))
+    out = tmp_path / "out"
+    assert run_cli(["euclid-run", "--config", cfg, "--out", out]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    thresholds = json.loads((out / "thresholds.json").read_text())
+    if epsilon < 1.0:
+        assert thresholds["R1"] is None and thresholds["R0"] is None
+        assert not thresholds["r_exceeds_r0"]
+    else:
+        assert thresholds["R1"] == 0
+    bounds = json.loads((out / "report.json").read_text())["bounds"]
+    assert not bounds["hypothesis_satisfied"]
+    assert thresholds["T1"] is None
+    assert bounds["T1"] is None and bounds["minimizer"] is None
+
+
+def test_euclid_run_near_pq_1_certifies_its_finite_bound(tmp_path):
+    # near pq = 1 single factors of R1 and of the damping term leave the
+    # float range in opposite directions, while R1 and the term do not
+    params = {**euclid_config()["params"], "p": 1.0001, "q": 1.0001}
+    cfg = write_config(tmp_path / "c.json", euclid_config(
+        params=params, data={"epsilon": 0.3, "r_data": 1.5, "amp_v": 0.5},
+        t_end=0.05))
+    out = tmp_path / "out"
+    assert run_cli(["euclid-run", "--config", cfg, "--out", out]) == 0
+    thresholds = json.loads((out / "thresholds.json").read_text())
+    assert thresholds["R1"] < 6.4 and thresholds["r_exceeds_r0"]
+    bounds = json.loads((out / "report.json").read_text())["bounds"]
+    assert bounds["hypothesis_satisfied"] and bounds["lifespan_bound"] > 0
+    assert bounds["T1"] > 0
+
+
+def test_torus_run_reports_a_bound_curve_past_the_float_range_as_null(tmp_path):
+    # near pq = 1 the lower-bound curve grows like exp(t) up to a lifespan
+    # bound past 1e5, so its later samples leave the float range
+    params = {**torus_config()["params"], "p": 1.00001, "q": 1.00001}
+    cfg = write_config(tmp_path / "c.json", torus_config(
+        params=params, grid={"modes": 16}, t_end=0.5))
+    out = tmp_path / "out"
+    assert run_cli(["torus-run", "--config", cfg, "--out", out]) == 0
+    bounds = json.loads((out / "report.json").read_text())["bounds"]
+    assert bounds["hypothesis_satisfied"] and bounds["lifespan_bound"] > 1e5
+    assert bounds["lower_bound"][0] > 0 and bounds["lower_bound"][-1] is None
 
 
 def test_euclid_run_evaluates_phi_for_the_data_and_the_weight_only(

@@ -205,6 +205,28 @@ def test_run_sets_up_the_weight_once_and_the_nonlinearity_once_per_node(monkeypa
     assert calls["nonlinearity"] == run.series.times.size
 
 
+def test_a_node_computes_its_nonlinearity_once_for_its_derivative_and_step(monkeypatch):
+    # outside a run too; a node asked for other params computes theirs
+    nodes = []
+    nonlinearity = euclid._nonlinearity
+
+    def counted_nonlinearity(state, params):
+        nodes.append((state, params))
+        return nonlinearity(state, params)
+
+    monkeypatch.setattr(euclid, "_nonlinearity", counted_nonlinearity)
+    spec = small_spec()
+    state = make_initial_state(spec)
+    for _ in range(3):
+        functional_derivatives(state, spec)
+        state = euclid_step(state, spec, 1e-3)
+    assert len(nodes) == 3
+    stronger = small_spec(params=heat_params(beta1=2.0))
+    assert functional_derivatives(state, stronger) != functional_derivatives(state, spec)
+    assert [(s is state, params) for s, params in nodes[3:]] == [
+        (True, stronger.params), (True, spec.params)]
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_run_to_nonlinearity_overflow_raises_with_the_last_good_node(monkeypatch):
     # the step from a node reuses the nonlinearity its observation computed,
@@ -435,6 +457,38 @@ def test_threshold_p_equals_q_marker(tf1):
     d = 3.0
     pred = ((2.0 ** 4) / (0.5 ** 4)) ** (d / 9.0)
     assert tc.C1 == pytest.approx(pred, rel=1e-12)
+
+
+def test_r1_is_continuous_where_a_factor_leaves_the_float_range(tf1):
+    # at p = q = sqrt(1024/1023) the factor 2^((p+1)/(q+1) pq/(pq-1)) of R1
+    # crosses 2^1024, where R1 itself is about 0.26
+    def thresholds(p):
+        params = SystemParams(n=1, p=p, q=p, alpha1=-0.01, alpha2=-0.01,
+                              beta1=1, beta2=1)
+        return evaluate_thresholds(params, tf1, 0.5, 0.5, R=8.0)
+
+    crossing = (1024.0 / 1023.0) ** 0.5
+    below, above = thresholds(crossing * (1 - 1e-9)), thresholds(crossing * (1 + 1e-9))
+    assert below.R1 == pytest.approx(above.R1, rel=1e-7)
+    assert below.r_exceeds_r0 and above.r_exceeds_r0
+
+
+def test_t1_is_finite_where_c3_is_past_the_float_range():
+    # near the critical line T1 grows like max|alpha|^(sigma/2), through C3,
+    # and falls like U0^-sigma: at max|alpha| = 100 C3 is past the float
+    # range, and with 100 times the data T1 is not
+    p = 2.99
+    sigma = 1.0 / ((p + 1) / (p * p - 1) - 0.5)
+
+    def bounds(alpha, U0):
+        params = SystemParams(n=1, p=p, q=p, alpha1=-alpha, alpha2=-alpha,
+                              beta1=1, beta2=1)
+        return blowup_bounds(small_spec(params=params), U0, U0)
+
+    unit, scaled = bounds(1.0, 1.0), bounds(100.0, 100.0)
+    assert scaled.thresholds.C3 == np.inf
+    assert scaled.minimizer == unit.minimizer
+    assert scaled.T1 / unit.T1 == pytest.approx(10.0 ** -sigma, rel=1e-10)
 
 
 def test_hypothesis_crosses_at_r1(tf1):

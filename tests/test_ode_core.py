@@ -21,6 +21,7 @@ from cgl_blowup.ode_core import (
     damped_hypothesis_terms,
     integrate_coupled,
     mirrored_spec,
+    power_product,
     single_blowup_solution,
     single_blowup_time,
     tail_corrected_lifespan,
@@ -322,6 +323,43 @@ def test_damped_strict_boundary_fails():
     spec = CoupledODESpec(p=2, q=2, C_p=1, C_q=1, omega=1, f0=1, g0=1)
     # ordering term equals f0 exactly; the condition is strict
     assert not damped_bounds(spec).hypothesis_satisfied
+
+
+def test_power_product_is_inf_or_0_only_where_the_product_is():
+    # multiplied as written, where every power is in range
+    assert power_product((3.0, 0.7), (5.0, -1.3), (7.0, 1.0), (11.0, 1.0, "/"),
+                         outer=0.3) == (3.0 ** 0.7 * 5.0 ** -1.3 * 7.0 / 11.0) ** 0.3
+    assert power_product((((2.0, 3.0), (5.0, 2.0, "/")), 0.5)) == (
+        2.0 ** 3.0 / 5.0 ** 2.0) ** 0.5
+    # from the logs, where one power or a partial product leaves the range
+    assert power_product((2.0, 5000.0), (2.0, -5000.5)) == pytest.approx(
+        2.0 ** -0.5, rel=1e-12)
+    assert power_product((10.0, 200.0), (10.0, 200.0), (10.0, -300.0)) == (
+        pytest.approx(1e100, rel=1e-12))
+    assert power_product((2.0, 5000.0), (2.0, 1.0, "/"), outer=0.001) == (
+        pytest.approx(2.0 ** 4.999, rel=1e-12))
+    # 2^-1070.3 alone rounds to a subnormal with 4 significant bits
+    assert power_product((2.0, -1070.3), (2.0, 1000.0)) == pytest.approx(
+        2.0 ** -70.3, rel=1e-12)
+    assert power_product((2.0, 5000.0), (2.0, -3000.0)) == math.inf
+    assert power_product((2.0, -5000.0), (2.0, 3000.0)) == 0.0
+    assert power_product((10.0, 200.0), (10.0, 200.0)) == math.inf
+
+
+def test_damped_bounds_near_pq_1_take_their_true_values():
+    # near pq = 1 the exponents 1/(pq-1) send single powers past the float
+    # range where the values are not: the damping term is about 2^-150001
+    # (0, not inf), and the curve grows smoothly past t = 503, where
+    # (a - b(1 - e^(-decay t)))^(-(q+1)/(pq-1)) alone overflows
+    kw = dict(p=1.00001, q=1.00001, C_p=1, C_q=1, omega=1, g0=1)
+    assert damped_hypothesis_terms(CoupledODESpec(f0=1, **kw)) == (0.0, 1.0)
+    # f0 equals the ordering term, and the hypothesis is strict
+    assert not damped_bounds(CoupledODESpec(f0=1, **kw)).hypothesis_satisfied
+    report = damped_bounds(CoupledODESpec(f0=2, **kw))
+    assert report.hypothesis_satisfied and report.lifespan_bound < math.inf
+    log_curve = np.log([report.lower_bound_curve(t) for t in range(400, 701)])
+    assert np.all(np.isfinite(log_curve))
+    assert np.all((0.0 < np.diff(log_curve)) & (np.diff(log_curve) < 1.0))
 
 
 def test_damped_bounds_just_above_the_ordering_term_are_real():

@@ -30,8 +30,9 @@ def test_single_mode_heat_decay():
     grid = make_grid(1, 64)
     x = grid.axes()[0]
     state = state_from_arrays(grid, np.exp(1j * x), np.exp(1j * x))
+    stepper = TorusStepper(grid, params)
     for _ in range(100):
-        state = torus_step(state, params, 0.01)
+        state = torus_step(state, stepper, 0.01)
     amp = abs(np.fft.fft(state.u, norm="forward")[1])
     assert amp == pytest.approx(np.exp(-1.0), abs=1e-8)
 
@@ -55,7 +56,7 @@ def test_constant_data_matches_closed_form():
 
 def test_zero_data_is_fixed_point():
     state = constant_state(make_grid(1, 32), 0.0, 0.0)
-    out = torus_step(state, HEAT, 0.01)
+    out = torus_step(state, TorusStepper(state.grid, HEAT), 0.01)
     assert np.all(out.u == 0) and np.all(out.v == 0)
 
 
@@ -103,7 +104,7 @@ def test_zero_mode_has_no_laplacian_contribution():
     state = state_from_arrays(grid, u, v)
     params = SystemParams(n=2, p=2, q=1.5, alpha1=-1 - 0.3j, alpha2=-0.5,
                           beta1=1, beta2=1)
-    assert laplacian_zero_mode(state, params) < 1e-12
+    assert laplacian_zero_mode(state, TorusStepper(grid, params)) < 1e-12
 
 
 def test_growth_inequality_equality_for_constant_fields():
@@ -246,22 +247,21 @@ def test_padded_nonlinearity_matches_on_smooth_data():
     x = grid.axes()[0]
     u = 1.0 + 0.1 * np.cos(x) + 0j
     state = state_from_arrays(grid, u, u.copy())
-    plain = torus_step(state, HEAT, 1e-3, pad=False)
-    padded = torus_step(state, HEAT, 1e-3, pad=True)
+    plain = torus_step(state, TorusStepper(grid, HEAT, pad=False), 1e-3)
+    padded = torus_step(state, TorusStepper(grid, HEAT, pad=True), 1e-3)
     assert np.max(np.abs(plain.u - padded.u)) < 1e-10
 
 
 def test_step_rejects_growing_linear_part():
     params = SystemParams(n=1, p=2, q=2, alpha1=1.0, alpha2=-1, beta1=1, beta2=1)
-    state = constant_state(make_grid(1, 32), 1.0, 1.0)
-    with pytest.raises(ValidationError):
-        torus_step(state, params, 1e-3)
+    with pytest.raises(ValidationError, match="Re\\(alpha\\)"):
+        TorusStepper(make_grid(1, 32), params)
 
 
 def test_step_overflow_carries_last_state():
     state = constant_state(make_grid(1, 32), 1e200, 1e200)
     with pytest.raises(IntegrationError) as exc:
-        torus_step(state, HEAT, 1.0)
+        torus_step(state, TorusStepper(state.grid, HEAT), 1.0)
     assert exc.value.last_node is state
 
 
@@ -273,22 +273,20 @@ def _bumped_state(grid, amplitude=1.0):
                              amplitude * (0.9 + 0.1j * np.sin(x)))
 
 
-@pytest.mark.parametrize("other", ["params", "pad", "grid"])
-def test_step_refuses_a_stepper_built_for_another_run(other):
+@pytest.mark.parametrize("other_grid", [pytest.param(make_grid(1, 64), id="grid"),
+                                        pytest.param(make_grid(2, 32), id="dimension")])
+def test_step_refuses_a_stepper_built_for_another_run(other_grid):
     params = SystemParams(n=1, p=2, q=1.5, alpha1=-1, alpha2=-0.5, beta1=1, beta2=1)
     state = _bumped_state(make_grid(1, 32))
-    built = {"params": params, "pad": False, "grid": state.grid}
-    built[other] = {
-        "params": SystemParams(n=1, p=2, q=1.5, alpha1=-2, alpha2=-0.5, beta1=1, beta2=1),
-        "pad": True,
-        "grid": make_grid(1, 64),
-    }[other]
-    stepper = TorusStepper(built["grid"], built["params"], built["pad"])
-    with pytest.raises(ValidationError):
-        torus_step(state, params, 1e-3, stepper=stepper)
-    if other != "pad":  # the Laplacian does not depend on pad
-        with pytest.raises(ValidationError):
-            laplacian_zero_mode(state, params, stepper)
+    stepper = TorusStepper(other_grid, params)
+    with pytest.raises(ValidationError, match="another grid"):
+        torus_step(state, stepper, 1e-3)
+    with pytest.raises(ValidationError, match="another grid"):
+        laplacian_zero_mode(state, stepper)
+    # grids are compared by value: an equal grid object is the same grid
+    equal = TorusStepper(make_grid(1, 32), params)
+    assert equal.grid is not state.grid
+    assert torus_step(state, equal, 1e-3).t == 1e-3
 
 
 def _recorded_steps(monkeypatch):
@@ -296,9 +294,9 @@ def _recorded_steps(monkeypatch):
     calls = []
     step = torus.torus_step
 
-    def recorded(state, params, dt, pad=False, stepper=None):
+    def recorded(state, stepper, dt):
         calls.append((state, dt, stepper))
-        return step(state, params, dt, pad, stepper)
+        return step(state, stepper, dt)
 
     monkeypatch.setattr(torus, "torus_step", recorded)
     return calls
@@ -316,13 +314,14 @@ def test_run_stepper_gives_the_standalone_steps_bits(n, modes, pad, monkeypatch)
     assert run.status == BLOWUP
     dts = [dt for _, dt, _ in calls]
     assert len(set(dts)) > 10  # dt shrinks near blow-up
+    # every standalone step and check builds its own stepper
     state, rows, lap = start, [], []
     for dt in [None] + dts:
         if dt is not None:
-            state = torus_step(state, params, dt, pad=pad)
+            state = torus_step(state, TorusStepper(state.grid, params, pad), dt)
         rows.append((state.t, *functionals(state, params),
                      *functional_derivatives(state, params)))
-        lap.append(laplacian_zero_mode(state, params))
+        lap.append(laplacian_zero_mode(state, TorusStepper(state.grid, params)))
     series = run.series
     assert np.array(rows).T.tobytes() == np.array(
         [series.times, series.U, series.V, series.dU, series.dV]).tobytes()
@@ -331,7 +330,8 @@ def test_run_stepper_gives_the_standalone_steps_bits(n, modes, pad, monkeypatch)
     assert run.lap_zero_mode_max == max(lap)
     stepper = calls[0][2]
     for node, _, _ in calls[::20]:
-        assert laplacian_zero_mode(node, params, stepper) == laplacian_zero_mode(node, params)
+        assert laplacian_zero_mode(node, stepper) == laplacian_zero_mode(
+            node, TorusStepper(node.grid, params))
 
 
 def test_run_sets_up_once_and_transforms_both_fields_together(monkeypatch):

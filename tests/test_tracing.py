@@ -29,3 +29,33 @@ def test_install_then_restore_puts_every_original_back():
     for owner, attr, original, wrapper in patched:
         assert wrapper.__wrapped__ is original, attr
         assert getattr(owner, attr) is original, attr
+
+
+def test_runs_call_every_traced_step_name():
+    # a run that bypassed these module-level names would zero the per-layer
+    # metrics without failing anything else
+    from cgl_blowup import euclid, torus
+    from cgl_blowup.system import SystemParams
+
+    params = SystemParams(n=1, p=2, q=1.5, alpha1=-1, alpha2=-1, beta1=1, beta2=1)
+    spec = euclid.EuclidRunSpec(params=params, R=4.0, box_half_width=8.0, h=4.0 / 64,
+                                data=euclid.DataSpec(epsilon=0.3, r_data=1.5))
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        torus_run = torus.run_torus(params, torus.constant_state(torus.make_grid(1, 16),
+                                                                 0.5, 0.5),
+                                    t_end=0.05, dt_max=1e-2)
+        euclid_run = euclid.run_euclid(spec, t_end=0.05, dt_max=1e-2)
+    finally:
+        tracer.restore()
+    calls = {name: entry["calls"] for name, entry in tracer.totals().items()}
+    torus_nodes = torus_run.series.times.size
+    euclid_nodes = euclid_run.series.times.size
+    assert torus_nodes > 2 and euclid_nodes > 2
+    assert calls["torus.torus_step"] == torus_nodes - 1
+    assert calls["torus.laplacian_zero_mode"] == torus_nodes
+    assert calls["euclid.euclid_step"] == euclid_nodes - 1
+    assert calls["euclid.functional_derivatives"] == euclid_nodes
+    assert calls["euclid.solve_banded"] == 2 * (euclid_nodes - 1)
