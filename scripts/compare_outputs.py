@@ -6,9 +6,12 @@ Usage: python3 scripts/compare_outputs.py TREE OUTDIR
 
 TREE is the root of a checkout (its ``src`` and ``perfbench`` are used).
 The script runs every invocation of the four workloads in
-``TREE/perfbench/workloads.py`` at bench seeds 3 and 12, and the six
-packaged configs of ``TREE/scripts/configs`` at seed 2024, each in a fresh
-``python -m cgl_blowup`` process with ``--workers 1``.  OUTDIR gets, per run,
+``TREE/perfbench/workloads.py`` at bench seeds 3 and 12, the six packaged
+configs of ``TREE/scripts/configs`` at seed 2024, and the ``euclid-run``
+configs of ``OFF_UNIT`` below, each in a fresh ``python -m cgl_blowup``
+process with ``--workers 1``.  The workloads and packaged configs all have
+unit alpha and beta; ``OFF_UNIT`` covers complex beta, unequal alpha,
+n = 1 and 2 and both schemes.  OUTDIR gets, per run,
 its config, its ``--out`` directory and a ``.status`` file with the exit
 code and standard error.  Paths are given relative to OUTDIR, so that the
 messages of two trees compare too.
@@ -34,6 +37,33 @@ BENCH_SEEDS = (3, 12)
 PACKAGED_SEED = 2024
 
 
+def _off_unit(n, alpha, beta, scheme, epsilon, t_end):
+    return {
+        "schema_version": 1,
+        "params": {"n": n, "p": 2, "q": 1.5,
+                   "alpha1": [alpha[0], 0], "alpha2": [alpha[1], 0],
+                   "beta1": [beta[0].real, beta[0].imag],
+                   "beta2": [beta[1].real, beta[1].imag]},
+        "R": 4.0, "box_half_width": 8.0, "h": 4.0 / 64,
+        "data": {"epsilon": epsilon, "r_data": 2.0, "amp_u": 1.0, "amp_v": 0.7,
+                 "shape": "gaussian"},
+        "scheme": scheme,
+        "dt": {"dt_max": 0.01, "safety": 0.1},
+        "t_end": t_end, "functional_threshold": 1e6, "field_threshold": 1e10,
+        "odi_cap": 1e5,
+    }
+
+
+# euclid-run off the unit coefficients of the workloads and packaged configs
+OFF_UNIT = {
+    "complex_beta_1d": _off_unit(1, (-1, -1), (0.6 + 0.8j, -2j), "imex", 2.0, 30.0),
+    "unequal_alpha_1d": _off_unit(1, (-0.7, -1.3), (1.7, 0.6), "imex", 2.0, 30.0),
+    "both_1d_explicit": _off_unit(1, (-0.7, -1.3), (0.6 + 0.8j, -2j), "explicit", 2.0, 30.0),
+    "both_2d": _off_unit(2, (-0.7, -1.3), (0.6 + 0.8j, -2j), "imex", 5.0, 30.0),
+    "complex_beta_2d_explicit": _off_unit(2, (-1, -1), (-0.6 + 0.8j, 1j), "explicit", 5.0, 0.05),
+}
+
+
 def _jobs(tree: str):
     """(name, command, config, cli seed) of every run, name a relative path."""
     sys.path.insert(0, os.path.join(tree, "perfbench"))
@@ -50,6 +80,8 @@ def _jobs(tree: str):
             cfg = json.load(fh)
         yield (f"packaged/{config.removesuffix('.json')}", command, cfg,
                PACKAGED_SEED)
+    for label, cfg in OFF_UNIT.items():
+        yield f"off_unit/{label}", "euclid-run", cfg, PACKAGED_SEED
 
 
 def main() -> int:

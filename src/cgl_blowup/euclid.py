@@ -11,12 +11,14 @@ scanning the weight radius produces the amplitude-scaling bound T1.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+import weakref
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import zgtsv
+from scipy.linalg.lapack import dgtsv
 
 from . import testfn
 from .errors import IntegrationError, ValidationError
@@ -120,6 +122,19 @@ class EuclidRunSpec:
         """phi(x/R) on the grid, the weight of the functionals."""
         return self.tf.phi(self.grid.radii() / self.R)
 
+    @cached_property
+    def diffusion(self) -> np.ndarray:
+        """|alpha1| and |alpha2|, a column of the stacked amplitudes."""
+        return self._column(-self.params.alpha1.real, -self.params.alpha2.real)
+
+    @cached_property
+    def beta_abs(self) -> np.ndarray:
+        """|beta1| and |beta2|, a column of the stacked amplitudes."""
+        return self._column(abs(self.params.beta1), abs(self.params.beta2))
+
+    def _column(self, first: float, second: float) -> np.ndarray:
+        return np.reshape((first, second), (2,) + (1,) * self.params.n)
+
 
 @dataclass(frozen=True)
 class EuclidGrid:
@@ -157,164 +172,263 @@ class EuclidGrid:
 
 @dataclass(frozen=True)
 class EuclidState:
+    """Complex fields u, v at time t: the data a caller passes in and gets
+    back.  A run marches the real amplitudes of :class:`Amplitudes`."""
+
     u: np.ndarray
     v: np.ndarray
     t: float
+    # (params, the Amplitudes of these fields) once _amplitudes or _fields has
+    # made them, so a node's derivative and the step from it share one node
+    node: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        # pickled without the node: it is made again from the fields, and
+        # its weak reference back to this state does not pickle
+        return {**self.__dict__, "node": None}
+
+
+@dataclass(eq=False)
+class Amplitudes:
+    """A node of a run: the fields u = (beta1/|beta1|) rho[0] and
+    v = (beta2/|beta2|) rho[1] with rho real, of shape (2, *grid shape).
+    (A node of fields off those phases, which only the functionals take,
+    has rho = Re(conj(phase) * field) and keeps their moduli.)
+
+    From data on these phases the system keeps its fields on them, with
+    rho_u' = |alpha1| Lap rho_u + |beta1| |rho_v|^p and likewise rho_v', so
+    a run marches rho in real arithmetic; Re(conj(beta1) u) = |beta1| rho_u.
+    rho and t are not changed once the node is made.
+    """
+
+    rho: np.ndarray
+    t: float
+    # |u| and |v| stacked, for fields off the phases of beta only (a step
+    # refuses those); on the phases they are |rho|
+    modulus: Optional[np.ndarray] = field(default=None, repr=False)
+    # a weak reference to the EuclidState this node was made from or into,
+    # handed back for it (weak: that state keeps the node)
+    origin: Optional[weakref.ref] = field(default=None, init=False, repr=False)
     # (params, its nonlinearity) once _node_nonlinearity has computed it
-    held: tuple = field(default=None, init=False, repr=False, compare=False)
+    held: Optional[tuple] = field(default=None, init=False, repr=False)
+    _second: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.rho[0]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.rho[1]
+
+    @property
+    def second_difference(self) -> np.ndarray:
+        """h^2 Lap_h rho on the interior, computed once and shared by the
+        node's derivative and, in 1-d, the step from it."""
+        if self._second is None:
+            self._second = _second_difference(self.rho)
+        return self._second
 
 
-def make_initial_state(spec: EuclidRunSpec) -> EuclidState:
-    """Data eps * amp * phase(beta) * profile(|x| / r_data); the phases make
-    conj(beta1) u0 and conj(beta2) v0 positive reals on the support."""
-    grid = spec.grid
-    r = grid.radii()
+# the interior of stacked fields on a grid of dimension n
+_INTERIOR = {n: (slice(None),) + (slice(1, -1),) * n for n in (1, 2)}
+
+
+def _second_difference(a: np.ndarray) -> np.ndarray:
+    """The centered second differences, summed over the axes, of each of the
+    stacked fields ``a`` on its interior."""
+    # summed left to right, in place where the order allows
+    if a.ndim == 2:
+        out = a[:, :-2] - 2.0 * a[:, 1:-1]
+        out += a[:, 2:]
+        return out
+    out = a[:, :-2, 1:-1] + a[:, 2:, 1:-1]
+    out += a[:, 1:-1, :-2]
+    out += a[:, 1:-1, 2:]
+    out -= 4.0 * a[:, 1:-1, 1:-1]
+    return out
+
+
+def _phases(params: SystemParams) -> tuple[complex, complex]:
+    return params.beta1 / abs(params.beta1), params.beta2 / abs(params.beta2)
+
+
+def _amplitudes(state, spec: EuclidRunSpec) -> Amplitudes:
+    """The node of a caller's EuclidState, rho = Re(conj(phase) * field), made
+    once and kept on the state for ``spec.params``; a node that already is
+    :class:`Amplitudes` is returned as it is.
+
+    Fields whose conj(phase) * field has an imaginary part above its
+    round-off, 4 ulps of |field|, lie off the phases of beta: their node
+    keeps |field| for the nonlinearity, so the functionals and their
+    derivatives hold for any fields, and a step refuses it.
+    """
+    if isinstance(state, Amplitudes):
+        return state
+    if state.node is not None and state.node[0] is spec.params:
+        return state.node[1]
+    fields = (state.u, state.v)
+    aligned = [np.conj(phase) * f for f, phase in zip(fields, _phases(spec.params))]
+    node = Amplitudes(np.stack([a.real for a in aligned]), state.t)
+    if any(np.any(np.abs(a.imag) > 4.0 * np.spacing(np.abs(f)))
+           for a, f in zip(aligned, fields)):
+        node.modulus = np.abs(np.stack(fields))
+    _keep(state, node, spec)
+    return node
+
+
+def _fields(node: Amplitudes, spec: EuclidRunSpec) -> EuclidState:
+    """The EuclidState of a node: the one it was made from or into while that
+    one lives, else the phases of beta times its amplitudes."""
+    state = node.origin() if node.origin is not None else None
+    if state is None:
+        phase_u, phase_v = _phases(spec.params)
+        state = EuclidState(u=phase_u * node.rho[0], v=phase_v * node.rho[1], t=node.t)
+        _keep(state, node, spec)
+    return state
+
+
+def _keep(state: EuclidState, node: Amplitudes, spec: EuclidRunSpec) -> None:
+    object.__setattr__(state, "node", (spec.params, node))
+    node.origin = weakref.ref(state)
+
+
+@contextmanager
+def _fields_on_failure(spec: EuclidRunSpec):
+    """Hand an IntegrationError's last good node back as an EuclidState."""
+    try:
+        yield
+    except IntegrationError as err:
+        if isinstance(err.last_node, Amplitudes):
+            err.last_node = _fields(err.last_node, spec)
+        raise
+
+
+def _initial_amplitudes(spec: EuclidRunSpec) -> Amplitudes:
+    """eps * amp * profile(|x| / r_data), zero on the boundary."""
+    r = spec.grid.radii()
     d = spec.data
     if d.shape == "weight":
         profile = spec.tf.phi(r / d.r_data)
     else:
         profile = np.exp(-(r * r) / (2.0 * d.r_data ** 2))
-    b1, b2 = spec.params.beta1, spec.params.beta2
-    u = d.epsilon * d.amp_u * (b1 / abs(b1)) * profile.astype(complex)
-    v = d.epsilon * d.amp_v * (b2 / abs(b2)) * profile.astype(complex)
-    _zero_boundary(u)
-    _zero_boundary(v)
-    return EuclidState(u=u, v=v, t=0.0)
+    inner = _INTERIOR[spec.params.n][1:]
+    rho = np.zeros((2, *spec.grid.shape))
+    rho[0][inner] = d.epsilon * d.amp_u * profile[inner]
+    rho[1][inner] = d.epsilon * d.amp_v * profile[inner]
+    return Amplitudes(rho, 0.0)
 
 
-def _zero_boundary(a: np.ndarray) -> None:
-    if a.ndim == 1:
-        a[0] = 0.0
-        a[-1] = 0.0
-    else:
-        a[0, :] = 0.0
-        a[-1, :] = 0.0
-        a[:, 0] = 0.0
-        a[:, -1] = 0.0
+def make_initial_state(spec: EuclidRunSpec) -> EuclidState:
+    """Data eps * amp * phase(beta) * profile(|x| / r_data); the phases make
+    conj(beta1) u0 and conj(beta2) v0 positive reals on the support."""
+    return _fields(_initial_amplitudes(spec), spec)
 
 
 def discrete_laplacian(a: np.ndarray, h: float) -> np.ndarray:
     """Second-order centered Laplacian with homogeneous Dirichlet boundary."""
     out = np.zeros_like(a)
-    if a.ndim == 1:
-        out[1:-1] = (a[:-2] - 2.0 * a[1:-1] + a[2:]) / (h * h)
-    else:
-        out[1:-1, 1:-1] = (
-            a[:-2, 1:-1] + a[2:, 1:-1] + a[1:-1, :-2] + a[1:-1, 2:]
-            - 4.0 * a[1:-1, 1:-1]
-        ) / (h * h)
+    out[(slice(1, -1),) * a.ndim] = _second_difference(a[np.newaxis])[0] / (h * h)
     return out
 
 
-def _nonlinearity(state: EuclidState, params: SystemParams):
-    """beta1 |v|^p and beta2 |u|^q, non-finite where they overflow."""
+def _nonlinearity(node: Amplitudes, params: SystemParams) -> np.ndarray:
+    """|beta1| |v|^p and |beta2| |u|^q, stacked as rho; non-finite where
+    they overflow."""
+    power = np.abs(node.rho[::-1]) if node.modulus is None else node.modulus[::-1].copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        nu = params.beta1 * np.abs(state.v) ** params.p
-        nv = params.beta2 * np.abs(state.u) ** params.q
-    return nu, nv
+        power[0] **= params.p
+        power[1] **= params.q
+        power[0] *= abs(params.beta1)
+        power[1] *= abs(params.beta2)
+    return power
 
 
-def _node_nonlinearity(state: EuclidState, params: SystemParams):
-    """``_nonlinearity(state, params)``, computed once per node and kept on
+def _node_nonlinearity(node: Amplitudes, params: SystemParams) -> np.ndarray:
+    """``_nonlinearity(node, params)``, computed once per node and kept on
     it, so a node's derivative and the step from it share one computation."""
-    if state.held is None or state.held[0] is not params:
-        object.__setattr__(state, "held", (params, _nonlinearity(state, params)))
-    return state.held[1]
+    if node.held is None or node.held[0] is not params:
+        node.held = (params, _nonlinearity(node, params))
+    return node.held[1]
 
 
-def _all_finite(*arrays) -> bool:
-    return all(np.all(np.isfinite(a.view(float))) for a in arrays)
-
-
-def solve_banded(rhs: np.ndarray, r: float, state: Optional[EuclidState] = None) -> np.ndarray:
+def solve_banded(rhs: np.ndarray, r: float, state=None) -> np.ndarray:
     """Solve (I - r/2 * T) x = rhs on the interior, T = tridiag(1, -2, 1).
 
-    rhs has shape (m,) or (m, k) with m interior nodes; solves along axis 0
-    with LAPACK's tridiagonal LU, the routine scipy's ``solve_banded`` calls
-    for one band each side, without building its band matrix.  A singular
-    system raises IntegrationError carrying ``state``.
+    rhs is real of shape (m,) or (m, k) with m interior nodes; solves along
+    axis 0 with LAPACK's tridiagonal LU, the routine scipy's ``solve_banded``
+    calls for one band each side, without building its band matrix.  A
+    singular system raises IntegrationError carrying ``state``.
     """
     m = rhs.shape[0]
-    off = np.full(m - 1, -0.5 * r, dtype=complex)
-    x, info = zgtsv(off, np.full(m, 1.0 + r, dtype=complex), off, rhs)[3:]
+    off = np.full(m - 1, -0.5 * r)
+    x, info = dgtsv(off, np.full(m, 1.0 + r), off, rhs)[3:]
     if info != 0:
         raise IntegrationError(f"tridiagonal solve failed (info {info})", last_node=state)
     return x
 
 
-def _imex_step_1d(state, params, dt, h, nu, nv):
-    d1 = -params.alpha1.real
-    d2 = -params.alpha2.real
+def _imex_step_1d(node, spec, dt, force):
+    # Crank-Nicolson diffusion, explicit forcing, both amplitudes at once: one
+    # solve with two right-hand sides where the diffusion coefficients agree
+    h = spec.grid.h
+    r = dt * spec.diffusion / (h * h)
+    rhs = 0.5 * r * node.second_difference
+    rhs += node.rho[:, 1:-1]
+    rhs += dt * force[:, 1:-1]
+    out = np.zeros(node.rho.shape)
+    if r[0, 0] == r[1, 0]:
+        out[:, 1:-1] = solve_banded(rhs.T, r[0, 0], node).T
+    else:
+        for k in (0, 1):
+            out[k, 1:-1] = solve_banded(rhs[k], r[k, 0], node)
+    return Amplitudes(out, node.t + dt)
 
-    def advance(a, d, force):
+
+def _imex_step_2d(node, spec, dt, force):
+    # Peaceman-Rachford ADI with the nonlinearity split over the half steps,
+    # one amplitude at a time (both in one array solved slower)
+    h = spec.grid.h
+    out = np.zeros(node.rho.shape)
+    half = np.zeros(node.rho.shape[1:])
+    for a, d, f, new in zip(node.rho, spec.diffusion.flat, force, out):
         r = dt * d / (h * h)
-        interior = a[1:-1]
-        # Crank-Nicolson diffusion, explicit forcing
-        lap = a[:-2] - 2.0 * interior + a[2:]
-        rhs = interior + 0.5 * r * lap + dt * force[1:-1]
-        out = np.zeros_like(a)
-        out[1:-1] = solve_banded(rhs, r, state)
-        return out
-
-    return EuclidState(
-        u=advance(state.u, d1, nu),
-        v=advance(state.v, d2, nv),
-        t=state.t + dt,
-    )
-
-
-def _imex_step_2d(state, params, dt, h, nu, nv):
-    # Peaceman-Rachford ADI with the nonlinearity split over the half steps
-    d1 = -params.alpha1.real
-    d2 = -params.alpha2.real
-
-    def along_x(a):
-        return a[:-2, 1:-1] - 2.0 * a[1:-1, 1:-1] + a[2:, 1:-1]
-
-    def along_y(a):
-        return a[1:-1, :-2] - 2.0 * a[1:-1, 1:-1] + a[1:-1, 2:]
-
-    def advance(a, d, force):
-        r = dt * d / (h * h)
-        f = force[1:-1, 1:-1]
+        forcing = 0.5 * dt * f[1:-1, 1:-1]
         # x-implicit half step
-        rhs = a[1:-1, 1:-1] + 0.5 * r * along_y(a) + 0.5 * dt * f
-        half = np.zeros_like(a)
-        half[1:-1, 1:-1] = solve_banded(rhs, r, state)
+        rhs = a[1:-1, :-2] - 2.0 * a[1:-1, 1:-1]
+        rhs += a[1:-1, 2:]
+        rhs *= 0.5 * r
+        rhs += a[1:-1, 1:-1]
+        rhs += forcing
+        half[1:-1, 1:-1] = solve_banded(rhs, r, node)
         # y-implicit half step (solve along axis 1 via transpose)
-        rhs2 = half[1:-1, 1:-1] + 0.5 * r * along_x(half) + 0.5 * dt * f
-        out = np.zeros_like(a)
-        out[1:-1, 1:-1] = solve_banded(rhs2.T, r, state).T
-        return out
-
-    return EuclidState(
-        u=advance(state.u, d1, nu),
-        v=advance(state.v, d2, nv),
-        t=state.t + dt,
-    )
+        rhs = half[:-2, 1:-1] - 2.0 * half[1:-1, 1:-1]
+        rhs += half[2:, 1:-1]
+        rhs *= 0.5 * r
+        rhs += half[1:-1, 1:-1]
+        rhs += forcing
+        new[1:-1, 1:-1] = solve_banded(rhs.T, r, node).T
+    return Amplitudes(out, node.t + dt)
 
 
-def _rhs(state, params, h):
-    """Discrete right-hand side -alpha Lap_h + beta |.|^p of both components,
-    zero on the boundary."""
-    nu, nv = _node_nonlinearity(state, params)
-    du = -params.alpha1.real * discrete_laplacian(state.u, h) + nu
-    dv = -params.alpha2.real * discrete_laplacian(state.v, h) + nv
-    _zero_boundary(du)
-    _zero_boundary(dv)
-    return du, dv
+def _rhs(node: Amplitudes, spec: EuclidRunSpec) -> np.ndarray:
+    """Discrete right-hand side |alpha| Lap_h rho + nonlinearity of both
+    amplitudes, zero on the boundary."""
+    h = spec.grid.h
+    inner = _INTERIOR[spec.params.n]
+    lap = node.second_difference / (h * h)
+    lap *= spec.diffusion
+    lap += _node_nonlinearity(node, spec.params)[inner]
+    out = np.zeros(node.rho.shape)
+    out[inner] = lap
+    return out
 
 
-def _explicit_step(state, params, dt, h):
+def _explicit_step(node, spec, dt):
     # Heun's method on the full right-hand side
-    du1, dv1 = _rhs(state, params, h)
-    mid = EuclidState(u=state.u + dt * du1, v=state.v + dt * dv1, t=state.t)
-    du2, dv2 = _rhs(mid, params, h)
-    return EuclidState(
-        u=state.u + 0.5 * dt * (du1 + du2),
-        v=state.v + 0.5 * dt * (dv1 + dv2),
-        t=state.t + dt,
-    )
+    k1 = _rhs(node, spec)
+    k2 = _rhs(Amplitudes(node.rho + dt * k1, node.t), spec)
+    return Amplitudes(node.rho + 0.5 * dt * (k1 + k2), node.t + dt)
 
 
 def cfl_limit(spec: EuclidRunSpec) -> float:
@@ -322,45 +436,69 @@ def cfl_limit(spec: EuclidRunSpec) -> float:
     return spec.grid.h ** 2 / (2.0 * spec.params.n * dmax)
 
 
-def euclid_step(state: EuclidState, spec: EuclidRunSpec, dt: float) -> EuclidState:
-    """One IMEX (default) or explicit step; raises on field overflow."""
+def euclid_step(state, spec: EuclidRunSpec, dt: float):
+    """One IMEX (default) or explicit step; raises on field overflow.
+
+    Advances a caller's EuclidState to a new one, or a run's
+    :class:`Amplitudes` to new amplitudes; the IntegrationError of a failure
+    carries the last good node as the caller passed it.
+    """
+    if isinstance(state, EuclidState):
+        with _fields_on_failure(spec):
+            return _fields(_advance(_on_phases(state, spec), spec, dt), spec)
+    return _advance(state, spec, dt)
+
+
+def _on_phases(state: EuclidState, spec: EuclidRunSpec) -> Amplitudes:
+    """The node of a caller's state to step from; refuses fields off the
+    phases of beta, which the real amplitudes cannot represent."""
+    node = _amplitudes(state, spec)
+    if node.modulus is not None:
+        raise ValidationError("the fields must lie on the phases of beta1 and beta2")
+    return node
+
+
+def _advance(node: Amplitudes, spec: EuclidRunSpec, dt: float) -> Amplitudes:
     if dt <= 0:
         raise ValidationError("dt must be positive")
-    h = spec.grid.h
     if spec.scheme == "explicit":
         if dt > cfl_limit(spec) * (1 + 1e-12):
             raise ValidationError(
                 f"explicit step dt={dt} exceeds the diffusion limit {cfl_limit(spec)}"
             )
-        new = _explicit_step(state, spec.params, dt, h)
+        new = _explicit_step(node, spec, dt)
     else:
-        nonlinearity = _node_nonlinearity(state, spec.params)
-        if not _all_finite(*nonlinearity):
-            raise IntegrationError(f"nonlinearity overflow at t={state.t}", last_node=state)
+        nonlinearity = _node_nonlinearity(node, spec.params)
+        if not np.isfinite(nonlinearity).all():
+            raise IntegrationError(f"nonlinearity overflow at t={node.t}", last_node=node)
         imex = _imex_step_1d if spec.params.n == 1 else _imex_step_2d
-        new = imex(state, spec.params, dt, h, *nonlinearity)
-    if not _all_finite(new.u, new.v):
-        raise IntegrationError(f"field overflow at t={state.t}", last_node=state)
+        new = imex(node, spec, dt, nonlinearity)
+    if not np.isfinite(new.rho).all():
+        raise IntegrationError(f"field overflow at t={node.t}", last_node=node)
     return new
 
 
-def weighted_functionals(state: EuclidState, spec: EuclidRunSpec) -> tuple[float, float]:
-    """Grid quadrature of Re(conj(beta) field) * phi(x/R)."""
-    w = spec.weight
-    vol = spec.grid.cell_volume
-    U = float(np.sum((np.conj(spec.params.beta1) * state.u).real * w) * vol)
-    V = float(np.sum((np.conj(spec.params.beta2) * state.v).real * w) * vol)
-    return U, V
+def _weighted_means(a: np.ndarray, spec: EuclidRunSpec) -> tuple[float, float]:
+    """The grid quadrature of |beta| a * phi(x/R), for both stacked
+    amplitudes ``a``."""
+    # |beta| a first, which for real beta is Re(conj(beta) field) to the bit
+    terms = spec.beta_abs * a
+    terms *= spec.weight
+    U, V = terms.reshape(2, -1).sum(axis=1) * spec.grid.cell_volume
+    return float(U), float(V)
 
 
-def functional_derivatives(state: EuclidState, spec: EuclidRunSpec) -> tuple[float, float]:
-    """d/dt of the weighted functionals from the discrete right-hand side."""
-    w = spec.weight
-    vol = spec.grid.cell_volume
-    du, dv = _rhs(state, spec.params, spec.grid.h)
-    dU = float(np.sum((np.conj(spec.params.beta1) * du).real * w) * vol)
-    dV = float(np.sum((np.conj(spec.params.beta2) * dv).real * w) * vol)
-    return dU, dV
+def weighted_functionals(state, spec: EuclidRunSpec) -> tuple[float, float]:
+    """Grid quadrature of Re(conj(beta) field) * phi(x/R), that is of
+    |beta| rho * phi(x/R), for any EuclidState or a run's Amplitudes."""
+    return _weighted_means(_amplitudes(state, spec).rho, spec)
+
+
+def functional_derivatives(state, spec: EuclidRunSpec) -> tuple[float, float]:
+    """d/dt of the weighted functionals from the discrete right-hand side,
+    |alpha| Lap_h Re(conj(phase) field) + |beta| |other field|^p, for any
+    EuclidState or a run's Amplitudes."""
+    return _weighted_means(_rhs(_amplitudes(state, spec), spec), spec)
 
 
 def run_euclid(
@@ -375,24 +513,26 @@ def run_euclid(
     """Advance until t_end, until U or V crosses functional_threshold, or
     until max |field| crosses field_threshold (status blow_up...).
 
+    The run marches real amplitudes (:class:`Amplitudes`) from the data
+    profile, or from ``state``, which must lie on the phases of beta; its
+    final state, and the last good node of a failure, are EuclidStates.
     The weight is evaluated once per run (``spec.weight``), and the
     nonlinearity once per node (``_node_nonlinearity``).
     """
     def observe(s):
-        # the nonlinearity before the functionals' temporaries, the order in
-        # which the heap reuses its pages from node to node: the other order
-        # took 2.7 times the minor page faults of a 257^2 run
-        _node_nonlinearity(s, spec.params)
         return (*weighted_functionals(s, spec), *functional_derivatives(s, spec))
 
     # no local name holds the initial data, so march frees each node, and the
     # nonlinearity it keeps, once the step from it is done
-    return march(
-        spec.params, make_initial_state(spec) if state is None else state,
-        t_end, dt_max, dt_safety, lambda s, dt: euclid_step(s, spec, dt), observe,
-        field_threshold, functional_threshold,
-        dt_cap=0.9 * cfl_limit(spec) if spec.scheme == "explicit" else math.inf,
-    )
+    with _fields_on_failure(spec):
+        run = march(
+            spec.params,
+            _initial_amplitudes(spec) if state is None else _on_phases(state, spec),
+            t_end, dt_max, dt_safety, lambda s, dt: euclid_step(s, spec, dt), observe,
+            field_threshold, functional_threshold,
+            dt_cap=0.9 * cfl_limit(spec) if spec.scheme == "explicit" else math.inf,
+        )
+    return replace(run, final_state=_fields(run.final_state, spec))
 
 
 def check_weighted_growth_inequality(
@@ -595,8 +735,9 @@ def _amplitude_scaling_bound(
     spec: EuclidRunSpec, tc: ThresholdConstants, U0: float,
 ) -> tuple[Optional[float], Optional[float]]:
     """T1 and its radius factor for the inequality constant tc.lambda_eff,
-    both None where R0 or R1 is past the float range (R1 also below it)."""
-    if not (math.isfinite(tc.R0) and tc.R1 > 0.0):
+    both None where R0, R1 or R0 / R1 is past the float range (R1 also
+    below it)."""
+    if not (math.isfinite(tc.R0) and tc.R1 > 0.0 and math.isfinite(tc.R0 / tc.R1)):
         return None, None
     n, p, q = spec.params.n, spec.params.p, spec.params.q
     pp, D = p + 1.0, p * q - 1.0

@@ -473,10 +473,14 @@ class BoundReport:
 
 def _f_from_g_curve(spec: CoupledODESpec, g_curve):
     """Lower bound for f induced from a g lower bound through the conserved
-    quantity: f^{q+1} e^{omega t} = C_p/C_q g^{p+1} e^{omega t} + const."""
+    quantity: f^{q+1} e^{omega t} = C_p/C_q g^{p+1} e^{omega t} + const;
+    None where f0^{q+1} or g0^{p+1} lies above the float range."""
     pp, qq = spec.p + 1.0, spec.q + 1.0
     ratio = spec.C_p / spec.C_q
-    const = spec.f0 ** qq - ratio * spec.g0 ** pp
+    try:
+        const = spec.f0 ** qq - ratio * spec.g0 ** pp
+    except OverflowError:
+        return None
 
     def f_curve(t: float) -> float:
         g = max(g_curve(t), 0.0)
@@ -542,25 +546,32 @@ def undamped_bounds(spec: CoupledODESpec) -> BoundReport:
         raise ValidationError("undamped bounds require omega = 0")
     p, q = spec.p, spec.q
     pp, qq, D = p + 1.0, q + 1.0, p * q - 1.0
-    F0 = spec.C_q * spec.f0 ** qq
-    G0 = spec.C_p * spec.g0 ** pp
-    if not (F0 >= G0):
-        return BoundReport(False, exponent_caveat=spec.exponent_caveat)
+    F0 = power_product((spec.C_q, 1.0), (spec.f0, qq))
+    G0 = power_product((spec.C_p, 1.0), (spec.g0, pp))
+    if _normal(F0) and _normal(G0):
+        if not (F0 >= G0):
+            return BoundReport(False, exponent_caveat=spec.exponent_caveat)
+        # from the F0 - G0 >= 0 just tested, so that F0 == G0 gives shift 0
+        shift = (power_product((F0 - G0, 1.0), (spec.C_p, 1.0, "/"), outer=1.0 / pp)
+                 if F0 > G0 else 0.0)
+    else:
+        shift = _shift_from_logs(spec)
+        if shift is None:
+            return BoundReport(False, exponent_caveat=spec.exponent_caveat)
 
-    A = (
-        spec.C_p ** (D / (pp * qq))
-        * spec.C_q ** (-D / (pp * qq))
-        * spec.f0 ** (-D / pp)
+    A = power_product(
+        (spec.C_p, D / (pp * qq)),
+        (spec.C_q, -D / (pp * qq)),
+        (spec.f0, -D / pp),
     )
     B = 2.0 ** (-p * q / qq) * D * spec.C_p ** (q / qq) * spec.C_q ** (1.0 / qq)
-    # from the F0 - G0 >= 0 just tested, so that F0 == G0 gives shift 0
-    shift = ((F0 - G0) / spec.C_p) ** (1.0 / pp)
-    lifespan = (
-        2.0 ** (p * q / qq) / D
-        * spec.C_p ** (-1.0 / pp)
-        * spec.C_q ** (-p / pp)
-        * spec.f0 ** (-D / pp)
-    )
+    lifespan = _past_the_range_as_inf(power_product(
+        (2.0, p * q / qq),
+        (D, 1.0, "/"),
+        (spec.C_p, -1.0 / pp),
+        (spec.C_q, -p / pp),
+        (spec.f0, -D / pp),
+    ))
 
     def g_curve(t: float) -> float:
         base = A - B * t
@@ -593,8 +604,33 @@ def damped_hypothesis_terms(spec: CoupledODESpec) -> tuple[float, float]:
         (spec.C_p, -1.0 / D),
         (spec.C_q, -p / D),
     )
-    term_ordering = (spec.C_p / spec.C_q) ** (1.0 / qq) * spec.g0 ** (pp / qq)
+    term_ordering = power_product(
+        (((spec.C_p, 1.0), (spec.C_q, 1.0, "/")), 1.0 / qq),
+        (spec.g0, pp / qq),
+    )
     return term_damping, term_ordering
+
+
+def _normal(value: float) -> bool:
+    return _TINY <= value <= _HUGE
+
+
+def _past_the_range_as_inf(lifespan: float) -> float:
+    """A lifespan bound past the float range on either side as inf, which
+    reports no bound: 0 would claim blow-up at once."""
+    return lifespan if _normal(lifespan) else math.inf
+
+
+def _shift_from_logs(spec: CoupledODESpec) -> Optional[float]:
+    """((C_q f0^(q+1) - C_p g0^(p+1)) / C_p)^(1/(p+1)), or None where it is
+    negative, for data whose powers leave the float range: the first power
+    factored out, the ratio of the second to it taken from their logs."""
+    pp, qq = spec.p + 1.0, spec.q + 1.0
+    lead = ((spec.C_q, 1.0), (spec.f0, qq), (spec.C_p, 1.0, "/"))
+    log_ratio = pp * math.log(spec.g0) - _log_product(lead)
+    if log_ratio > 0.0:  # tested first: expm1 overflows far above it
+        return None
+    return power_product(*lead, outer=1.0 / pp) * (-math.expm1(log_ratio)) ** (1.0 / pp)
 
 
 def damped_bounds(spec: CoupledODESpec) -> BoundReport:
@@ -615,26 +651,36 @@ def damped_bounds(spec: CoupledODESpec) -> BoundReport:
         return BoundReport(False, omega=spec.omega,
                            exponent_caveat=spec.exponent_caveat)
 
-    a = (spec.C_p / spec.C_q) ** (D / (pp * qq)) * spec.f0 ** (-D / pp)
+    a = power_product(
+        (((spec.C_p, 1.0), (spec.C_q, 1.0, "/")), D / (pp * qq)),
+        (spec.f0, -D / pp),
+    )
     b = (
         2.0 ** (-p * q / qq)
         * qq * pp / spec.omega
         * spec.C_q ** (1.0 / qq)
         * spec.C_p ** (q / qq)
     )
-    # clamped: the base rounds negative where f0 is just above term_ordering
-    shift = max(spec.C_q * spec.f0 ** qq / spec.C_p - spec.g0 ** pp, 0.0) ** (1.0 / pp)
+    lead = power_product((spec.C_q, 1.0), (spec.f0, qq), (spec.C_p, 1.0, "/"))
+    rest = power_product((spec.g0, pp))
+    if _normal(lead) and _normal(rest):
+        # clamped: the base rounds negative where f0 is just above term_ordering
+        shift = max(lead - rest, 0.0) ** (1.0 / pp)
+    else:  # term_ordering < f0 makes it positive
+        shift = _shift_from_logs(spec) or 0.0
     decay = spec.omega * D / (pp * qq)
 
-    x = (
-        2.0 ** (p * q / qq) / (qq * pp)
-        * spec.omega
-        * spec.C_q ** (-p / pp)
-        * spec.C_p ** (-1.0 / pp)
-        * spec.f0 ** (-D / pp)
+    # in (0, 1) since term1 < f0, but for round-off and the float range
+    x = power_product(
+        (2.0, p * q / qq),
+        (qq * pp, 1.0, "/"),
+        (spec.omega, 1.0),
+        (spec.C_q, -p / pp),
+        (spec.C_p, -1.0 / pp),
+        (spec.f0, -D / pp),
     )
-    assert 0.0 < x < 1.0  # equivalent to term1 < f0
-    lifespan = -(qq * pp) / (spec.omega * D) * math.log1p(-x)
+    lifespan = _past_the_range_as_inf(
+        -(qq * pp) / (spec.omega * D) * math.log1p(-x) if x < 1.0 else math.inf)
 
     omega = spec.omega
 

@@ -302,6 +302,26 @@ def test_torus_run_constant_data(tmp_path):
     assert (out / "plots.json").exists()
 
 
+@pytest.mark.parametrize("amplitude,p", [(1e-300, 3.0), (1e300, 1.02)])
+def test_torus_run_bounds_data_past_the_float_range(tmp_path, capsys, amplitude, p):
+    # (p+1)-th powers of the data leave the float range in the bound
+    # constants; at 1e300 the step rate |v|^p / |u| stays finite only for p
+    # near 1
+    cfg = write_config(tmp_path / "c.json", torus_config(
+        params={**torus_config()["params"], "p": p, "q": p}, grid={"modes": 16},
+        data={"kind": "constant", "u": [amplitude, 0], "v": [amplitude, 0]},
+        t_end=0.5))
+    out = tmp_path / "out"
+    assert run_cli(["torus-run", "--config", cfg, "--out", out]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    bounds = json.loads((out / "report.json").read_text())["bounds"]
+    assert bounds["hypothesis_satisfied"]
+    if amplitude < 1.0:  # about amplitude^(-(pq-1)/(p+1)) = 1e600
+        assert bounds["lifespan_bound"] is None
+    else:
+        assert 0.0 < bounds["lifespan_bound"] < 1e-3
+
+
 def test_torus_run_snapshot_sidecar(tmp_path):
     cfg = write_config(tmp_path / "c.json",
                        torus_config(snapshots=True, t_end=0.01,

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -160,19 +162,21 @@ def test_run_past_the_float_range_raises_with_the_last_good_node():
 
 @pytest.mark.parametrize("r", [0.02, 0.73, 40.0])
 @pytest.mark.parametrize("shape,transposed", [((37,), False), ((37, 5), False),
-                                              ((5, 37), True)])
+                                              ((5, 37), True), ((2, 37), True)])
 def test_solve_banded_matches_scipy_bit_for_bit(r, shape, transposed):
+    # real right-hand sides; (2, 37) transposed is the 1-d step's stacked pair
     rng = np.random.default_rng(7)
-    rhs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rhs = rng.normal(size=shape)
     if transposed:  # the ADI's second half step solves along a transpose
         rhs = rhs.T
     m = rhs.shape[0]
-    ab = np.zeros((3, m), dtype=complex)
+    ab = np.zeros((3, m))
     ab[0, 1:] = -0.5 * r
     ab[1, :] = 1.0 + r
     ab[2, :-1] = -0.5 * r
     expected = scipy.linalg.solve_banded((1, 1), ab, rhs)
     got = solve_banded(rhs, r)
+    assert got.dtype == expected.dtype == np.float64
     assert got.shape == expected.shape == rhs.shape
     assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(expected).tobytes()
 
@@ -181,7 +185,7 @@ def test_singular_solve_carries_the_state():
     # r = -2 on two nodes gives [[-1, 1], [1, -1]]
     state = EuclidState(u=np.zeros(4, dtype=complex), v=np.zeros(4, dtype=complex), t=0.5)
     with pytest.raises(IntegrationError) as exc:
-        solve_banded(np.ones(2, dtype=complex), -2.0, state)
+        solve_banded(np.ones(2), -2.0, state)
     assert exc.value.last_node is state
 
 
@@ -206,13 +210,14 @@ def test_run_sets_up_the_weight_once_and_the_nonlinearity_once_per_node(monkeypa
 
 
 def test_a_node_computes_its_nonlinearity_once_for_its_derivative_and_step(monkeypatch):
-    # outside a run too; a node asked for other params computes theirs
+    # outside a run too: a state keeps the real node it was made from or
+    # into; a state asked for other params makes a node and computes theirs
     nodes = []
     nonlinearity = euclid._nonlinearity
 
-    def counted_nonlinearity(state, params):
-        nodes.append((state, params))
-        return nonlinearity(state, params)
+    def counted_nonlinearity(node, params):
+        nodes.append((node, params))
+        return nonlinearity(node, params)
 
     monkeypatch.setattr(euclid, "_nonlinearity", counted_nonlinearity)
     spec = small_spec()
@@ -223,7 +228,7 @@ def test_a_node_computes_its_nonlinearity_once_for_its_derivative_and_step(monke
     assert len(nodes) == 3
     stronger = small_spec(params=heat_params(beta1=2.0))
     assert functional_derivatives(state, stronger) != functional_derivatives(state, spec)
-    assert [(s is state, params) for s, params in nodes[3:]] == [
+    assert [(node.origin() is state, params) for node, params in nodes[3:]] == [
         (True, stronger.params), (True, spec.params)]
 
 
@@ -234,18 +239,20 @@ def test_run_to_nonlinearity_overflow_raises_with_the_last_good_node(monkeypatch
     nodes = []
     nonlinearity = euclid._nonlinearity
 
-    def overflowing(state, params):
-        nodes.append(state)
-        nu, nv = nonlinearity(state, params)
+    def overflowing(node, params):
+        nodes.append(node)
+        out = nonlinearity(node, params)
         if len(nodes) == 5:
-            nu = np.where(nu != 0, np.inf, nu)
-        return nu, nv
+            out = np.where(np.arange(2)[:, None] == 0, np.where(out != 0, np.inf, out), out)
+        return out
 
     monkeypatch.setattr(euclid, "_nonlinearity", overflowing)
     with pytest.raises(IntegrationError, match="nonlinearity overflow") as exc:
         run_euclid(small_spec(), t_end=0.2, dt_max=2e-3)
     last = exc.value.last_node
-    assert last is nodes[4] and last.t > 0
+    assert isinstance(last, EuclidState)
+    assert last.t == nodes[4].t and last.t > 0
+    assert np.array_equal(last.u, nodes[4].u) and np.array_equal(last.v, nodes[4].v)
     assert np.all(np.isfinite(last.u)) and np.all(np.isfinite(last.v))
 
 
@@ -266,6 +273,86 @@ def test_initial_data_phase_alignment():
     assert np.all(wv.real[inside] > 0)
     U, V = weighted_functionals(state, spec)
     assert U > 0 and V > 0
+
+
+@pytest.mark.parametrize("r_data", [2.0, 0.2], ids=["normal", "subnormal tail"])
+def test_run_refuses_a_state_off_the_phases_of_beta(r_data):
+    # r_data 0.2: the Gaussian falls below 1e-308 at |x| > 7.5 inside the box
+    params = heat_params(beta1=0.6 + 0.8j, beta2=-2j)
+    spec = small_spec(params=params, data=DataSpec(epsilon=0.5, r_data=r_data,
+                                                   shape="gaussian"))
+    made = make_initial_state(spec)
+    assert np.any((0 < np.abs(made.u)) & (np.abs(made.u) < 1e-308)) == (r_data < 1)
+    # its own data lies on the phases up to the round-off of phase * profile,
+    # also as fresh fields that keep no node
+    for state in (made, EuclidState(u=made.u.copy(), v=made.v.copy(), t=0.0)):
+        run = run_euclid(spec, t_end=0.01, dt_max=2e-3, state=state)
+        assert run.status == "completed"
+        euclid_step(state, spec, 1e-3)
+    for off in (EuclidState(u=1j * made.u, v=made.v, t=0.0),
+                EuclidState(u=made.u, v=np.exp(1e-9j) * made.v, t=0.0)):
+        with pytest.raises(ValidationError, match="phases"):
+            run_euclid(spec, t_end=0.01, dt_max=2e-3, state=off)
+        with pytest.raises(ValidationError, match="phases"):
+            euclid_step(off, spec, 1e-3)
+
+
+def test_a_state_pickles_without_its_node():
+    spec = small_spec()
+    state = make_initial_state(spec)
+    functional_derivatives(state, spec)
+    copy = pickle.loads(pickle.dumps(state))
+    assert copy.node is None and copy.t == state.t
+    assert np.array_equal(copy.u, state.u) and np.array_equal(copy.v, state.v)
+    assert functional_derivatives(copy, spec) == functional_derivatives(state, spec)
+    stepped, from_copy = euclid_step(state, spec, 1e-3), euclid_step(copy, spec, 1e-3)
+    assert np.array_equal(from_copy.u, stepped.u) and np.array_equal(from_copy.v, stepped.v)
+
+
+def test_functionals_hold_for_fields_off_the_phases_of_beta():
+    # Re(conj(beta) field) * phi and its derivative from the complex
+    # right-hand side -alpha Lap_h field + beta |other field|^p
+    params = heat_params(p=2.0, q=1.5, beta1=0.6 + 0.8j, beta2=-2j)
+    spec = small_spec(params=params)
+    made = make_initial_state(spec)
+    u, v = 1j * made.u, np.exp(0.3j) * made.v
+    state = EuclidState(u=u, v=v, t=0.0)
+    h, w, b1, b2 = spec.grid.h, spec.weight, params.beta1, params.beta2
+    rhs_u = discrete_laplacian(u, h) + b1 * np.abs(v) ** 2.0
+    rhs_v = discrete_laplacian(v, h) + b2 * np.abs(u) ** 1.5
+    inner = (slice(1, -1),)
+    U, V = weighted_functionals(state, spec)
+    dU, dV = functional_derivatives(state, spec)
+    np.testing.assert_allclose(
+        (U, V), (h * np.sum((np.conj(b1) * u).real * w), h * np.sum((np.conj(b2) * v).real * w)),
+        rtol=1e-13)
+    np.testing.assert_allclose(
+        (dU, dV), (h * np.sum((np.conj(b1) * rhs_u).real[inner] * w[inner]),
+                   h * np.sum((np.conj(b2) * rhs_v).real[inner] * w[inner])),
+        rtol=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [(-1.0, -1.0), (-0.7, -1.3)])
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_run_sees_beta_through_its_modulus_only(n, alpha):
+    # from data on the phases of beta the fields keep them, so rotating beta
+    # leaves the weighted means unchanged; alpha1 != alpha2 takes the 1-d
+    # step's two solves
+    def run(beta1, beta2):
+        params = SystemParams(n=n, p=2, q=1.5, alpha1=alpha[0], alpha2=alpha[1],
+                              beta1=beta1, beta2=beta2)
+        spec = EuclidRunSpec(params=params, R=4.0, box_half_width=8.0, h=4.0 / 64,
+                             data=DataSpec(epsilon=2.0, r_data=2.0, amp_v=0.7,
+                                           shape="gaussian"))
+        return run_euclid(spec, t_end=0.2 if n == 1 else 0.04, dt_max=5e-3,
+                          dt_safety=0.1)
+
+    rotated, aligned = run(0.6 + 0.8j, -2j), run(abs(0.6 + 0.8j), 2.0)
+    assert rotated.series.times.size == aligned.series.times.size > 5
+    assert np.array_equal(rotated.series.times, aligned.series.times)
+    for column in ("U", "V", "dU", "dV"):
+        np.testing.assert_allclose(getattr(rotated.series, column),
+                                   getattr(aligned.series, column), rtol=1e-13, atol=0)
 
 
 def test_weighted_functional_of_unit_field():

@@ -384,6 +384,43 @@ def test_damped_bounds_just_above_the_ordering_term_are_real():
         checked += 1
 
 
+@pytest.mark.parametrize("bounds", [undamped_bounds, damped_bounds])
+def test_bounds_of_data_whose_powers_leave_the_float_range(bounds):
+    # f0^(q+1) and g0^(p+1) overflow while the bounds do not: the shift comes
+    # from their logs.  With p = q and C_p = C_q the curve starts at
+    # f0 - (f0^(p+1) - g0^(p+1))^(1/(p+1)), here g0 (2 - (2^(p+1) - 1)^(1/(p+1)))
+    p = 1.02
+    spec = CoupledODESpec(p=p, q=p, C_p=1.0, C_q=1.0,
+                          omega=1.0 if bounds is damped_bounds else 0.0,
+                          f0=1e300, g0=0.5e300)
+    report = bounds(spec)
+    assert report.hypothesis_satisfied
+    assert 0.0 < report.lifespan_bound < 1e-3
+    start = spec.g0 * (2.0 - (2.0 ** (p + 1) - 1.0) ** (1.0 / (p + 1)))
+    assert report.lower_bound_curve(0.0) == pytest.approx(start, rel=1e-10)
+
+
+def test_bounds_of_data_below_the_float_range_report_no_lifespan():
+    # f0^(-(pq-1)/(p+1)) = 1e600: the lifespan bound is past the float range
+    # and reported as inf (JSON null), not raised
+    spec = CoupledODESpec(p=3.0, q=3.0, C_p=1.0, C_q=1.0, omega=0.0,
+                          f0=1e-300, g0=1e-300)
+    report = undamped_bounds(spec)
+    assert report.hypothesis_satisfied and report.lifespan_bound == math.inf
+    assert report.to_json_dict()["lifespan_bound"] == math.inf
+    assert report.lower_bound_curve(1.0) == 0.0
+
+
+@pytest.mark.parametrize("bounds", [undamped_bounds, damped_bounds], ids=["undamped", "damped"])
+def test_bounds_of_tiny_f0_and_moderate_g0_fail_the_hypothesis(bounds):
+    # F0 = f0^4 underflows while G0 = 1: G0/F0 is far past the float range,
+    # so the hypothesis F0 >= G0 fails without forming it
+    spec = CoupledODESpec(p=3.0, q=3.0, C_p=1.0, C_q=1.0,
+                          omega=0.5 if bounds is damped_bounds else 0.0,
+                          f0=1e-300, g0=1.0)
+    assert not bounds(spec).hypothesis_satisfied
+
+
 def test_damped_rejects_undamped_spec():
     with pytest.raises(ValidationError):
         damped_bounds(WORKED)
