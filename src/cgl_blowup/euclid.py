@@ -2,6 +2,11 @@
 real) on a Dirichlet box truncating R^n (n = 1 or 2), with functionals
 weighted by the compactly supported profile phi(x/R).
 
+From data on the phases of beta the fields stay on them, so the one state
+type, :class:`EuclidState`, holds the real amplitudes rho of the fields
+u = (beta1/|beta1|) rho[0] and v = (beta2/|beta2|) rho[1], and the steppers
+march rho in float64.
+
 The weighted means obey a damped growth inequality with damping
 |alpha_i| * lambda_eff / R^2; instantiating the damped ODE bounds with
 omega = (p+1) * max|alpha| * lambda_eff / R^2 yields a lifespan bound, and
@@ -11,9 +16,7 @@ scanning the weight radius produces the amplitude-scaling bound T1.
 from __future__ import annotations
 
 import math
-import weakref
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -57,8 +60,7 @@ __all__ = [
 @dataclass(frozen=True)
 class DataSpec:
     """Initial data family: amplitude eps times the weight profile (or a
-    gaussian), with complex phases aligned to beta so the weighted means
-    start positive."""
+    gaussian), on the phases of beta so the weighted means start positive."""
 
     epsilon: float
     r_data: float
@@ -101,7 +103,7 @@ class EuclidRunSpec:
         if not (0 < self.h <= self.R / 64.0):
             raise ValidationError("grid spacing must satisfy h <= R/64")
         points = 2.0 * self.box_half_width / self.h + 2.0  # at least the grid's, per axis
-        if points > (np.iinfo(np.intp).max / 16.0) ** (1.0 / pr.n):  # bytes of a complex field
+        if points > (np.iinfo(np.intp).max / 16.0) ** (1.0 / pr.n):  # bytes of the stacked real pair
             raise ValidationError(f"cannot allocate a grid of {points:.3g} points per axis")
         if self.data.r_data > self.box_half_width:
             raise ValidationError("data support exceeds the box")
@@ -170,61 +172,38 @@ class EuclidGrid:
         return self.h ** self.n
 
 
-@dataclass(frozen=True)
-class EuclidState:
-    """Complex fields u, v at time t: the data a caller passes in and gets
-    back.  A run marches the real amplitudes of :class:`Amplitudes`."""
-
-    u: np.ndarray
-    v: np.ndarray
-    t: float
-    # (params, the Amplitudes of these fields) once _amplitudes or _fields has
-    # made them, so a node's derivative and the step from it share one node
-    node: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-
-    def __getstate__(self):
-        # pickled without the node: it is made again from the fields, and
-        # its weak reference back to this state does not pickle
-        return {**self.__dict__, "node": None}
-
-
 @dataclass(eq=False)
-class Amplitudes:
-    """A node of a run: the fields u = (beta1/|beta1|) rho[0] and
-    v = (beta2/|beta2|) rho[1] with rho real, of shape (2, *grid shape).
-    (A node of fields off those phases, which only the functionals take,
-    has rho = Re(conj(phase) * field) and keeps their moduli.)
+class EuclidState:
+    """The amplitudes rho of the fields u = (beta1/|beta1|) rho[0] and
+    v = (beta2/|beta2|) rho[1] at time t, rho real of shape (2, *grid shape).
 
     From data on these phases the system keeps its fields on them, with
     rho_u' = |alpha1| Lap rho_u + |beta1| |rho_v|^p and likewise rho_v', so
     a run marches rho in real arithmetic; Re(conj(beta1) u) = |beta1| rho_u.
-    rho and t are not changed once the node is made.
+    rho and t are not changed once the state is made; it keeps its
+    nonlinearity and second differences once computed.
     """
 
     rho: np.ndarray
     t: float
-    # |u| and |v| stacked, for fields off the phases of beta only (a step
-    # refuses those); on the phases they are |rho|
-    modulus: Optional[np.ndarray] = field(default=None, repr=False)
-    # a weak reference to the EuclidState this node was made from or into,
-    # handed back for it (weak: that state keeps the node)
-    origin: Optional[weakref.ref] = field(default=None, init=False, repr=False)
     # (params, its nonlinearity) once _node_nonlinearity has computed it
     held: Optional[tuple] = field(default=None, init=False, repr=False)
     _second: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     @property
     def u(self) -> np.ndarray:
+        """The real amplitude rho[0] of u, so |u| = |field u|."""
         return self.rho[0]
 
     @property
     def v(self) -> np.ndarray:
+        """The real amplitude rho[1] of v, so |v| = |field v|."""
         return self.rho[1]
 
     @property
     def second_difference(self) -> np.ndarray:
         """h^2 Lap_h rho on the interior, computed once and shared by the
-        node's derivative and, in 1-d, the step from it."""
+        state's derivative and, in 1-d, the step from it."""
         if self._second is None:
             self._second = _second_difference(self.rho)
         return self._second
@@ -249,63 +228,20 @@ def _second_difference(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _phases(params: SystemParams) -> tuple[complex, complex]:
-    return params.beta1 / abs(params.beta1), params.beta2 / abs(params.beta2)
-
-
-def _amplitudes(state, spec: EuclidRunSpec) -> Amplitudes:
-    """The node of a caller's EuclidState, rho = Re(conj(phase) * field), made
-    once and kept on the state for ``spec.params``; a node that already is
-    :class:`Amplitudes` is returned as it is.
-
-    Fields whose conj(phase) * field has an imaginary part above its
-    round-off, 4 ulps of |field|, lie off the phases of beta: their node
-    keeps |field| for the nonlinearity, so the functionals and their
-    derivatives hold for any fields, and a step refuses it.
-    """
-    if isinstance(state, Amplitudes):
-        return state
-    if state.node is not None and state.node[0] is spec.params:
-        return state.node[1]
-    fields = (state.u, state.v)
-    aligned = [np.conj(phase) * f for f, phase in zip(fields, _phases(spec.params))]
-    node = Amplitudes(np.stack([a.real for a in aligned]), state.t)
-    if any(np.any(np.abs(a.imag) > 4.0 * np.spacing(np.abs(f)))
-           for a, f in zip(aligned, fields)):
-        node.modulus = np.abs(np.stack(fields))
-    _keep(state, node, spec)
-    return node
-
-
-def _fields(node: Amplitudes, spec: EuclidRunSpec) -> EuclidState:
-    """The EuclidState of a node: the one it was made from or into while that
-    one lives, else the phases of beta times its amplitudes."""
-    state = node.origin() if node.origin is not None else None
-    if state is None:
-        phase_u, phase_v = _phases(spec.params)
-        state = EuclidState(u=phase_u * node.rho[0], v=phase_v * node.rho[1], t=node.t)
-        _keep(state, node, spec)
+def _on_grid(state: EuclidState, spec: EuclidRunSpec) -> EuclidState:
+    """``state``, refused unless its rho is a float64 pair on the spec's grid."""
+    rho = state.rho
+    if not (isinstance(rho, np.ndarray) and rho.dtype == np.float64
+            and rho.shape == (2, *spec.grid.shape)):
+        raise ValidationError(
+            f"the amplitudes must be a float64 array of shape {(2, *spec.grid.shape)}")
     return state
 
 
-def _keep(state: EuclidState, node: Amplitudes, spec: EuclidRunSpec) -> None:
-    object.__setattr__(state, "node", (spec.params, node))
-    node.origin = weakref.ref(state)
-
-
-@contextmanager
-def _fields_on_failure(spec: EuclidRunSpec):
-    """Hand an IntegrationError's last good node back as an EuclidState."""
-    try:
-        yield
-    except IntegrationError as err:
-        if isinstance(err.last_node, Amplitudes):
-            err.last_node = _fields(err.last_node, spec)
-        raise
-
-
-def _initial_amplitudes(spec: EuclidRunSpec) -> Amplitudes:
-    """eps * amp * profile(|x| / r_data), zero on the boundary."""
+def make_initial_state(spec: EuclidRunSpec) -> EuclidState:
+    """The amplitudes eps * amp * profile(|x| / r_data), zero on the
+    boundary, of the data on the phases of beta: conj(beta1) u0 and
+    conj(beta2) v0 are positive reals on the support."""
     r = spec.grid.radii()
     d = spec.data
     if d.shape == "weight":
@@ -316,13 +252,7 @@ def _initial_amplitudes(spec: EuclidRunSpec) -> Amplitudes:
     rho = np.zeros((2, *spec.grid.shape))
     rho[0][inner] = d.epsilon * d.amp_u * profile[inner]
     rho[1][inner] = d.epsilon * d.amp_v * profile[inner]
-    return Amplitudes(rho, 0.0)
-
-
-def make_initial_state(spec: EuclidRunSpec) -> EuclidState:
-    """Data eps * amp * phase(beta) * profile(|x| / r_data); the phases make
-    conj(beta1) u0 and conj(beta2) v0 positive reals on the support."""
-    return _fields(_initial_amplitudes(spec), spec)
+    return EuclidState(rho, 0.0)
 
 
 def discrete_laplacian(a: np.ndarray, h: float) -> np.ndarray:
@@ -332,10 +262,10 @@ def discrete_laplacian(a: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _nonlinearity(node: Amplitudes, params: SystemParams) -> np.ndarray:
+def _nonlinearity(node: EuclidState, params: SystemParams) -> np.ndarray:
     """|beta1| |v|^p and |beta2| |u|^q, stacked as rho; non-finite where
     they overflow."""
-    power = np.abs(node.rho[::-1]) if node.modulus is None else node.modulus[::-1].copy()
+    power = np.abs(node.rho[::-1])
     with np.errstate(over="ignore", invalid="ignore"):
         power[0] **= params.p
         power[1] **= params.q
@@ -344,7 +274,7 @@ def _nonlinearity(node: Amplitudes, params: SystemParams) -> np.ndarray:
     return power
 
 
-def _node_nonlinearity(node: Amplitudes, params: SystemParams) -> np.ndarray:
+def _node_nonlinearity(node: EuclidState, params: SystemParams) -> np.ndarray:
     """``_nonlinearity(node, params)``, computed once per node and kept on
     it, so a node's derivative and the step from it share one computation."""
     if node.held is None or node.held[0] is not params:
@@ -382,7 +312,7 @@ def _imex_step_1d(node, spec, dt, force):
     else:
         for k in (0, 1):
             out[k, 1:-1] = solve_banded(rhs[k], r[k, 0], node)
-    return Amplitudes(out, node.t + dt)
+    return EuclidState(out, node.t + dt)
 
 
 def _imex_step_2d(node, spec, dt, force):
@@ -408,10 +338,10 @@ def _imex_step_2d(node, spec, dt, force):
         rhs += half[1:-1, 1:-1]
         rhs += forcing
         new[1:-1, 1:-1] = solve_banded(rhs.T, r, node).T
-    return Amplitudes(out, node.t + dt)
+    return EuclidState(out, node.t + dt)
 
 
-def _rhs(node: Amplitudes, spec: EuclidRunSpec) -> np.ndarray:
+def _rhs(node: EuclidState, spec: EuclidRunSpec) -> np.ndarray:
     """Discrete right-hand side |alpha| Lap_h rho + nonlinearity of both
     amplitudes, zero on the boundary."""
     h = spec.grid.h
@@ -427,38 +357,18 @@ def _rhs(node: Amplitudes, spec: EuclidRunSpec) -> np.ndarray:
 def _explicit_step(node, spec, dt):
     # Heun's method on the full right-hand side
     k1 = _rhs(node, spec)
-    k2 = _rhs(Amplitudes(node.rho + dt * k1, node.t), spec)
-    return Amplitudes(node.rho + 0.5 * dt * (k1 + k2), node.t + dt)
+    k2 = _rhs(EuclidState(node.rho + dt * k1, node.t), spec)
+    return EuclidState(node.rho + 0.5 * dt * (k1 + k2), node.t + dt)
 
 
 def cfl_limit(spec: EuclidRunSpec) -> float:
-    dmax = max(-spec.params.alpha1.real, -spec.params.alpha2.real)
-    return spec.grid.h ** 2 / (2.0 * spec.params.n * dmax)
+    return spec.grid.h ** 2 / (2.0 * spec.params.n * float(spec.diffusion.max()))
 
 
-def euclid_step(state, spec: EuclidRunSpec, dt: float):
-    """One IMEX (default) or explicit step; raises on field overflow.
-
-    Advances a caller's EuclidState to a new one, or a run's
-    :class:`Amplitudes` to new amplitudes; the IntegrationError of a failure
-    carries the last good node as the caller passed it.
-    """
-    if isinstance(state, EuclidState):
-        with _fields_on_failure(spec):
-            return _fields(_advance(_on_phases(state, spec), spec, dt), spec)
-    return _advance(state, spec, dt)
-
-
-def _on_phases(state: EuclidState, spec: EuclidRunSpec) -> Amplitudes:
-    """The node of a caller's state to step from; refuses fields off the
-    phases of beta, which the real amplitudes cannot represent."""
-    node = _amplitudes(state, spec)
-    if node.modulus is not None:
-        raise ValidationError("the fields must lie on the phases of beta1 and beta2")
-    return node
-
-
-def _advance(node: Amplitudes, spec: EuclidRunSpec, dt: float) -> Amplitudes:
+def euclid_step(state: EuclidState, spec: EuclidRunSpec, dt: float) -> EuclidState:
+    """One IMEX (default) or explicit step; raises on field overflow, the
+    IntegrationError carrying ``state`` as the last good node."""
+    _on_grid(state, spec)
     if dt <= 0:
         raise ValidationError("dt must be positive")
     if spec.scheme == "explicit":
@@ -466,15 +376,15 @@ def _advance(node: Amplitudes, spec: EuclidRunSpec, dt: float) -> Amplitudes:
             raise ValidationError(
                 f"explicit step dt={dt} exceeds the diffusion limit {cfl_limit(spec)}"
             )
-        new = _explicit_step(node, spec, dt)
+        new = _explicit_step(state, spec, dt)
     else:
-        nonlinearity = _node_nonlinearity(node, spec.params)
+        nonlinearity = _node_nonlinearity(state, spec.params)
         if not np.isfinite(nonlinearity).all():
-            raise IntegrationError(f"nonlinearity overflow at t={node.t}", last_node=node)
+            raise IntegrationError(f"nonlinearity overflow at t={state.t}", last_node=state)
         imex = _imex_step_1d if spec.params.n == 1 else _imex_step_2d
-        new = imex(node, spec, dt, nonlinearity)
+        new = imex(state, spec, dt, nonlinearity)
     if not np.isfinite(new.rho).all():
-        raise IntegrationError(f"field overflow at t={node.t}", last_node=node)
+        raise IntegrationError(f"field overflow at t={state.t}", last_node=state)
     return new
 
 
@@ -488,17 +398,16 @@ def _weighted_means(a: np.ndarray, spec: EuclidRunSpec) -> tuple[float, float]:
     return float(U), float(V)
 
 
-def weighted_functionals(state, spec: EuclidRunSpec) -> tuple[float, float]:
+def weighted_functionals(state: EuclidState, spec: EuclidRunSpec) -> tuple[float, float]:
     """Grid quadrature of Re(conj(beta) field) * phi(x/R), that is of
-    |beta| rho * phi(x/R), for any EuclidState or a run's Amplitudes."""
-    return _weighted_means(_amplitudes(state, spec).rho, spec)
+    |beta| rho * phi(x/R)."""
+    return _weighted_means(_on_grid(state, spec).rho, spec)
 
 
-def functional_derivatives(state, spec: EuclidRunSpec) -> tuple[float, float]:
+def functional_derivatives(state: EuclidState, spec: EuclidRunSpec) -> tuple[float, float]:
     """d/dt of the weighted functionals from the discrete right-hand side,
-    |alpha| Lap_h Re(conj(phase) field) + |beta| |other field|^p, for any
-    EuclidState or a run's Amplitudes."""
-    return _weighted_means(_rhs(_amplitudes(state, spec), spec), spec)
+    |alpha| Lap_h rho + |beta| |other amplitude|^p."""
+    return _weighted_means(_rhs(_on_grid(state, spec), spec), spec)
 
 
 def run_euclid(
@@ -513,26 +422,25 @@ def run_euclid(
     """Advance until t_end, until U or V crosses functional_threshold, or
     until max |field| crosses field_threshold (status blow_up...).
 
-    The run marches real amplitudes (:class:`Amplitudes`) from the data
-    profile, or from ``state``, which must lie on the phases of beta; its
-    final state, and the last good node of a failure, are EuclidStates.
-    The weight is evaluated once per run (``spec.weight``), and the
+    The run marches from the data profile, or from ``state``, which must be
+    finite and on the spec's grid.  The weight is evaluated once per run (``spec.weight``), and the
     nonlinearity once per node (``_node_nonlinearity``).
     """
+    if state is not None and not np.isfinite(_on_grid(state, spec).rho).all():
+        raise ValidationError("the amplitudes must be finite")
+
     def observe(s):
         return (*weighted_functionals(s, spec), *functional_derivatives(s, spec))
 
     # no local name holds the initial data, so march frees each node, and the
     # nonlinearity it keeps, once the step from it is done
-    with _fields_on_failure(spec):
-        run = march(
-            spec.params,
-            _initial_amplitudes(spec) if state is None else _on_phases(state, spec),
-            t_end, dt_max, dt_safety, lambda s, dt: euclid_step(s, spec, dt), observe,
-            field_threshold, functional_threshold,
-            dt_cap=0.9 * cfl_limit(spec) if spec.scheme == "explicit" else math.inf,
-        )
-    return replace(run, final_state=_fields(run.final_state, spec))
+    return march(
+        spec.params,
+        make_initial_state(spec) if state is None else state,
+        t_end, dt_max, dt_safety, lambda s, dt: euclid_step(s, spec, dt), observe,
+        field_threshold, functional_threshold,
+        dt_cap=0.9 * cfl_limit(spec) if spec.scheme == "explicit" else math.inf,
+    )
 
 
 def check_weighted_growth_inequality(
@@ -540,10 +448,11 @@ def check_weighted_growth_inequality(
 ) -> OdiReport:
     """Verify U' + |alpha1| lambda_eff R^-2 U >= |b1|^2 |b2|^-p
     (R^n ||phi||_1)^(1-p) V^p (and symmetrically) wherever U, V >= 0."""
-    params, tf, R = spec.params, spec.tf, spec.R
-    damp_u = -params.alpha1.real * tf.lambda_eff / (R * R)
-    damp_v = -params.alpha2.real * tf.lambda_eff / (R * R)
-    return check_growth_pair(series, params, R, tf.l1_norm,
+    tf, R = spec.tf, spec.R
+    alpha_u, alpha_v = map(float, spec.diffusion.flat)
+    damp_u = alpha_u * tf.lambda_eff / (R * R)
+    damp_v = alpha_v * tf.lambda_eff / (R * R)
+    return check_growth_pair(series, spec.params, R, tf.l1_norm,
                              damping_u=damp_u, damping_v=damp_v, rel_tol=1e-6)
 
 

@@ -96,11 +96,7 @@ def test_symmetric_case_preserved():
 
 def test_zero_data_fixed_point():
     spec = small_spec()
-    state = EuclidState(
-        u=np.zeros(spec.grid.shape, dtype=complex),
-        v=np.zeros(spec.grid.shape, dtype=complex),
-        t=0.0,
-    )
+    state = EuclidState(rho=np.zeros((2, *spec.grid.shape)), t=0.0)
     out = euclid_step(state, spec, 1e-3)
     assert np.all(out.u == 0) and np.all(out.v == 0)
 
@@ -142,8 +138,7 @@ def test_explicit_run_caps_dt_below_the_diffusion_limit():
 
 def test_overflow_carries_last_state():
     spec = small_spec()
-    huge = np.full(spec.grid.shape, 1e200, dtype=complex)
-    state = EuclidState(u=huge, v=huge, t=0.0)
+    state = EuclidState(rho=np.full((2, *spec.grid.shape), 1e200), t=0.0)
     with pytest.raises(IntegrationError) as exc:
         euclid_step(state, spec, 1e-3)
     assert exc.value.last_node is state
@@ -153,8 +148,7 @@ def test_overflow_carries_last_state():
                             "ignore:invalid value:RuntimeWarning")
 def test_run_past_the_float_range_raises_with_the_last_good_node():
     spec = small_spec()
-    huge = np.full(spec.grid.shape, 1e200, dtype=complex)
-    state = EuclidState(u=huge, v=huge, t=0.0)
+    state = EuclidState(rho=np.full((2, *spec.grid.shape), 1e200), t=0.0)
     with pytest.raises(IntegrationError) as exc:
         run_euclid(spec, t_end=1.0, dt_max=1e-3, state=state)
     assert exc.value.last_node is state
@@ -183,7 +177,7 @@ def test_solve_banded_matches_scipy_bit_for_bit(r, shape, transposed):
 
 def test_singular_solve_carries_the_state():
     # r = -2 on two nodes gives [[-1, 1], [1, -1]]
-    state = EuclidState(u=np.zeros(4, dtype=complex), v=np.zeros(4, dtype=complex), t=0.5)
+    state = EuclidState(rho=np.zeros((2, 4)), t=0.5)
     with pytest.raises(IntegrationError) as exc:
         solve_banded(np.ones(2), -2.0, state)
     assert exc.value.last_node is state
@@ -210,8 +204,8 @@ def test_run_sets_up_the_weight_once_and_the_nonlinearity_once_per_node(monkeypa
 
 
 def test_a_node_computes_its_nonlinearity_once_for_its_derivative_and_step(monkeypatch):
-    # outside a run too: a state keeps the real node it was made from or
-    # into; a state asked for other params makes a node and computes theirs
+    # outside a run too: a state keeps its nonlinearity; a state asked for
+    # other params computes theirs
     nodes = []
     nonlinearity = euclid._nonlinearity
 
@@ -228,7 +222,7 @@ def test_a_node_computes_its_nonlinearity_once_for_its_derivative_and_step(monke
     assert len(nodes) == 3
     stronger = small_spec(params=heat_params(beta1=2.0))
     assert functional_derivatives(state, stronger) != functional_derivatives(state, spec)
-    assert [(node.origin() is state, params) for node, params in nodes[3:]] == [
+    assert [(node is state, params) for node, params in nodes[3:]] == [
         (True, stronger.params), (True, spec.params)]
 
 
@@ -256,80 +250,94 @@ def test_run_to_nonlinearity_overflow_raises_with_the_last_good_node(monkeypatch
     assert np.all(np.isfinite(last.u)) and np.all(np.isfinite(last.v))
 
 
+def test_a_state_off_the_spec_grid_is_refused():
+    spec = small_spec()
+    shape = spec.grid.shape
+    for rho in (np.ones((2, 10)),  # another grid
+                np.ones(shape),  # one amplitude
+                np.ones((2, *shape), dtype=complex),
+                np.ones((2, *shape), dtype=np.float32)):
+        state = EuclidState(rho=rho, t=0.0)
+        with pytest.raises(ValidationError, match="amplitudes"):
+            euclid_step(state, spec, 1e-3)
+        with pytest.raises(ValidationError, match="amplitudes"):
+            weighted_functionals(state, spec)
+        with pytest.raises(ValidationError, match="amplitudes"):
+            functional_derivatives(state, spec)
+        with pytest.raises(ValidationError, match="amplitudes"):
+            run_euclid(spec, t_end=0.1, dt_max=1e-3, state=state)
+    for bad in (np.nan, np.inf):
+        rho = make_initial_state(spec).rho.copy()
+        rho[1, 100] = bad
+        with pytest.raises(ValidationError, match="finite"):
+            run_euclid(spec, t_end=0.1, dt_max=1e-3, state=EuclidState(rho=rho, t=0.0))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_standalone_steps_give_the_runs_bits(n, monkeypatch):
+    # alpha1 != alpha2 takes the 1-d step's two solves
+    params = SystemParams(n=n, p=2, q=1.5, alpha1=-0.7, alpha2=-1.3,
+                          beta1=0.6 + 0.8j, beta2=-2j)
+    spec = EuclidRunSpec(params=params, R=4.0, box_half_width=8.0, h=4.0 / 64,
+                         data=DataSpec(epsilon=6.0, r_data=2.0, amp_v=0.7,
+                                       shape="gaussian"))
+    dts = []
+    step = euclid.euclid_step
+
+    def recorded(state, spec, dt):
+        dts.append(dt)
+        return step(state, spec, dt)
+
+    monkeypatch.setattr(euclid, "euclid_step", recorded)
+    kw = dict(t_end=1.0, dt_max=5e-3, dt_safety=0.1, field_threshold=1e3)
+    run = run_euclid(spec, **kw)
+    assert run.status == BLOWUP
+    assert len(dts) == run.series.times.size - 1
+    assert len(set(dts)) > 10  # dt shrinks near blow-up
+    state = make_initial_state(spec)
+    rows = [(state.t, *weighted_functionals(state, spec), *functional_derivatives(state, spec))]
+    for dt in dts:
+        state = euclid_step(state, spec, dt)
+        rows.append((state.t, *weighted_functionals(state, spec),
+                     *functional_derivatives(state, spec)))
+    def series_bytes(r):
+        s = r.series
+        return np.array([s.times, s.U, s.V, s.dU, s.dV]).tobytes()
+
+    assert np.array(rows).T.tobytes() == series_bytes(run)
+    assert state.rho.tobytes() == run.final_state.rho.tobytes()
+    monkeypatch.undo()
+    given = run_euclid(spec, state=make_initial_state(spec), **kw)
+    assert given.status == run.status
+    assert series_bytes(given) == series_bytes(run)
+    assert given.final_state.rho.tobytes() == run.final_state.rho.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # functionals
 
 def test_initial_data_phase_alignment():
-    # complex couplings: conj(beta) * data must be positive real on the support
+    # complex couplings: the data lie on the phases of beta, so conj(beta) *
+    # data is |beta| rho, positive on the support
     params = SystemParams(n=1, p=2, q=1.5, alpha1=-1, alpha2=-1,
                           beta1=0.6 - 0.8j, beta2=-1j)
     spec = small_spec(params=params)
     state = make_initial_state(spec)
-    wu = np.conj(params.beta1) * state.u
-    wv = np.conj(params.beta2) * state.v
     inside = np.abs(spec.grid.axis) < spec.data.r_data * 0.99
-    assert np.all(wu.real[inside] > 0)
-    assert np.max(np.abs(wu.imag)) < 1e-14
-    assert np.all(wv.real[inside] > 0)
+    assert np.all(state.rho[:, inside] > 0)
     U, V = weighted_functionals(state, spec)
     assert U > 0 and V > 0
 
 
-@pytest.mark.parametrize("r_data", [2.0, 0.2], ids=["normal", "subnormal tail"])
-def test_run_refuses_a_state_off_the_phases_of_beta(r_data):
-    # r_data 0.2: the Gaussian falls below 1e-308 at |x| > 7.5 inside the box
-    params = heat_params(beta1=0.6 + 0.8j, beta2=-2j)
-    spec = small_spec(params=params, data=DataSpec(epsilon=0.5, r_data=r_data,
-                                                   shape="gaussian"))
-    made = make_initial_state(spec)
-    assert np.any((0 < np.abs(made.u)) & (np.abs(made.u) < 1e-308)) == (r_data < 1)
-    # its own data lies on the phases up to the round-off of phase * profile,
-    # also as fresh fields that keep no node
-    for state in (made, EuclidState(u=made.u.copy(), v=made.v.copy(), t=0.0)):
-        run = run_euclid(spec, t_end=0.01, dt_max=2e-3, state=state)
-        assert run.status == "completed"
-        euclid_step(state, spec, 1e-3)
-    for off in (EuclidState(u=1j * made.u, v=made.v, t=0.0),
-                EuclidState(u=made.u, v=np.exp(1e-9j) * made.v, t=0.0)):
-        with pytest.raises(ValidationError, match="phases"):
-            run_euclid(spec, t_end=0.01, dt_max=2e-3, state=off)
-        with pytest.raises(ValidationError, match="phases"):
-            euclid_step(off, spec, 1e-3)
-
-
-def test_a_state_pickles_without_its_node():
+def test_a_state_pickles_and_its_copy_steps_to_the_same_bits():
     spec = small_spec()
     state = make_initial_state(spec)
     functional_derivatives(state, spec)
     copy = pickle.loads(pickle.dumps(state))
-    assert copy.node is None and copy.t == state.t
-    assert np.array_equal(copy.u, state.u) and np.array_equal(copy.v, state.v)
+    assert copy.t == state.t and copy.rho.tobytes() == state.rho.tobytes()
     assert functional_derivatives(copy, spec) == functional_derivatives(state, spec)
     stepped, from_copy = euclid_step(state, spec, 1e-3), euclid_step(copy, spec, 1e-3)
-    assert np.array_equal(from_copy.u, stepped.u) and np.array_equal(from_copy.v, stepped.v)
-
-
-def test_functionals_hold_for_fields_off_the_phases_of_beta():
-    # Re(conj(beta) field) * phi and its derivative from the complex
-    # right-hand side -alpha Lap_h field + beta |other field|^p
-    params = heat_params(p=2.0, q=1.5, beta1=0.6 + 0.8j, beta2=-2j)
-    spec = small_spec(params=params)
-    made = make_initial_state(spec)
-    u, v = 1j * made.u, np.exp(0.3j) * made.v
-    state = EuclidState(u=u, v=v, t=0.0)
-    h, w, b1, b2 = spec.grid.h, spec.weight, params.beta1, params.beta2
-    rhs_u = discrete_laplacian(u, h) + b1 * np.abs(v) ** 2.0
-    rhs_v = discrete_laplacian(v, h) + b2 * np.abs(u) ** 1.5
-    inner = (slice(1, -1),)
-    U, V = weighted_functionals(state, spec)
-    dU, dV = functional_derivatives(state, spec)
-    np.testing.assert_allclose(
-        (U, V), (h * np.sum((np.conj(b1) * u).real * w), h * np.sum((np.conj(b2) * v).real * w)),
-        rtol=1e-13)
-    np.testing.assert_allclose(
-        (dU, dV), (h * np.sum((np.conj(b1) * rhs_u).real[inner] * w[inner]),
-                   h * np.sum((np.conj(b2) * rhs_v).real[inner] * w[inner])),
-        rtol=1e-13)
+    assert from_copy.t == stepped.t and from_copy.rho.tobytes() == stepped.rho.tobytes()
 
 
 @pytest.mark.parametrize("alpha", [(-1.0, -1.0), (-0.7, -1.3)])
@@ -357,8 +365,7 @@ def test_a_run_sees_beta_through_its_modulus_only(n, alpha):
 
 def test_weighted_functional_of_unit_field():
     spec = small_spec()
-    ones = np.ones(spec.grid.shape, dtype=complex)
-    state = EuclidState(u=ones, v=ones, t=0.0)
+    state = EuclidState(rho=np.ones((2, *spec.grid.shape)), t=0.0)
     U, V = weighted_functionals(state, spec)
     # n=1 norm of the weight is exactly 1, so the integral is R
     assert U == pytest.approx(spec.R, rel=1e-6)
@@ -368,8 +375,8 @@ def test_weighted_functional_of_unit_field():
 def test_weighted_functional_support():
     spec = small_spec()
     x = spec.grid.axis
-    u = np.where(np.abs(x) > spec.R, 1.0 + 0j, 0.0)
-    state = EuclidState(u=u, v=u.copy(), t=0.0)
+    u = np.where(np.abs(x) > spec.R, 1.0, 0.0)
+    state = EuclidState(rho=np.stack([u, u]), t=0.0)
     U, V = weighted_functionals(state, spec)
     assert U == 0.0 and V == 0.0
 
@@ -377,8 +384,8 @@ def test_weighted_functional_support():
 def test_weighted_functional_signed(tf1):
     spec = small_spec()
     x = spec.grid.axis
-    u = np.sign(x) * tf1.phi(np.abs(x) / spec.R) + 0j
-    state = EuclidState(u=u, v=u.copy(), t=0.0)
+    u = np.sign(x) * tf1.phi(np.abs(x) / spec.R)
+    state = EuclidState(rho=np.stack([u, u]), t=0.0)
     U, _ = weighted_functionals(state, spec)
     # odd field: signed quadrature cancels, no positive part is taken
     assert abs(U) < 1e-12
@@ -396,13 +403,12 @@ def test_laplacian_contribution_matches_weight_laplacian(tf1):
     spec = small_spec(box_half_width=12.0)
     grid = spec.grid
     x = grid.axis
-    u = tf1.phi(np.abs(x) / (spec.R / 2)) + 0j  # supported in B(R/2)
-    state = EuclidState(u=u, v=u.copy(), t=0.0)
+    u = tf1.phi(np.abs(x) / (spec.R / 2))  # supported in B(R/2)
     h = grid.h
     w = tf1.phi(np.abs(x) / spec.R)
-    lap_term = float(np.sum((discrete_laplacian(u, h)).real * w) * h)
+    lap_term = float(np.sum(discrete_laplacian(u, h) * w) * h)
     weight_side = float(
-        np.sum(u.real * tf1.lap_phi(np.abs(x) / spec.R)) * h / spec.R ** 2
+        np.sum(u * tf1.lap_phi(np.abs(x) / spec.R)) * h / spec.R ** 2
     )
     assert lap_term == pytest.approx(weight_side, abs=30 * h ** 2)
 
