@@ -7,11 +7,14 @@ Usage: python3 scripts/compare_outputs.py TREE OUTDIR
 TREE is the root of a checkout (its ``src`` and ``perfbench`` are used).
 The script runs every invocation of the four workloads in
 ``TREE/perfbench/workloads.py`` at bench seeds 3 and 12, the six packaged
-configs of ``TREE/scripts/configs`` at seed 2024, and the ``euclid-run``
-configs of ``OFF_UNIT`` below, each in a fresh ``python -m cgl_blowup``
-process with ``--workers 1``.  The workloads and packaged configs all have
-unit alpha and beta; ``OFF_UNIT`` covers complex beta, unequal alpha,
-n = 1 and 2 and both schemes.  OUTDIR gets, per run,
+configs of ``TREE/scripts/configs`` at seed 2024, the ``euclid-run``
+configs of ``OFF_UNIT`` and the ``torus-run`` configs of ``TORUS_OFF_UNIT``
+below, each in a fresh ``python -m cgl_blowup`` process with
+``--workers 1``.  The workloads and packaged configs all have unit alpha
+and beta.  ``OFF_UNIT`` covers complex beta, unequal alpha, n = 1 and 2 and
+both schemes; ``TORUS_OFF_UNIT`` covers complex alpha and beta, n = 1 and 2,
+padded and unpadded, ``constant_plus_mode`` and ``fourier_mode`` data, with
+the final fields written as snapshots.  OUTDIR gets, per run,
 its config, its ``--out`` directory and a ``.status`` file with the exit
 code and standard error.  Paths are given relative to OUTDIR, so that the
 messages of two trees compare too.
@@ -64,6 +67,37 @@ OFF_UNIT = {
 }
 
 
+def _pair(z):
+    return [z.real, z.imag]
+
+
+def _torus_off_unit(n, pad, data, t_end):
+    return {
+        "schema_version": 1,
+        "params": {"n": n, "p": 2, "q": 1.5,
+                   "alpha1": _pair(-1 + 0.5j), "alpha2": _pair(-0.7 - 0.2j),
+                   "beta1": _pair(0.6 + 0.8j), "beta2": _pair(-2j)},
+        "grid": {"modes": 64 if n == 1 else 32},
+        "data": data,
+        "dt": {"dt_max": 0.002, "safety": 0.05},
+        "pad": pad, "snapshots": True,
+        "t_end": t_end, "field_threshold": 1e4,
+    }
+
+
+_BUMPED = {"kind": "constant_plus_mode", "u": _pair(0.6 + 0.8j), "v": _pair(-0.7j),
+           "perturbation": _pair(0.2 + 0.1j)}
+_MODE = {"kind": "fourier_mode", "amplitude": _pair(0.5 + 0.5j), "mode": 2}
+
+# torus-run off the unit coefficients: complex alpha and beta, final fields
+# written as snapshots
+TORUS_OFF_UNIT = {
+    f"{kind}_{n}d{'_padded' if pad else ''}": _torus_off_unit(n, pad, data, t_end)
+    for kind, data, t_end in (("bumped", _BUMPED, 5.0), ("mode", _MODE, 0.5))
+    for n in (1, 2) for pad in (False, True)
+}
+
+
 def _jobs(tree: str):
     """(name, command, config, cli seed) of every run, name a relative path."""
     sys.path.insert(0, os.path.join(tree, "perfbench"))
@@ -82,6 +116,8 @@ def _jobs(tree: str):
                PACKAGED_SEED)
     for label, cfg in OFF_UNIT.items():
         yield f"off_unit/{label}", "euclid-run", cfg, PACKAGED_SEED
+    for label, cfg in TORUS_OFF_UNIT.items():
+        yield f"off_unit/torus_{label}", "torus-run", cfg, PACKAGED_SEED
 
 
 def main() -> int:

@@ -289,7 +289,7 @@ def _torus_state_from_config(cfg, grid):
         amp = _get(block, "amplitude", complex)
         mode = _get(block, "mode", int, 1)
         field = amp * np.exp(1j * mode * x)
-        return torus.state_from_arrays(grid, field, field.copy())
+        return torus.state_from_arrays(grid, field, field)
     if kind == "constant_plus_mode":
         cu = _get(block, "u", complex)
         cv = _get(block, "v", complex)

@@ -181,7 +181,8 @@ class EuclidState:
     rho_u' = |alpha1| Lap rho_u + |beta1| |rho_v|^p and likewise rho_v', so
     a run marches rho in real arithmetic; Re(conj(beta1) u) = |beta1| rho_u.
     rho and t are not changed once the state is made; it keeps its
-    nonlinearity and second differences once computed.
+    nonlinearity and second differences once computed.  So rho is a
+    read-only view of the given array; the caller's array stays writable.
     """
 
     rho: np.ndarray
@@ -189,6 +190,11 @@ class EuclidState:
     # (params, its nonlinearity) once _node_nonlinearity has computed it
     held: Optional[tuple] = field(default=None, init=False, repr=False)
     _second: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if isinstance(self.rho, np.ndarray):  # _on_grid refuses anything else
+            self.rho = self.rho.view()
+            self.rho.flags.writeable = False
 
     @property
     def u(self) -> np.ndarray:

@@ -86,33 +86,43 @@ def make_grid(n: int, modes: int | None = None) -> TorusGrid:
 
 @dataclass(frozen=True)
 class FieldState:
+    """u and v at time t, stacked as one C-ordered complex array ``fields``
+    of shape (2, *grid.shape): the pair that a step transforms in one FFT
+    call.  ``u`` and ``v`` are the views ``fields[0]`` and ``fields[1]``."""
+
     grid: TorusGrid
-    u: np.ndarray
-    v: np.ndarray
+    fields: np.ndarray
     t: float
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=complex)
-        v = np.asarray(self.v, dtype=complex)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        if u.shape != self.grid.shape or v.shape != self.grid.shape:
+        fields = np.ascontiguousarray(self.fields, dtype=complex)
+        object.__setattr__(self, "fields", fields)
+        if fields.shape != (2, *self.grid.shape):
             raise ValidationError("field shapes must match the grid")
-        if not (np.all(np.isfinite(u.view(float))) and np.all(np.isfinite(v.view(float)))):
+        if not np.isfinite(fields.view(float)).all():
             raise ValidationError("fields must be finite")
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.fields[0]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.fields[1]
 
 
 def constant_state(grid: TorusGrid, cu: complex, cv: complex) -> FieldState:
-    return FieldState(
-        grid=grid,
-        u=np.full(grid.shape, cu, dtype=complex),
-        v=np.full(grid.shape, cv, dtype=complex),
-        t=0.0,
-    )
+    return state_from_arrays(grid, np.full(grid.shape, cu, dtype=complex),
+                             np.full(grid.shape, cv, dtype=complex))
 
 
 def state_from_arrays(grid: TorusGrid, u, v, t: float = 0.0) -> FieldState:
-    return FieldState(grid=grid, u=u, v=v, t=t)
+    """The state of fields u and v, stacked into a new array."""
+    try:
+        fields = np.stack((u, v))
+    except ValueError:  # u and v of different shapes
+        raise ValidationError("field shapes must match the grid") from None
+    return FieldState(grid=grid, fields=fields, t=t)
 
 
 def _resize_spectrum(ah: np.ndarray, modes: int, size: int, n: int) -> np.ndarray:
@@ -129,9 +139,9 @@ def _resize_spectrum(ah: np.ndarray, modes: int, size: int, n: int) -> np.ndarra
 class TorusStepper:
     """What the steps of one run share: its params and pad, ``k^2``, the
     linear symbols ``alpha_i k^2`` and ``beta_i`` of both fields stacked on a
-    leading axis, and the propagators of the last dt.  u and v travel as one
-    ``(2, *grid.shape)`` array, so each transform of the pair is one FFT
-    call."""
+    leading axis, and the propagators of the last dt.  The state is the
+    stacked pair ``FieldState.fields``, so a step transforms the state itself
+    and each transform of the pair is one FFT call."""
 
     def __init__(self, grid: TorusGrid, params: SystemParams, pad: bool = False):
         if params.alpha1.real > 0.0 or params.alpha2.real > 0.0:
@@ -190,27 +200,31 @@ def torus_step(state: FieldState, stepper: TorusStepper, dt: float) -> FieldStat
     e, e2 = stepper.propagators(dt)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        yh = stepper.fft(np.stack((state.u, state.v)))
+        yh = stepper.fft(state.fields)
         n1 = stepper.nonlinearity(yh)
         n2 = stepper.nonlinearity(e * (yh + 0.5 * dt * n1))
         n3 = stepper.nonlinearity(e * yh + 0.5 * dt * n2)
         n4 = stepper.nonlinearity(e2 * yh + dt * e * n3)
         y = stepper.ifft(e2 * yh + dt / 6.0 * (e2 * n1 + 2.0 * e * (n2 + n3) + n4))
     try:  # FieldState checks finiteness, once per step
-        return FieldState(grid=state.grid, u=y[0], v=y[1], t=state.t + dt)
+        return FieldState(grid=state.grid, fields=y, t=state.t + dt)
     except ValidationError:
         raise IntegrationError(
             f"field overflow at t={state.t}", last_node=state
         ) from None
 
 
+def _zero_modes(pair: np.ndarray, params: SystemParams, vol: float) -> tuple[float, float]:
+    """Re(conj(beta_i) * vol * mean(pair[i])) for each of the stacked fields
+    ``pair``: the zero Fourier modes times the domain volume."""
+    return tuple(float((np.conj(beta) * vol * np.mean(a)).real)
+                 for beta, a in zip((params.beta1, params.beta2), pair))
+
+
 def functionals(state: FieldState, params: SystemParams) -> tuple[float, float]:
     """U = Re(conj(beta1) * volume * mean(u)) and likewise V: the zero
     Fourier mode times the domain volume."""
-    vol = state.grid.volume
-    U = (np.conj(params.beta1) * vol * np.mean(state.u)).real
-    V = (np.conj(params.beta2) * vol * np.mean(state.v)).real
-    return float(U), float(V)
+    return _zero_modes(state.fields, params, state.grid.volume)
 
 
 def functional_derivatives(state: FieldState, params: SystemParams) -> tuple[float, float]:
@@ -229,12 +243,8 @@ def laplacian_zero_mode(state: FieldState, stepper: TorusStepper) -> float:
     the exactness that drives the mean-field growth inequality."""
     if stepper.grid is not state.grid and stepper.grid != state.grid:  # by value
         raise ValidationError("the stepper was built for another grid")
-    params = stepper.params
-    lap = stepper.ifft(stepper.lin * stepper.fft(np.stack((state.u, state.v))))
-    vol = state.grid.volume
-    cu = (np.conj(params.beta1) * vol * np.mean(lap[0])).real
-    cv = (np.conj(params.beta2) * vol * np.mean(lap[1])).real
-    return float(max(abs(cu), abs(cv)))
+    lap = stepper.ifft(stepper.lin * stepper.fft(state.fields))
+    return max(map(abs, _zero_modes(lap, stepper.params, state.grid.volume)))
 
 
 @dataclass(frozen=True)

@@ -340,6 +340,21 @@ def test_a_state_pickles_and_its_copy_steps_to_the_same_bits():
     assert from_copy.t == stepped.t and from_copy.rho.tobytes() == stepped.rho.tobytes()
 
 
+def test_a_states_amplitudes_are_read_only():
+    # the state keeps values computed from rho, so rho must not change under
+    # them
+    spec = small_spec()
+    rho = make_initial_state(spec).rho.copy()
+    state = EuclidState(rho=rho, t=0.0)
+    functional_derivatives(state, spec)
+    with pytest.raises(ValueError, match="read-only"):
+        state.rho *= 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        state.u[100] = 1.0
+    rho[1, 100] = 2.0  # the caller's array stays writable, viewed, not copied
+    assert state.rho[1, 100] == 2.0
+
+
 @pytest.mark.parametrize("alpha", [(-1.0, -1.0), (-0.7, -1.3)])
 @pytest.mark.parametrize("n", [1, 2])
 def test_a_run_sees_beta_through_its_modulus_only(n, alpha):

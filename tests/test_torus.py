@@ -358,6 +358,60 @@ def test_run_sets_up_once_and_transforms_both_fields_together(monkeypatch):
     assert counts == {"fft": 10 * len(dts), "k2": 1, "exp": 1 + dt_changes}
 
 
+def test_a_step_transforms_the_state_itself(monkeypatch):
+    # a step's first forward transform is of the node's own stacked fields,
+    # and its last inverse transform is the next node's fields, unsplit
+    forward, inverse = [], []
+    fft, ifft = np.fft.fft, np.fft.ifft
+
+    def recorded_fft(a, *args, **kwargs):
+        forward.append(a)
+        return fft(a, *args, **kwargs)
+
+    def recorded_ifft(*args, **kwargs):
+        inverse.append(ifft(*args, **kwargs))
+        return inverse[-1]
+
+    monkeypatch.setattr(np.fft, "fft", recorded_fft)
+    monkeypatch.setattr(np.fft, "ifft", recorded_ifft)
+    calls = _recorded_steps(monkeypatch)
+    run = run_torus(HEAT, _bumped_state(make_grid(1, 32), 0.5), t_end=3.0,
+                    dt_max=1e-2, field_threshold=1e3, check_zero_mode=False)
+    assert run.status == BLOWUP
+    nodes = [state for state, _, _ in calls] + [run.final_state]
+    assert len(forward) == len(inverse) == 5 * len(calls)
+    assert all(forward[5 * i] is node.fields for i, node in enumerate(nodes[:-1]))
+    assert all(inverse[5 * i + 4] is node.fields for i, node in enumerate(nodes[1:]))
+    final = run.final_state
+    assert np.shares_memory(final.u, final.fields) and np.shares_memory(final.v, final.fields)
+
+
+@pytest.mark.parametrize("layout", ["reversed", "strided", "fortran_2d"])
+def test_a_non_contiguous_field_steps_to_the_bits_of_its_contiguous_copy(layout):
+    n = 2 if layout == "fortran_2d" else 1
+    params = SystemParams(n=n, p=2, q=1.5, alpha1=-1 - 0.3j, alpha2=-0.5,
+                          beta1=0.8 + 0.6j, beta2=1)
+    if n == 2:
+        grid = make_grid(2, 16)
+        x, y = np.meshgrid(*grid.axes(), indexing="ij")
+        u = np.asfortranarray(1.0 + 0.2 * np.cos(x + 0.5 * y) + 0j)
+        v = np.asfortranarray(0.9 + 0.1j * np.sin(x) * np.cos(y))
+    else:
+        grid = make_grid(1, 32)
+        x = make_grid(1, 64 if layout == "strided" else 32).axes()[0]
+        u, v = 1.0 + 0.2 * np.cos(x) + 0.1j * np.sin(2 * x), 0.9 + 0.1j * np.sin(x)
+        u, v = (u[::2], v[::2]) if layout == "strided" else (u[::-1], v[::-1])
+    assert not (u.flags.c_contiguous or v.flags.c_contiguous)
+    state = state_from_arrays(grid, u, v)
+    copied = state_from_arrays(grid, np.ascontiguousarray(u), np.ascontiguousarray(v))
+    assert state.fields.tobytes() == copied.fields.tobytes()
+    for pad in (False, True):
+        stepper = TorusStepper(grid, params, pad)
+        a, b = torus_step(state, stepper, 1e-3), torus_step(copied, stepper, 1e-3)
+        assert a.fields.tobytes() == b.fields.tobytes()
+        assert functionals(a, params) == functionals(b, params)
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
 def test_run_past_the_float_range_raises_with_the_last_good_node():
