@@ -8,13 +8,17 @@ TREE is the root of a checkout (its ``src`` and ``perfbench`` are used).
 The script runs every invocation of the four workloads in
 ``TREE/perfbench/workloads.py`` at bench seeds 3 and 12, the six packaged
 configs of ``TREE/scripts/configs`` at seed 2024, the ``euclid-run``
-configs of ``OFF_UNIT`` and the ``torus-run`` configs of ``TORUS_OFF_UNIT``
-below, each in a fresh ``python -m cgl_blowup`` process with
-``--workers 1``.  The workloads and packaged configs all have unit alpha
-and beta.  ``OFF_UNIT`` covers complex beta, unequal alpha, n = 1 and 2 and
-both schemes; ``TORUS_OFF_UNIT`` covers complex alpha and beta, n = 1 and 2,
-padded and unpadded, ``constant_plus_mode`` and ``fourier_mode`` data, with
-the final fields written as snapshots.  OUTDIR gets, per run,
+configs of ``OFF_UNIT``, the ``torus-run`` configs of ``TORUS_OFF_UNIT``
+and the ``scaling-study`` configs of ``TORUS_LADDERS`` below, each in a
+fresh ``python -m cgl_blowup`` process with ``--workers 1``.  The workloads
+and packaged configs all have unit alpha and beta.  ``OFF_UNIT`` covers
+complex beta, unequal alpha, n = 1 and 2 and both schemes;
+``TORUS_OFF_UNIT`` covers complex alpha and beta, n = 1 and 2, padded and
+unpadded, ``constant_plus_mode`` and ``fourier_mode`` data, with the final
+fields written as snapshots.  ``TORUS_LADDERS`` are ``torus_homogeneous``
+ladders with complex alpha and beta at n = 1 and 2, one with a time budget
+short enough that its rungs stop with different statuses (``completed``
+and ``blow_up_threshold_reached``).  OUTDIR gets, per run,
 its config, its ``--out`` directory and a ``.status`` file with the exit
 code and standard error.  Paths are given relative to OUTDIR, so that the
 messages of two trees compare too.
@@ -98,6 +102,27 @@ TORUS_OFF_UNIT = {
 }
 
 
+def _torus_ladder(n, time_budget):
+    return {
+        "schema_version": 1, "mode": "torus_homogeneous",
+        "params": {"n": n, "p": 2, "q": 1.5,
+                   "alpha1": _pair(-1 + 0.5j), "alpha2": _pair(-0.7 - 0.2j),
+                   "beta1": _pair(0.6 + 0.8j), "beta2": _pair(-2j)},
+        "epsilon": {"start": 0.5, "factor": 1.3, "count": 6},
+        "modes": 32 if n == 1 else 16, "dt_max": 0.002,
+        "time_budget": time_budget, "field_threshold": 1e5,
+    }
+
+
+# scaling-study torus ladders off the unit coefficients; at a budget of 1.5
+# the two smallest rungs end completed and the others blow up
+TORUS_LADDERS = {
+    "complex_1d": _torus_ladder(1, 30.0),
+    "complex_2d": _torus_ladder(2, 30.0),
+    "short_budget_1d": _torus_ladder(1, 1.5),
+}
+
+
 def _jobs(tree: str):
     """(name, command, config, cli seed) of every run, name a relative path."""
     sys.path.insert(0, os.path.join(tree, "perfbench"))
@@ -118,6 +143,8 @@ def _jobs(tree: str):
         yield f"off_unit/{label}", "euclid-run", cfg, PACKAGED_SEED
     for label, cfg in TORUS_OFF_UNIT.items():
         yield f"off_unit/torus_{label}", "torus-run", cfg, PACKAGED_SEED
+    for label, cfg in TORUS_LADDERS.items():
+        yield f"off_unit/ladder_{label}", "scaling-study", cfg, PACKAGED_SEED
 
 
 def main() -> int:

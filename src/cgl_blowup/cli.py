@@ -549,13 +549,6 @@ def _euclid_scaling_case(args):
     return _ladder_point(spec.data.epsilon, euclid.run_euclid(spec, **run))
 
 
-def _torus_scaling_case(args):
-    params, grid, eps, run = args
-    state = torus.constant_state(grid, eps, eps)
-    return _ladder_point(
-        eps, torus.run_torus(params, state, check_zero_mode=False, **run))
-
-
 def cmd_scaling_study(cfg, out_dir, seed, workers):
     mode = _get(cfg, "mode", str)
     if mode not in ("euclid", "torus_homogeneous"):
@@ -580,7 +573,6 @@ def cmd_scaling_study(cfg, out_dir, seed, workers):
             functional_threshold=_get(cfg, "functional_threshold", float, 1e6),
             field_threshold=_get(cfg, "field_threshold", float, 1e10),
         )
-        case = _euclid_scaling_case
         jobs = [(replace(spec, data=replace(spec.data, epsilon=eps)), run)
                 for eps in epsilons]
     else:
@@ -589,11 +581,15 @@ def cmd_scaling_study(cfg, out_dir, seed, workers):
         grid = torus.make_grid(n, _get(cfg, "modes", int, 32))
         run.update(dt_max=_get(cfg, "dt_max", float, 1e-3),
                    field_threshold=_get(cfg, "field_threshold", float, 1e6))
-        case = _torus_scaling_case
-        jobs = [(params, grid, eps, run) for eps in epsilons]
     if tolerance <= 0:
         raise ConfigError("slope_tolerance must be positive")
-    results = _pmap(case, jobs, workers)
+    if mode == "euclid":
+        results = _pmap(_euclid_scaling_case, jobs, workers)
+    else:  # the rungs march in lockstep, as one batch
+        batch = torus.stack_states([torus.constant_state(grid, eps, eps)
+                                    for eps in epsilons])
+        results = [_ladder_point(eps, r) for eps, r in zip(
+            epsilons, torus.run_torus(params, batch, check_zero_mode=False, **run))]
 
     complete = [r for r in results if r["complete"]]
     write_csv(

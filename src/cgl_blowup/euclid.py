@@ -4,8 +4,8 @@ weighted by the compactly supported profile phi(x/R).
 
 From data on the phases of beta the fields stay on them, so the one state
 type, :class:`EuclidState`, holds the real amplitudes rho of the fields
-u = (beta1/|beta1|) rho[0] and v = (beta2/|beta2|) rho[1], and the steppers
-march rho in float64.
+u = (beta1/|beta1|) rho[0] and v = (beta2/|beta2|) rho[1] as its ``fields``,
+and the steppers march rho in float64.
 
 The weighted means obey a damped growth inequality with damping
 |alpha_i| * lambda_eff / R^2; instantiating the damped ODE bounds with
@@ -175,43 +175,49 @@ class EuclidGrid:
 @dataclass(eq=False)
 class EuclidState:
     """The amplitudes rho of the fields u = (beta1/|beta1|) rho[0] and
-    v = (beta2/|beta2|) rho[1] at time t, rho real of shape (2, *grid shape).
+    v = (beta2/|beta2|) rho[1] at time t, held as ``fields``, rho real of
+    shape (2, *grid shape): the stacked pair, named as in the torus state.
 
     From data on these phases the system keeps its fields on them, with
     rho_u' = |alpha1| Lap rho_u + |beta1| |rho_v|^p and likewise rho_v', so
     a run marches rho in real arithmetic; Re(conj(beta1) u) = |beta1| rho_u.
-    rho and t are not changed once the state is made; it keeps its
-    nonlinearity and second differences once computed.  So rho is a
-    read-only view of the given array; the caller's array stays writable.
+    fields and t are not changed once the state is made; it keeps its
+    nonlinearity and second differences once computed.  So ``fields`` is a
+    read-only view of the given array, in unpickled copies too; the
+    caller's array stays writable.
     """
 
-    rho: np.ndarray
+    fields: np.ndarray
     t: float
     # (params, its nonlinearity) once _node_nonlinearity has computed it
     held: Optional[tuple] = field(default=None, init=False, repr=False)
     _second: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if isinstance(self.rho, np.ndarray):  # _on_grid refuses anything else
-            self.rho = self.rho.view()
-            self.rho.flags.writeable = False
+        if isinstance(self.fields, np.ndarray):  # _on_grid refuses anything else
+            self.fields = self.fields.view()
+            self.fields.flags.writeable = False
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @property
     def u(self) -> np.ndarray:
         """The real amplitude rho[0] of u, so |u| = |field u|."""
-        return self.rho[0]
+        return self.fields[0]
 
     @property
     def v(self) -> np.ndarray:
         """The real amplitude rho[1] of v, so |v| = |field v|."""
-        return self.rho[1]
+        return self.fields[1]
 
     @property
     def second_difference(self) -> np.ndarray:
         """h^2 Lap_h rho on the interior, computed once and shared by the
         state's derivative and, in 1-d, the step from it."""
         if self._second is None:
-            self._second = _second_difference(self.rho)
+            self._second = _second_difference(self.fields)
         return self._second
 
 
@@ -235,8 +241,9 @@ def _second_difference(a: np.ndarray) -> np.ndarray:
 
 
 def _on_grid(state: EuclidState, spec: EuclidRunSpec) -> EuclidState:
-    """``state``, refused unless its rho is a float64 pair on the spec's grid."""
-    rho = state.rho
+    """``state``, refused unless its fields are a float64 pair on the spec's
+    grid."""
+    rho = state.fields
     if not (isinstance(rho, np.ndarray) and rho.dtype == np.float64
             and rho.shape == (2, *spec.grid.shape)):
         raise ValidationError(
@@ -271,7 +278,7 @@ def discrete_laplacian(a: np.ndarray, h: float) -> np.ndarray:
 def _nonlinearity(node: EuclidState, params: SystemParams) -> np.ndarray:
     """|beta1| |v|^p and |beta2| |u|^q, stacked as rho; non-finite where
     they overflow."""
-    power = np.abs(node.rho[::-1])
+    power = np.abs(node.fields[::-1])
     with np.errstate(over="ignore", invalid="ignore"):
         power[0] **= params.p
         power[1] **= params.q
@@ -310,9 +317,9 @@ def _imex_step_1d(node, spec, dt, force):
     h = spec.grid.h
     r = dt * spec.diffusion / (h * h)
     rhs = 0.5 * r * node.second_difference
-    rhs += node.rho[:, 1:-1]
+    rhs += node.fields[:, 1:-1]
     rhs += dt * force[:, 1:-1]
-    out = np.zeros(node.rho.shape)
+    out = np.zeros(node.fields.shape)
     if r[0, 0] == r[1, 0]:
         out[:, 1:-1] = solve_banded(rhs.T, r[0, 0], node).T
     else:
@@ -325,9 +332,9 @@ def _imex_step_2d(node, spec, dt, force):
     # Peaceman-Rachford ADI with the nonlinearity split over the half steps,
     # one amplitude at a time (both in one array solved slower)
     h = spec.grid.h
-    out = np.zeros(node.rho.shape)
-    half = np.zeros(node.rho.shape[1:])
-    for a, d, f, new in zip(node.rho, spec.diffusion.flat, force, out):
+    out = np.zeros(node.fields.shape)
+    half = np.zeros(node.fields.shape[1:])
+    for a, d, f, new in zip(node.fields, spec.diffusion.flat, force, out):
         r = dt * d / (h * h)
         forcing = 0.5 * dt * f[1:-1, 1:-1]
         # x-implicit half step
@@ -355,7 +362,7 @@ def _rhs(node: EuclidState, spec: EuclidRunSpec) -> np.ndarray:
     lap = node.second_difference / (h * h)
     lap *= spec.diffusion
     lap += _node_nonlinearity(node, spec.params)[inner]
-    out = np.zeros(node.rho.shape)
+    out = np.zeros(node.fields.shape)
     out[inner] = lap
     return out
 
@@ -363,8 +370,8 @@ def _rhs(node: EuclidState, spec: EuclidRunSpec) -> np.ndarray:
 def _explicit_step(node, spec, dt):
     # Heun's method on the full right-hand side
     k1 = _rhs(node, spec)
-    k2 = _rhs(EuclidState(node.rho + dt * k1, node.t), spec)
-    return EuclidState(node.rho + 0.5 * dt * (k1 + k2), node.t + dt)
+    k2 = _rhs(EuclidState(node.fields + dt * k1, node.t), spec)
+    return EuclidState(node.fields + 0.5 * dt * (k1 + k2), node.t + dt)
 
 
 def cfl_limit(spec: EuclidRunSpec) -> float:
@@ -389,7 +396,7 @@ def euclid_step(state: EuclidState, spec: EuclidRunSpec, dt: float) -> EuclidSta
             raise IntegrationError(f"nonlinearity overflow at t={state.t}", last_node=state)
         imex = _imex_step_1d if spec.params.n == 1 else _imex_step_2d
         new = imex(state, spec, dt, nonlinearity)
-    if not np.isfinite(new.rho).all():
+    if not np.isfinite(new.fields).all():
         raise IntegrationError(f"field overflow at t={state.t}", last_node=state)
     return new
 
@@ -407,7 +414,7 @@ def _weighted_means(a: np.ndarray, spec: EuclidRunSpec) -> tuple[float, float]:
 def weighted_functionals(state: EuclidState, spec: EuclidRunSpec) -> tuple[float, float]:
     """Grid quadrature of Re(conj(beta) field) * phi(x/R), that is of
     |beta| rho * phi(x/R)."""
-    return _weighted_means(_on_grid(state, spec).rho, spec)
+    return _weighted_means(_on_grid(state, spec).fields, spec)
 
 
 def functional_derivatives(state: EuclidState, spec: EuclidRunSpec) -> tuple[float, float]:
@@ -432,7 +439,7 @@ def run_euclid(
     finite and on the spec's grid.  The weight is evaluated once per run (``spec.weight``), and the
     nonlinearity once per node (``_node_nonlinearity``).
     """
-    if state is not None and not np.isfinite(_on_grid(state, spec).rho).all():
+    if state is not None and not np.isfinite(_on_grid(state, spec).fields).all():
         raise ValidationError("the amplitudes must be finite")
 
     def observe(s):

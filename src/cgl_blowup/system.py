@@ -5,7 +5,8 @@ both PDE backends drive."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
 from numbers import Real
 
 import numpy as np
@@ -204,11 +205,23 @@ def march(params, state, t_end, dt_max, dt_safety, step, observe,
     |field| crosses field_threshold, or until U or V crosses
     functional_threshold (status blow_up...).
 
-    dt shrinks with the nonlinear growth rate near blow-up and never exceeds
-    ``dt_cap``; ``observe(state)`` gives (U, V, U', V') at every node.
-    Returns the :class:`Run`.
+    ``state.fields`` is the stacked pair (2, *grid) of one run, or a batch
+    of k such pairs stacked on a leading axis, whose times ``state.t`` are
+    then an array of k floats.  A single run is a batch of one.  Each rung
+    has its own dt, from its own max |u| and max |v|, and its own status:
+    it leaves the batch when it stops (at t_end, at a threshold or on step
+    collapse), and the others march on in lockstep.  ``step`` gets a float
+    dt for a single state and an array of per-rung dts for a batch, and
+    ``observe(state)`` gives (U, V, U', V') at every node, each a float, or
+    a sequence of per-rung floats for a batch.  dt shrinks with the
+    nonlinear growth rate near blow-up and never exceeds ``dt_cap``.
+
+    Returns the :class:`Run`, or for a batch a list of one per rung, each
+    with its own final state.  A step rate past the float range raises
+    IntegrationError carrying that rung's last node; one that ``step``
+    raises propagates as it is (for a batch, carrying the batch).
     """
-    if not _positive(t_end - state.t):
+    if not _positive(t_end - float(np.max(state.t))):
         raise ValidationError("t_end must be finite and exceed the state time")
     if not (_positive(dt_max) and _positive(dt_safety)):
         raise ValidationError("dt_max and the step safety must be finite and positive")
@@ -218,34 +231,70 @@ def march(params, state, t_end, dt_max, dt_safety, step, observe,
         raise ValidationError("field and functional thresholds must be positive")
     ab1, ab2 = abs(params.beta1), abs(params.beta2)
     p, q = params.p, params.q
+    single = np.ndim(state.t) == 0
+    live = list(range(1 if single else len(state.t)))  # rungs in the batch, in order
+    rows = [array("d") for _ in live]  # each rung's (t, U, V, U', V') nodes, flat
+    ends = [None] * len(live)  # each rung's (final state, status)
 
-    def amplitudes(s):
-        return float(np.abs(s.u).max()), float(np.abs(s.v).max())
+    def rung(s, pos):
+        return s if single else replace(s, fields=s.fields[pos], t=float(s.t[pos]))
 
-    rows = [(state.t, *observe(state))]
-    au, av = amplitudes(state)
-    status = COMPLETED
-    while state.t < t_end * (1.0 - 1e-12):
-        try:
-            rate = max(
-                ab1 * max(av, 1e-30) ** p / max(au, 1e-30),
-                ab2 * max(au, 1e-30) ** q / max(av, 1e-30),
-            )
-        except OverflowError:  # max|field|^p beyond the float range
-            raise IntegrationError(
-                f"step rate overflow at t={state.t}", last_node=state) from None
-        dt = min(dt_max, dt_safety / rate) if rate > 0 else dt_max
-        dt = min(dt, dt_cap, t_end - state.t)
-        if dt < 1e-14 * max(state.t, 1e-3 * t_end):
-            status = STEP_COLLAPSE
-            break
-        state = step(state, dt)
-        rows.append((state.t, *observe(state)))
-        au, av = amplitudes(state)
-        if max(au, av) >= field_threshold or (
-            functional_threshold is not None
-            and max(rows[-1][1:3]) >= functional_threshold  # max(U, V)
-        ):
-            status = BLOWUP
-            break
-    return Run(FunctionalSeries(*np.array(rows).T), state, status)
+    def observed(s):
+        """Record the node of each rung of ``s``; return each rung's
+        [max |u|, max |v|], both maxima in one reduction."""
+        values = observe(s)
+        if single:
+            rows[0].extend((s.t, *values))
+        else:
+            for i, row in zip(live, zip(s.t, *values)):
+                rows[i].extend(row)
+        return np.abs(s.fields).reshape(len(live), 2, -1).max(axis=-1).tolist()
+
+    def leave(s, amax, stops):
+        """Close the rungs at the batch positions of ``stops`` with their
+        statuses; return the batch of the others and their maxima."""
+        for pos, status in stops.items():
+            ends[live[pos]] = (rung(s, pos), status)
+        keep = [pos for pos in range(len(live)) if pos not in stops]
+        live[:] = [live[pos] for pos in keep]
+        if keep and not single:
+            s = replace(s, fields=s.fields[keep], t=s.t[keep])
+        return s, [amax[pos] for pos in keep]
+
+    amax = observed(state)
+    while live:
+        dts, stops = [], {}
+        for pos, (t, (au, av)) in enumerate(zip([state.t] if single else state.t.tolist(),
+                                                amax)):
+            if not t < t_end * (1.0 - 1e-12):
+                stops[pos] = COMPLETED
+                continue
+            try:
+                rate = max(
+                    ab1 * max(av, 1e-30) ** p / max(au, 1e-30),
+                    ab2 * max(au, 1e-30) ** q / max(av, 1e-30),
+                )
+            except OverflowError:  # max|field|^p beyond the float range
+                raise IntegrationError(
+                    f"step rate overflow at t={t}", last_node=rung(state, pos)) from None
+            dt = min(dt_max, dt_safety / rate) if rate > 0 else dt_max
+            dt = min(dt, dt_cap, t_end - t)
+            if dt < 1e-14 * max(t, 1e-3 * t_end):
+                stops[pos] = STEP_COLLAPSE
+            else:
+                dts.append(dt)
+        if stops:
+            state, amax = leave(state, amax, stops)
+            if not live:
+                break
+        state = step(state, dts[0] if single else np.array(dts))
+        amax = observed(state)
+        stops = {pos: BLOWUP for pos, (i, m) in enumerate(zip(live, amax))
+                 if max(m) >= field_threshold or (
+                     functional_threshold is not None  # max(U, V) below
+                     and max(rows[i][-4], rows[i][-3]) >= functional_threshold)}
+        if stops:
+            state, amax = leave(state, amax, stops)
+    runs = [Run(FunctionalSeries(*np.frombuffer(r).reshape(-1, 5).T), *end)
+            for r, end in zip(rows, ends)]
+    return runs[0] if single else runs

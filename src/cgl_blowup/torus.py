@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "make_grid",
     "constant_state",
     "state_from_arrays",
+    "stack_states",
     "TorusStepper",
     "torus_step",
     "functionals",
@@ -88,7 +89,12 @@ def make_grid(n: int, modes: int | None = None) -> TorusGrid:
 class FieldState:
     """u and v at time t, stacked as one C-ordered complex array ``fields``
     of shape (2, *grid.shape): the pair that a step transforms in one FFT
-    call.  ``u`` and ``v`` are the views ``fields[0]`` and ``fields[1]``."""
+    call.  ``u`` and ``v`` are views of the pair's first and second field.
+
+    A batch of k states stacks their pairs on a leading axis, fields of
+    shape (k, 2, *grid.shape), and holds their times as an array ``t`` of k
+    floats; its rungs step, and are observed, together, and its ``u`` and
+    ``v`` have the batch axis too."""
 
     grid: TorusGrid
     fields: np.ndarray
@@ -97,18 +103,36 @@ class FieldState:
     def __post_init__(self):
         fields = np.ascontiguousarray(self.fields, dtype=complex)
         object.__setattr__(self, "fields", fields)
-        if fields.shape != (2, *self.grid.shape):
+        pair = (2, *self.grid.shape)
+        if fields.shape[-len(pair):] != pair or fields.ndim > len(pair) + 1:
             raise ValidationError("field shapes must match the grid")
+        if fields.ndim > len(pair):  # a batch: one time per state
+            t = np.asarray(self.t, dtype=float)
+            if t.shape != fields.shape[:1]:
+                raise ValidationError("a batch needs one time per state")
+            if not t.size:
+                raise ValidationError("a batch needs at least one state")
+            object.__setattr__(self, "t", t)
         if not np.isfinite(fields.view(float)).all():
             raise ValidationError("fields must be finite")
 
     @property
     def u(self) -> np.ndarray:
-        return self.fields[0]
+        return self.fields[_field(0, self.fields.ndim - self.grid.n - 1)]
 
     @property
     def v(self) -> np.ndarray:
-        return self.fields[1]
+        return self.fields[_field(1, self.fields.ndim - self.grid.n - 1)]
+
+
+def _field(i: int, batch_axes: int) -> tuple:
+    """The index of field i of every pair of stacked fields with
+    ``batch_axes`` leading batch axes (0 or 1)."""
+    return (slice(None),) * batch_axes + (i,)
+
+
+def _batched(state: FieldState) -> bool:
+    return state.fields.ndim > state.grid.n + 1
 
 
 def constant_state(grid: TorusGrid, cu: complex, cv: complex) -> FieldState:
@@ -123,6 +147,15 @@ def state_from_arrays(grid: TorusGrid, u, v, t: float = 0.0) -> FieldState:
     except ValueError:  # u and v of different shapes
         raise ValidationError("field shapes must match the grid") from None
     return FieldState(grid=grid, fields=fields, t=t)
+
+
+def stack_states(states) -> FieldState:
+    """The batch of ``states``, single states on one grid, stacked in order."""
+    grids = {s.grid for s in states}
+    if len(grids) != 1:
+        raise ValidationError("a batch needs states on one grid")
+    return FieldState(grid=grids.pop(), fields=np.stack([s.fields for s in states]),
+                      t=[s.t for s in states])
 
 
 def _resize_spectrum(ah: np.ndarray, modes: int, size: int, n: int) -> np.ndarray:
@@ -141,7 +174,8 @@ class TorusStepper:
     linear symbols ``alpha_i k^2`` and ``beta_i`` of both fields stacked on a
     leading axis, and the propagators of the last dt.  The state is the
     stacked pair ``FieldState.fields``, so a step transforms the state itself
-    and each transform of the pair is one FFT call."""
+    and each transform of the pair is one FFT call.  A batch of states is
+    transformed the same way, all its rungs in one call."""
 
     def __init__(self, grid: TorusGrid, params: SystemParams, pad: bool = False):
         if params.alpha1.real > 0.0 or params.alpha2.real > 0.0:
@@ -155,15 +189,30 @@ class TorusStepper:
         self.beta = np.array((params.beta1, params.beta2)).reshape((2,) + (1,) * grid.n)
         self._dt = self._propagators = None
         # the nonlinearity's fields, powers and their spectra: held, as fresh
-        # stacked 2-d arrays cost page faults on every transform
-        size = 3 * grid.modes // 2 if pad else grid.modes
-        self._work = np.empty((3, 2) + (size,) * grid.n, dtype=complex)
+        # stacked 2-d arrays cost page faults on every transform; sized to
+        # the batch it is given
+        self._size = (3 * grid.modes // 2 if pad else grid.modes,) * grid.n
+        self._work = self._pair = None
 
-    def propagators(self, dt: float):
-        """exp(dt/2 lin) and its square, rebuilt only when dt changes."""
-        if dt != self._dt:
-            e = np.exp(0.5 * dt * self.lin)
-            self._dt, self._propagators = dt, (e, e * e)
+    def per_rung(self, dt):
+        """dt, a float, or an array of one per rung of a batch shaped here to
+        broadcast over each rung's pair; refused unless positive."""
+        if isinstance(dt, Real):
+            if dt <= 0.0:
+                raise ValidationError("dt must be positive")
+            return dt
+        dt = np.asarray(dt, dtype=float)
+        if (dt <= 0.0).any():
+            raise ValidationError("dt must be positive")
+        return dt.reshape(dt.shape + (1,) * (self.grid.n + 1))
+
+    def propagators(self, dt):
+        """exp(dt/2 lin) and its square for ``per_rung(dt)``, rebuilt only
+        when some rung's dt changes."""
+        key = dt if isinstance(dt, Real) else np.asarray(dt, dtype=float).tobytes()
+        if key != self._dt:
+            e = np.exp(0.5 * self.per_rung(dt) * self.lin)
+            self._dt, self._propagators = key, (e, e * e)
         return self._propagators
 
     def fft(self, a, out=None):
@@ -178,23 +227,30 @@ class TorusStepper:
         """Spectra of beta1 |v|^p and beta2 |u|^q from the stacked spectra of
         u and v, evaluated on the 3/2-padded grid when ``pad``."""
         n, modes = self.grid.n, self.grid.modes
+        shape = yh.shape[:-n] + self._size
+        if self._work is None or self._work.shape[1:] != shape:
+            self._work = np.empty((3,) + shape, dtype=complex)
+            self._pair = _field(0, yh.ndim - n - 1), _field(1, yh.ndim - n - 1)
         y, powers, nh = self._work
         if self.pad:
             yh = _resize_spectrum(yh, modes, 3 * modes // 2, n)
         self.ifft(yh, y)
-        powers[0] = np.abs(y[1]) ** self.p
-        powers[1] = np.abs(y[0]) ** self.q
+        u, v = self._pair
+        powers[u] = np.abs(y[v]) ** self.p
+        powers[v] = np.abs(y[u]) ** self.q
         self.fft(powers, nh)
         if self.pad:
             nh = _resize_spectrum(nh, modes, modes, n)
         return self.beta * nh
 
 
-def torus_step(state: FieldState, stepper: TorusStepper, dt: float) -> FieldState:
+def torus_step(state: FieldState, stepper: TorusStepper, dt) -> FieldState:
     """One integrating-factor RK4 step (linear part exact per mode) with the
-    run's ``stepper``, which holds the params and pad."""
-    if dt <= 0.0:
-        raise ValidationError("dt must be positive")
+    run's ``stepper``, which holds the params and pad.  A batch steps each
+    rung by its own dt, given as an array of one per rung."""
+    h = stepper.per_rung(dt)
+    if getattr(h, "shape", ())[:1] != state.fields.shape[:-state.grid.n - 1]:
+        raise ValidationError("a batch steps with one dt per state, a state with one")
     if stepper.grid is not state.grid and stepper.grid != state.grid:  # by value
         raise ValidationError("the stepper was built for another grid")
     e, e2 = stepper.propagators(dt)
@@ -202,10 +258,10 @@ def torus_step(state: FieldState, stepper: TorusStepper, dt: float) -> FieldStat
     with np.errstate(over="ignore", invalid="ignore"):
         yh = stepper.fft(state.fields)
         n1 = stepper.nonlinearity(yh)
-        n2 = stepper.nonlinearity(e * (yh + 0.5 * dt * n1))
-        n3 = stepper.nonlinearity(e * yh + 0.5 * dt * n2)
-        n4 = stepper.nonlinearity(e2 * yh + dt * e * n3)
-        y = stepper.ifft(e2 * yh + dt / 6.0 * (e2 * n1 + 2.0 * e * (n2 + n3) + n4))
+        n2 = stepper.nonlinearity(e * (yh + 0.5 * h * n1))
+        n3 = stepper.nonlinearity(e * yh + 0.5 * h * n2)
+        n4 = stepper.nonlinearity(e2 * yh + h * e * n3)
+        y = stepper.ifft(e2 * yh + h / 6.0 * (e2 * n1 + 2.0 * e * (n2 + n3) + n4))
     try:  # FieldState checks finiteness, once per step
         return FieldState(grid=state.grid, fields=y, t=state.t + dt)
     except ValidationError:
@@ -214,37 +270,57 @@ def torus_step(state: FieldState, stepper: TorusStepper, dt: float) -> FieldStat
         ) from None
 
 
-def _zero_modes(pair: np.ndarray, params: SystemParams, vol: float) -> tuple[float, float]:
-    """Re(conj(beta_i) * vol * mean(pair[i])) for each of the stacked fields
+def _grid_means(a: np.ndarray, n: int) -> np.ndarray:
+    """The means of ``a`` over its last n (grid) axes, all rungs in one call."""
+    return a.reshape(a.shape[:a.ndim - n] + (-1,)).mean(axis=-1)
+
+
+def _real_parts(coefs, means, batched: bool) -> tuple:
+    """Re(coefs[i] * means[i]) for both fields i: two floats, or for a batch
+    two lists of per-rung floats.  Each product is a scalar multiply, which
+    an array-wide complex multiply need not round alike."""
+    if not batched:
+        return tuple(float((c * m).real) for c, m in zip(coefs, means))
+    return tuple([float((c * m).real) for m in column] for c, column in zip(coefs, means))
+
+
+def _zero_modes(pair: np.ndarray, params: SystemParams, grid: TorusGrid) -> tuple:
+    """Re(conj(beta_i) * vol * mean(field i)) for each of the stacked fields
     ``pair``: the zero Fourier modes times the domain volume."""
-    return tuple(float((np.conj(beta) * vol * np.mean(a)).real)
-                 for beta, a in zip((params.beta1, params.beta2), pair))
+    vol = grid.volume
+    means = _grid_means(pair, grid.n)  # (*batch, 2)
+    return _real_parts((np.conj(params.beta1) * vol, np.conj(params.beta2) * vol),
+                       means.T, means.ndim > 1)
 
 
-def functionals(state: FieldState, params: SystemParams) -> tuple[float, float]:
+def functionals(state: FieldState, params: SystemParams) -> tuple:
     """U = Re(conj(beta1) * volume * mean(u)) and likewise V: the zero
-    Fourier mode times the domain volume."""
-    return _zero_modes(state.fields, params, state.grid.volume)
+    Fourier mode times the domain volume; per-rung lists for a batch."""
+    return _zero_modes(state.fields, params, state.grid)
 
 
-def functional_derivatives(state: FieldState, params: SystemParams) -> tuple[float, float]:
+def functional_derivatives(state: FieldState, params: SystemParams) -> tuple:
     """d/dt of the functionals from the spectral right-hand side.  The
-    Laplacian term has exactly zero mean; only the nonlinearity remains."""
-    vol = state.grid.volume
-    du = (np.conj(params.beta1) * params.beta1 * vol
-          * np.mean(np.abs(state.v) ** params.p)).real
-    dv = (np.conj(params.beta2) * params.beta2 * vol
-          * np.mean(np.abs(state.u) ** params.q)).real
-    return float(du), float(dv)
+    Laplacian term has exactly zero mean; only the nonlinearity remains.
+    Per-rung lists for a batch."""
+    n, vol = state.grid.n, state.grid.volume
+    return _real_parts((np.conj(params.beta1) * params.beta1 * vol,
+                        np.conj(params.beta2) * params.beta2 * vol),
+                       (_grid_means(np.abs(state.v) ** params.p, n),
+                        _grid_means(np.abs(state.u) ** params.q, n)), _batched(state))
 
 
-def laplacian_zero_mode(state: FieldState, stepper: TorusStepper) -> float:
+def laplacian_zero_mode(state: FieldState, stepper: TorusStepper):
     """Physical-space mean of the Laplacian terms; machine-zero check of
-    the exactness that drives the mean-field growth inequality."""
+    the exactness that drives the mean-field growth inequality.  A list of
+    one per rung for a batch."""
     if stepper.grid is not state.grid and stepper.grid != state.grid:  # by value
         raise ValidationError("the stepper was built for another grid")
     lap = stepper.ifft(stepper.lin * stepper.fft(state.fields))
-    return max(map(abs, _zero_modes(lap, stepper.params, state.grid.volume)))
+    U, V = _zero_modes(lap, stepper.params, state.grid)
+    if not _batched(state):
+        return max(abs(U), abs(V))
+    return [max(abs(a), abs(b)) for a, b in zip(U, V)]
 
 
 @dataclass(frozen=True)
@@ -263,7 +339,11 @@ def run_torus(
     check_zero_mode: bool = True,
 ) -> TorusRun:
     """Advance to t_end or to the first state with max |field| above the
-    threshold, shrinking dt with the nonlinear amplitude near blow-up."""
+    threshold, shrinking dt with the nonlinear amplitude near blow-up.
+
+    For a batch ``state`` (see :class:`FieldState`) the rungs march in
+    lockstep, each with its own dt and stop, and a list of one TorusRun per
+    rung is returned."""
     stepper = TorusStepper(state.grid, params, pad)
     lap = []
 
@@ -272,13 +352,23 @@ def run_torus(
             lap.append(laplacian_zero_mode(s, stepper))
         return (*functionals(s, params), *functional_derivatives(s, params))
 
-    run = march(
+    runs = march(
         params, state, t_end, dt_max, dt_safety,
         lambda s, dt: torus_step(s, stepper, dt), observe,
         field_threshold,
     )
-    return TorusRun(run.series, run.final_state, run.status,
-                    lap_zero_mode_max=max(lap, default=0.0))
+    single = not _batched(state)
+    if single:
+        runs, lap = [runs], [(value,) for value in lap]
+    # node j of the batch held, in order, the rungs with more than j nodes
+    counts = [run.series.times.size for run in runs]
+    lap_max = [0.0] * len(runs)
+    for j, values in enumerate(lap):
+        for i, value in zip([i for i, c in enumerate(counts) if c > j], values):
+            lap_max[i] = max(lap_max[i], value)
+    runs = [TorusRun(run.series, run.final_state, run.status, lap_zero_mode_max=m)
+            for run, m in zip(runs, lap_max)]
+    return runs[0] if single else runs
 
 
 def check_growth_inequality(series: FunctionalSeries, params: SystemParams) -> OdiReport:

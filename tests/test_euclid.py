@@ -96,7 +96,7 @@ def test_symmetric_case_preserved():
 
 def test_zero_data_fixed_point():
     spec = small_spec()
-    state = EuclidState(rho=np.zeros((2, *spec.grid.shape)), t=0.0)
+    state = EuclidState(fields=np.zeros((2, *spec.grid.shape)), t=0.0)
     out = euclid_step(state, spec, 1e-3)
     assert np.all(out.u == 0) and np.all(out.v == 0)
 
@@ -138,7 +138,7 @@ def test_explicit_run_caps_dt_below_the_diffusion_limit():
 
 def test_overflow_carries_last_state():
     spec = small_spec()
-    state = EuclidState(rho=np.full((2, *spec.grid.shape), 1e200), t=0.0)
+    state = EuclidState(fields=np.full((2, *spec.grid.shape), 1e200), t=0.0)
     with pytest.raises(IntegrationError) as exc:
         euclid_step(state, spec, 1e-3)
     assert exc.value.last_node is state
@@ -148,7 +148,7 @@ def test_overflow_carries_last_state():
                             "ignore:invalid value:RuntimeWarning")
 def test_run_past_the_float_range_raises_with_the_last_good_node():
     spec = small_spec()
-    state = EuclidState(rho=np.full((2, *spec.grid.shape), 1e200), t=0.0)
+    state = EuclidState(fields=np.full((2, *spec.grid.shape), 1e200), t=0.0)
     with pytest.raises(IntegrationError) as exc:
         run_euclid(spec, t_end=1.0, dt_max=1e-3, state=state)
     assert exc.value.last_node is state
@@ -177,7 +177,7 @@ def test_solve_banded_matches_scipy_bit_for_bit(r, shape, transposed):
 
 def test_singular_solve_carries_the_state():
     # r = -2 on two nodes gives [[-1, 1], [1, -1]]
-    state = EuclidState(rho=np.zeros((2, 4)), t=0.5)
+    state = EuclidState(fields=np.zeros((2, 4)), t=0.5)
     with pytest.raises(IntegrationError) as exc:
         solve_banded(np.ones(2), -2.0, state)
     assert exc.value.last_node is state
@@ -257,7 +257,7 @@ def test_a_state_off_the_spec_grid_is_refused():
                 np.ones(shape),  # one amplitude
                 np.ones((2, *shape), dtype=complex),
                 np.ones((2, *shape), dtype=np.float32)):
-        state = EuclidState(rho=rho, t=0.0)
+        state = EuclidState(fields=rho, t=0.0)
         with pytest.raises(ValidationError, match="amplitudes"):
             euclid_step(state, spec, 1e-3)
         with pytest.raises(ValidationError, match="amplitudes"):
@@ -267,10 +267,10 @@ def test_a_state_off_the_spec_grid_is_refused():
         with pytest.raises(ValidationError, match="amplitudes"):
             run_euclid(spec, t_end=0.1, dt_max=1e-3, state=state)
     for bad in (np.nan, np.inf):
-        rho = make_initial_state(spec).rho.copy()
+        rho = make_initial_state(spec).fields.copy()
         rho[1, 100] = bad
         with pytest.raises(ValidationError, match="finite"):
-            run_euclid(spec, t_end=0.1, dt_max=1e-3, state=EuclidState(rho=rho, t=0.0))
+            run_euclid(spec, t_end=0.1, dt_max=1e-3, state=EuclidState(fields=rho, t=0.0))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -305,12 +305,12 @@ def test_standalone_steps_give_the_runs_bits(n, monkeypatch):
         return np.array([s.times, s.U, s.V, s.dU, s.dV]).tobytes()
 
     assert np.array(rows).T.tobytes() == series_bytes(run)
-    assert state.rho.tobytes() == run.final_state.rho.tobytes()
+    assert state.fields.tobytes() == run.final_state.fields.tobytes()
     monkeypatch.undo()
     given = run_euclid(spec, state=make_initial_state(spec), **kw)
     assert given.status == run.status
     assert series_bytes(given) == series_bytes(run)
-    assert given.final_state.rho.tobytes() == run.final_state.rho.tobytes()
+    assert given.final_state.fields.tobytes() == run.final_state.fields.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +324,7 @@ def test_initial_data_phase_alignment():
     spec = small_spec(params=params)
     state = make_initial_state(spec)
     inside = np.abs(spec.grid.axis) < spec.data.r_data * 0.99
-    assert np.all(state.rho[:, inside] > 0)
+    assert np.all(state.fields[:, inside] > 0)
     U, V = weighted_functionals(state, spec)
     assert U > 0 and V > 0
 
@@ -334,25 +334,38 @@ def test_a_state_pickles_and_its_copy_steps_to_the_same_bits():
     state = make_initial_state(spec)
     functional_derivatives(state, spec)
     copy = pickle.loads(pickle.dumps(state))
-    assert copy.t == state.t and copy.rho.tobytes() == state.rho.tobytes()
+    assert copy.t == state.t and copy.fields.tobytes() == state.fields.tobytes()
     assert functional_derivatives(copy, spec) == functional_derivatives(state, spec)
     stepped, from_copy = euclid_step(state, spec, 1e-3), euclid_step(copy, spec, 1e-3)
-    assert from_copy.t == stepped.t and from_copy.rho.tobytes() == stepped.rho.tobytes()
+    assert from_copy.t == stepped.t and from_copy.fields.tobytes() == stepped.fields.tobytes()
+
+
+def test_an_unpickled_states_amplitudes_are_read_only():
+    # the copy keeps the original's nonlinearity and second differences, so
+    # its amplitudes must not change under them either
+    spec = small_spec()
+    state = make_initial_state(spec)
+    functional_derivatives(state, spec)
+    copy = pickle.loads(pickle.dumps(state))
+    with pytest.raises(ValueError, match="read-only"):
+        copy.fields *= 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        copy.u[100] = 1.0
 
 
 def test_a_states_amplitudes_are_read_only():
     # the state keeps values computed from rho, so rho must not change under
     # them
     spec = small_spec()
-    rho = make_initial_state(spec).rho.copy()
-    state = EuclidState(rho=rho, t=0.0)
+    rho = make_initial_state(spec).fields.copy()
+    state = EuclidState(fields=rho, t=0.0)
     functional_derivatives(state, spec)
     with pytest.raises(ValueError, match="read-only"):
-        state.rho *= 2.0
+        state.fields *= 2.0
     with pytest.raises(ValueError, match="read-only"):
         state.u[100] = 1.0
     rho[1, 100] = 2.0  # the caller's array stays writable, viewed, not copied
-    assert state.rho[1, 100] == 2.0
+    assert state.fields[1, 100] == 2.0
 
 
 @pytest.mark.parametrize("alpha", [(-1.0, -1.0), (-0.7, -1.3)])
@@ -380,7 +393,7 @@ def test_a_run_sees_beta_through_its_modulus_only(n, alpha):
 
 def test_weighted_functional_of_unit_field():
     spec = small_spec()
-    state = EuclidState(rho=np.ones((2, *spec.grid.shape)), t=0.0)
+    state = EuclidState(fields=np.ones((2, *spec.grid.shape)), t=0.0)
     U, V = weighted_functionals(state, spec)
     # n=1 norm of the weight is exactly 1, so the integral is R
     assert U == pytest.approx(spec.R, rel=1e-6)
@@ -391,7 +404,7 @@ def test_weighted_functional_support():
     spec = small_spec()
     x = spec.grid.axis
     u = np.where(np.abs(x) > spec.R, 1.0, 0.0)
-    state = EuclidState(rho=np.stack([u, u]), t=0.0)
+    state = EuclidState(fields=np.stack([u, u]), t=0.0)
     U, V = weighted_functionals(state, spec)
     assert U == 0.0 and V == 0.0
 
@@ -400,7 +413,7 @@ def test_weighted_functional_signed(tf1):
     spec = small_spec()
     x = spec.grid.axis
     u = np.sign(x) * tf1.phi(np.abs(x) / spec.R)
-    state = EuclidState(rho=np.stack([u, u]), t=0.0)
+    state = EuclidState(fields=np.stack([u, u]), t=0.0)
     U, _ = weighted_functionals(state, spec)
     # odd field: signed quadrature cancels, no positive part is taken
     assert abs(U) < 1e-12

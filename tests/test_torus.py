@@ -17,6 +17,7 @@ from cgl_blowup.torus import (
     laplacian_zero_mode,
     make_grid,
     run_torus,
+    stack_states,
     state_from_arrays,
     torus_step,
 )
@@ -384,6 +385,53 @@ def test_a_step_transforms_the_state_itself(monkeypatch):
     assert all(inverse[5 * i + 4] is node.fields for i, node in enumerate(nodes[1:]))
     final = run.final_state
     assert np.shares_memory(final.u, final.fields) and np.shares_memory(final.v, final.fields)
+
+
+def _bits(run):
+    series = run.series
+    return np.array([series.times, series.U, series.V, series.dU, series.dV]).view(np.int64)
+
+
+@pytest.mark.parametrize("n,modes,pad", [(1, 32, False), (2, 16, True)])
+def test_a_lockstep_batch_gives_each_rung_its_own_runs_bits(n, modes, pad):
+    # complex beta: the functionals multiply each rung's means by
+    # conj(beta) * vol one scalar at a time, as a run of the rung alone does;
+    # at t_end 2 the rungs of amplitude 0.5 and 0.8 end completed and the
+    # others blow up, each at its own step, so rungs leave the batch mid-way
+    params = SystemParams(n=n, p=2, q=1.5, alpha1=-1 - 0.3j, alpha2=-0.5,
+                          beta1=0.8 + 0.6j, beta2=-0.6 + 0.8j)
+    rungs = [_bumped_state(make_grid(n, modes), a) for a in (1.2, 0.5, 2.0, 0.8)]
+    run = dict(t_end=2.0, dt_max=1e-2, field_threshold=1e3, pad=pad)
+    batch = run_torus(params, stack_states(rungs), **run)
+    alone = [run_torus(params, rung, **run) for rung in rungs]
+    assert [r.status for r in batch] == [BLOWUP, COMPLETED, BLOWUP, COMPLETED]
+    # the blow-ups and the completed pair leave at three different steps
+    assert len({r.series.times.size for r in batch}) == 3
+    for together, single in zip(batch, alone):
+        assert together.status == single.status
+        assert np.array_equal(_bits(together), _bits(single))
+        assert isinstance(together.final_state, torus.FieldState)
+        assert together.final_state.t == single.final_state.t
+        assert together.final_state.fields.tobytes() == single.final_state.fields.tobytes()
+        assert together.lap_zero_mode_max == single.lap_zero_mode_max
+
+
+def test_a_batch_needs_one_time_and_one_dt_per_state_on_one_grid():
+    grid = make_grid(1, 16)
+    with pytest.raises(ValidationError, match="one time per state"):
+        torus.FieldState(grid, np.ones((3, 2, 16)), t=[0.0, 0.0])
+    with pytest.raises(ValidationError, match="one grid"):
+        stack_states([constant_state(grid, 1, 1), constant_state(make_grid(1, 32), 1, 1)])
+    batch = stack_states([constant_state(grid, 1, 1), constant_state(grid, 2, 2)])
+    assert batch.u.shape == batch.v.shape == (2, 16) and batch.t.tolist() == [0.0, 0.0]
+    assert batch.v[1, 0] == 2
+    stepper = TorusStepper(grid, HEAT)
+    for state, dt in ((batch, np.array([1e-3, 1e-3, 1e-3])), (batch, 1e-3),
+                      (constant_state(grid, 1, 1), np.array([1e-3, 1e-3]))):
+        with pytest.raises(ValidationError, match="one dt per state"):
+            torus_step(state, stepper, dt)
+    with pytest.raises(ValidationError, match="dt must be positive"):
+        torus_step(batch, stepper, np.array([1e-3, 0.0]))
 
 
 @pytest.mark.parametrize("layout", ["reversed", "strided", "fortran_2d"])

@@ -60,3 +60,38 @@ def test_runs_call_every_traced_step_name():
     assert calls["euclid.functional_derivatives"] == euclid_nodes
     # one solve a step: alpha1 == alpha2, so u and v share the 1-d solve
     assert calls["euclid.solve_banded"] == euclid_nodes - 1
+
+
+def test_a_torus_ladder_steps_its_rungs_together_under_the_traced_names(tmp_path):
+    # the ladder's rungs march as one batch, and a lockstep step of the live
+    # rungs is one torus_step call: as many calls as its longest rung's steps
+    import json
+
+    from cgl_blowup import cli, torus
+    from cgl_blowup.system import SystemParams
+
+    unit = {"alpha1": -1, "alpha2": -1, "beta1": 1, "beta2": 1}
+    ladder = {"start": 0.5, "factor": 1.3, "count": 5}
+    run = {"time_budget": 30.0, "dt_max": 1e-2, "field_threshold": 1e4}
+    config = tmp_path / "ladder.json"
+    config.write_text(json.dumps({
+        "schema_version": 1, "mode": "torus_homogeneous", "modes": 16,
+        "params": {"n": 1, "p": 2, "q": 2, **unit}, "epsilon": ladder, **run}))
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        code = cli.main(["scaling-study", "--config", str(config),
+                         "--out", str(tmp_path / "out")])
+    finally:
+        tracer.restore()
+    assert code == 0
+    params = SystemParams(n=1, p=2, q=2, **unit)
+    grid = torus.make_grid(1, 16)
+    longest = max(
+        torus.run_torus(params, torus.constant_state(grid, eps, eps), t_end=30.0,
+                        dt_max=1e-2, field_threshold=1e4).series.times.size
+        for eps in (ladder["start"] * ladder["factor"] ** k for k in range(5)))
+    calls = {name: entry["calls"] for name, entry in tracer.totals().items()}
+    assert calls["torus.torus_step"] == longest - 1
+    assert calls["torus.functionals"] >= longest - 1
