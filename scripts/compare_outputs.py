@@ -26,6 +26,16 @@ messages of two trees compare too.
     python3 scripts/compare_outputs.py PARENT a
     python3 scripts/compare_outputs.py . b
     diff -r a b
+
+Usage: python3 scripts/compare_outputs.py --drift A B
+
+lists how two such output trees differ.  Each file is missing on one side,
+byte-identical, or compared by value: ``.csv`` cell by cell under the same
+header and shape, ``.json`` walked in parallel with the same keys, lengths
+and non-numeric leaves, ``.bin`` snapshots as complex128 arrays; any other
+file must be identical.  One line is printed per differing file, with its
+largest relative drift |a-b|/max(|a|,|b|), then a summary line.  The exit
+code is 1 when a file is missing or structurally different, else 0.
 """
 
 from __future__ import annotations
@@ -36,6 +46,8 @@ import os
 import shutil
 import subprocess
 import sys
+
+import numpy as np
 
 from run_full_suite import RUNS
 
@@ -147,11 +159,135 @@ def _jobs(tree: str):
         yield f"off_unit/ladder_{label}", "scaling-study", cfg, PACKAGED_SEED
 
 
+class Structure(Exception):
+    """Two files that cannot be compared by value."""
+
+
+def _rel_drift(a, b) -> float:
+    """The largest |a-b|/max(|a|,|b|) of two arrays of one shape; values
+    that differ and cannot be scaled so (a NaN or an infinity) count as inf."""
+    a, b = np.asarray(a), np.asarray(b)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        drift = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    drift = np.where(same, 0.0, np.where(np.isnan(drift), np.inf, drift))
+    return float(drift.max(initial=0.0))
+
+
+def _number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _csv_numbers(a: str, b: str) -> list:
+    """The pairs of numeric cells at the same place of two CSV texts."""
+    rows_a = [line.split(",") for line in a.splitlines()]
+    rows_b = [line.split(",") for line in b.splitlines()]
+    if rows_a[:1] != rows_b[:1]:
+        raise Structure("headers differ")
+    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        raise Structure("shapes differ")
+    pairs = []
+    cells_a = (cell for row in rows_a[1:] for cell in row)
+    cells_b = (cell for row in rows_b[1:] for cell in row)
+    for cell_a, cell_b in zip(cells_a, cells_b):
+        x, y = _number(cell_a), _number(cell_b)
+        if x is not None and y is not None:
+            pairs.append((x, y))
+        elif cell_a != cell_b:
+            raise Structure(f"cells {cell_a!r} and {cell_b!r} differ")
+    return pairs
+
+
+def _json_numbers(a, b, where="", pairs=None) -> list:
+    """The pairs of numbers at the same place of two JSON values."""
+    pairs = [] if pairs is None else pairs
+    if isinstance(a, dict) and isinstance(b, dict):
+        if list(a) != list(b):
+            raise Structure(f"keys differ at {where or '/'}")
+        for key in a:
+            _json_numbers(a[key], b[key], f"{where}/{key}", pairs)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            raise Structure(f"lengths differ at {where or '/'}")
+        for i, (x, y) in enumerate(zip(a, b)):
+            _json_numbers(x, y, f"{where}/{i}", pairs)
+    elif all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)):
+        pairs.append((a, b))
+    elif a != b or type(a) is not type(b):
+        raise Structure(f"values differ at {where or '/'}")
+    return pairs
+
+
+def _file_drift(name: str, a: bytes, b: bytes) -> float:
+    """The largest relative drift between the differing contents ``a`` and
+    ``b`` of file ``name``; raises Structure (or ValueError on a file that
+    does not parse) when they do not compare by value."""
+    if name.endswith(".bin"):
+        x, y = np.frombuffer(a, dtype=np.complex128), np.frombuffer(b, dtype=np.complex128)
+        if x.shape != y.shape:
+            raise Structure("snapshot sizes differ")
+        return _rel_drift(x, y)
+    if name.endswith(".csv"):
+        pairs = _csv_numbers(a.decode(), b.decode())
+    elif name.endswith(".json"):
+        pairs = _json_numbers(json.loads(a), json.loads(b))
+    else:
+        raise Structure("contents differ")
+    return _rel_drift(*zip(*pairs)) if pairs else 0.0
+
+
+def _files(root: str) -> set:
+    return {os.path.relpath(os.path.join(d, f), root)
+            for d, _, names in os.walk(root) for f in names}
+
+
+def _read(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def drift(tree_a: str, tree_b: str) -> int:
+    """Print how the output trees ``tree_a`` and ``tree_b`` differ; 1 when a
+    file is missing or structurally different, else 0."""
+    files_a, files_b = _files(tree_a), _files(tree_b)
+    identical, drifted, broken = 0, [], 0
+    for name in sorted(files_a | files_b):
+        if name not in files_a or name not in files_b:
+            print(f"{name}: missing in {tree_b if name in files_a else tree_a}")
+            broken += 1
+            continue
+        a, b = _read(os.path.join(tree_a, name)), _read(os.path.join(tree_b, name))
+        if a == b:
+            identical += 1
+            continue
+        try:
+            value = _file_drift(name, a, b)
+        except (Structure, ValueError) as exc:  # a parse error is a ValueError
+            print(f"{name}: structurally different: {exc}")
+            broken += 1
+            continue
+        print(f"{name}: max relative drift {value:.3g}")
+        drifted.append((value, name))
+    largest = " (largest {:.3g} in {})".format(*max(drifted)) if drifted else ""
+    print(f"{len(files_a | files_b)} files: {identical} identical, "
+          f"{len(drifted)} drifted{largest}, {broken} missing or structurally different")
+    return 1 if broken else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("tree")
-    parser.add_argument("outdir")
+    parser.add_argument("tree", nargs="?")
+    parser.add_argument("outdir", nargs="?")
+    parser.add_argument("--drift", nargs=2, metavar=("A", "B"),
+                        help="list how two output trees differ, instead of writing one")
     args = parser.parse_args()
+    if args.drift:
+        return drift(*args.drift)
+    if args.outdir is None:
+        parser.error("need TREE and OUTDIR, or --drift A B")
     tree = os.path.abspath(args.tree)
     if os.path.exists(args.outdir):
         shutil.rmtree(args.outdir)

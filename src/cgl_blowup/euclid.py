@@ -382,7 +382,7 @@ def euclid_step(state: EuclidState, spec: EuclidRunSpec, dt: float) -> EuclidSta
     """One IMEX (default) or explicit step; raises on field overflow, the
     IntegrationError carrying ``state`` as the last good node."""
     _on_grid(state, spec)
-    if dt <= 0:
+    if not dt > 0:
         raise ValidationError("dt must be positive")
     if spec.scheme == "explicit":
         if dt > cfl_limit(spec) * (1 + 1e-12):
@@ -442,7 +442,7 @@ def run_euclid(
     if state is not None and not np.isfinite(_on_grid(state, spec).fields).all():
         raise ValidationError("the amplitudes must be finite")
 
-    def observe(s):
+    def observe(s, rungs):
         return (*weighted_functionals(s, spec), *functional_derivatives(s, spec))
 
     # no local name holds the initial data, so march frees each node, and the

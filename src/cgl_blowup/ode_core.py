@@ -144,8 +144,8 @@ class Trajectory:
         object.__setattr__(self, "values", v)
         if t.ndim != 1 or v.shape != (t.size, 2):
             raise ValidationError("times must be 1-d and values (n, 2)")
-        if t.size and np.any(np.diff(t) <= 0.0):
-            raise ValidationError("times must be strictly increasing")
+        if not (np.isfinite(t).all() and (np.diff(t) > 0.0).all()):
+            raise ValidationError("times must be finite and strictly increasing")
         if not np.all(np.isfinite(v)) or np.any(v < 0.0):
             raise ValidationError("values must be finite and non-negative")
         if self.status not in (COMPLETED, BLOWUP, STEP_COLLAPSE):

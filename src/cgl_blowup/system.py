@@ -75,11 +75,11 @@ class FunctionalSeries:
         for name in ("times", "U", "V", "dU", "dV"):
             arrays[name] = np.asarray(getattr(self, name), dtype=float)
             object.__setattr__(self, name, arrays[name])
-        n = arrays["times"].size
-        if any(a.shape != (n,) for a in arrays.values()):
+        t = arrays["times"]
+        if any(a.shape != (t.size,) for a in arrays.values()):
             raise ValidationError("series columns must share a length")
-        if n and np.any(np.diff(arrays["times"]) <= 0):
-            raise ValidationError("times must be strictly increasing")
+        if not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
+            raise ValidationError("times must be finite and strictly increasing")
 
     def to_csv(self, path) -> None:
         from .serialize import write_csv
@@ -207,22 +207,25 @@ def march(params, state, t_end, dt_max, dt_safety, step, observe,
 
     ``state.fields`` is the stacked pair (2, *grid) of one run, or a batch
     of k such pairs stacked on a leading axis, whose times ``state.t`` are
-    then an array of k floats.  A single run is a batch of one.  Each rung
-    has its own dt, from its own max |u| and max |v|, and its own status:
-    it leaves the batch when it stops (at t_end, at a threshold or on step
-    collapse), and the others march on in lockstep.  ``step`` gets a float
-    dt for a single state and an array of per-rung dts for a batch, and
-    ``observe(state)`` gives (U, V, U', V') at every node, each a float, or
-    a sequence of per-rung floats for a batch.  dt shrinks with the
-    nonlinear growth rate near blow-up and never exceeds ``dt_cap``.
+    then an array of k floats.  A single run is a batch of one.  ``step``
+    gets a float dt for a single state and an array of per-rung dts for a
+    batch.  ``observe(state, rungs)`` gives (U, V, U', V') at every node,
+    each a float, or a sequence of per-rung floats for a batch; ``rungs``
+    lists the live rungs' numbers in the batch given here, in batch order.
+
+    At every node each live rung is decided once: blow-up at a threshold
+    (never at its data node), else completed at t_end, else its own dt, from
+    its max |u| and max |v| and never above ``dt_cap``, with step collapse
+    when that dt falls below the floor.  The rungs that stopped leave the
+    batch, and the others step in lockstep.
 
     Returns the :class:`Run`, or for a batch a list of one per rung, each
     with its own final state.  A step rate past the float range raises
     IntegrationError carrying that rung's last node; one that ``step``
     raises propagates as it is (for a batch, carrying the batch).
     """
-    if not _positive(t_end - float(np.max(state.t))):
-        raise ValidationError("t_end must be finite and exceed the state time")
+    if not all(_positive(t_end - t) for t in np.atleast_1d(state.t).tolist()):
+        raise ValidationError("state times must be finite and below a finite t_end")
     if not (_positive(dt_max) and _positive(dt_safety)):
         raise ValidationError("dt_max and the step safety must be finite and positive")
     if not (_positive(field_threshold, finite=False) and (
@@ -239,33 +242,20 @@ def march(params, state, t_end, dt_max, dt_safety, step, observe,
     def rung(s, pos):
         return s if single else replace(s, fields=s.fields[pos], t=float(s.t[pos]))
 
-    def observed(s):
-        """Record the node of each rung of ``s``; return each rung's
-        [max |u|, max |v|], both maxima in one reduction."""
-        values = observe(s)
-        if single:
-            rows[0].extend((s.t, *values))
-        else:
-            for i, row in zip(live, zip(s.t, *values)):
-                rows[i].extend(row)
-        return np.abs(s.fields).reshape(len(live), 2, -1).max(axis=-1).tolist()
-
-    def leave(s, amax, stops):
-        """Close the rungs at the batch positions of ``stops`` with their
-        statuses; return the batch of the others and their maxima."""
-        for pos, status in stops.items():
-            ends[live[pos]] = (rung(s, pos), status)
-        keep = [pos for pos in range(len(live)) if pos not in stops]
-        live[:] = [live[pos] for pos in keep]
-        if keep and not single:
-            s = replace(s, fields=s.fields[keep], t=s.t[keep])
-        return s, [amax[pos] for pos in keep]
-
-    amax = observed(state)
+    data_node = True  # the data node is never threshold-checked
     while live:
-        dts, stops = [], {}
-        for pos, (t, (au, av)) in enumerate(zip([state.t] if single else state.t.tolist(),
-                                                amax)):
+        values = observe(state, live)
+        nodes = [(state.t, *values)] if single else zip(state.t.tolist(), *values)
+        amax = np.abs(state.fields).reshape(len(live), 2, -1).max(axis=-1).tolist()
+        stops, dts = {}, []
+        for pos, (i, node, (au, av)) in enumerate(zip(live, nodes, amax)):
+            rows[i].extend(node)
+            t, U, V = node[:3]
+            if not data_node and (max(au, av) >= field_threshold or (
+                    functional_threshold is not None
+                    and max(U, V) >= functional_threshold)):
+                stops[pos] = BLOWUP
+                continue
             if not t < t_end * (1.0 - 1e-12):
                 stops[pos] = COMPLETED
                 continue
@@ -279,22 +269,19 @@ def march(params, state, t_end, dt_max, dt_safety, step, observe,
                     f"step rate overflow at t={t}", last_node=rung(state, pos)) from None
             dt = min(dt_max, dt_safety / rate) if rate > 0 else dt_max
             dt = min(dt, dt_cap, t_end - t)
-            if dt < 1e-14 * max(t, 1e-3 * t_end):
+            if dt < 1e-14 * max(abs(t), 1e-3 * t_end):
                 stops[pos] = STEP_COLLAPSE
             else:
                 dts.append(dt)
-        if stops:
-            state, amax = leave(state, amax, stops)
-            if not live:
-                break
-        state = step(state, dts[0] if single else np.array(dts))
-        amax = observed(state)
-        stops = {pos: BLOWUP for pos, (i, m) in enumerate(zip(live, amax))
-                 if max(m) >= field_threshold or (
-                     functional_threshold is not None  # max(U, V) below
-                     and max(rows[i][-4], rows[i][-3]) >= functional_threshold)}
-        if stops:
-            state, amax = leave(state, amax, stops)
+        for pos, status in stops.items():
+            ends[live[pos]] = (rung(state, pos), status)
+        keep = [pos for pos in range(len(live)) if pos not in stops]
+        live = [live[pos] for pos in keep]
+        if live:
+            if stops and not single:
+                state = replace(state, fields=state.fields[keep], t=state.t[keep])
+            state = step(state, dts[0] if single else np.array(dts))
+        data_node = False
     runs = [Run(FunctionalSeries(*np.frombuffer(r).reshape(-1, 5).T), *end)
             for r, end in zip(rows, ends)]
     return runs[0] if single else runs

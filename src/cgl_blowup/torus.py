@@ -198,11 +198,11 @@ class TorusStepper:
         """dt, a float, or an array of one per rung of a batch shaped here to
         broadcast over each rung's pair; refused unless positive."""
         if isinstance(dt, Real):
-            if dt <= 0.0:
+            if not dt > 0.0:
                 raise ValidationError("dt must be positive")
             return dt
         dt = np.asarray(dt, dtype=float)
-        if (dt <= 0.0).any():
+        if not (dt > 0.0).all():
             raise ValidationError("dt must be positive")
         return dt.reshape(dt.shape + (1,) * (self.grid.n + 1))
 
@@ -345,11 +345,14 @@ def run_torus(
     lockstep, each with its own dt and stop, and a list of one TorusRun per
     rung is returned."""
     stepper = TorusStepper(state.grid, params, pad)
-    lap = []
+    single = not _batched(state)
+    lap = [0.0] * np.size(state.t)  # each rung's largest zero-mode residual
 
-    def observe(s):
+    def observe(s, rungs):
         if check_zero_mode:
-            lap.append(laplacian_zero_mode(s, stepper))
+            values = np.atleast_1d(laplacian_zero_mode(s, stepper)).tolist()
+            for i, value in zip(rungs, values):
+                lap[i] = max(lap[i], value)
         return (*functionals(s, params), *functional_derivatives(s, params))
 
     runs = march(
@@ -357,17 +360,8 @@ def run_torus(
         lambda s, dt: torus_step(s, stepper, dt), observe,
         field_threshold,
     )
-    single = not _batched(state)
-    if single:
-        runs, lap = [runs], [(value,) for value in lap]
-    # node j of the batch held, in order, the rungs with more than j nodes
-    counts = [run.series.times.size for run in runs]
-    lap_max = [0.0] * len(runs)
-    for j, values in enumerate(lap):
-        for i, value in zip([i for i, c in enumerate(counts) if c > j], values):
-            lap_max[i] = max(lap_max[i], value)
     runs = [TorusRun(run.series, run.final_state, run.status, lap_zero_mode_max=m)
-            for run, m in zip(runs, lap_max)]
+            for run, m in zip([runs] if single else runs, lap)]
     return runs[0] if single else runs
 
 

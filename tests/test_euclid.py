@@ -23,7 +23,7 @@ from cgl_blowup.euclid import (
     solve_banded,
     weighted_functionals,
 )
-from cgl_blowup.ode_core import BLOWUP, damped_bounds, damped_hypothesis_terms
+from cgl_blowup.ode_core import BLOWUP, STEP_COLLAPSE, damped_bounds, damped_hypothesis_terms
 from cgl_blowup.system import FunctionalSeries, SystemParams
 from cgl_blowup.testfn import build_test_function
 
@@ -152,6 +152,22 @@ def test_run_past_the_float_range_raises_with_the_last_good_node():
     with pytest.raises(IntegrationError) as exc:
         run_euclid(spec, t_end=1.0, dt_max=1e-3, state=state)
     assert exc.value.last_node is state
+
+
+def test_a_run_whose_time_cannot_advance_collapses_at_its_data_node():
+    # at t = -1e13 a step leaves t as it is; the collapse floor scales with |t|
+    spec = small_spec()
+    state = EuclidState(fields=make_initial_state(spec).fields, t=-1e13)
+    run = run_euclid(spec, t_end=1.0, dt_max=1e-3, state=state)
+    assert run.status == STEP_COLLAPSE
+    assert run.series.times.tolist() == [-1e13]
+    assert run.final_state is state
+
+
+def test_a_nan_dt_is_refused_not_reported_as_overflow():
+    spec = small_spec()
+    with pytest.raises(ValidationError, match="dt must be positive"):
+        euclid_step(make_initial_state(spec), spec, float("nan"))
 
 
 @pytest.mark.parametrize("r", [0.02, 0.73, 40.0])

@@ -513,6 +513,12 @@ def test_comparison_incompatible_ranges():
         check_comparison(a, b, WORKED)
 
 
+@pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [-np.inf] * 3, [0.0, np.inf]])
+def test_a_trajectory_refuses_times_that_are_not_finite(times):
+    with pytest.raises(ValidationError, match="finite and strictly increasing"):
+        Trajectory(times=times, values=np.ones((len(times), 2)), status=COMPLETED)
+
+
 # ---------------------------------------------------------------------------
 # properties
 

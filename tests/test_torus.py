@@ -3,7 +3,8 @@ import pytest
 
 from cgl_blowup import torus
 from cgl_blowup.errors import IntegrationError, ValidationError
-from cgl_blowup.ode_core import BLOWUP, COMPLETED, SingleODESpec, single_blowup_solution
+from cgl_blowup.ode_core import (BLOWUP, COMPLETED, STEP_COLLAPSE, SingleODESpec,
+                                 single_blowup_solution)
 from cgl_blowup.system import FunctionalSeries, SystemParams
 from cgl_blowup.torus import (
     TorusGrid,
@@ -467,6 +468,75 @@ def test_run_past_the_float_range_raises_with_the_last_good_node():
     with pytest.raises(IntegrationError) as exc:
         run_torus(HEAT, state, t_end=1.0, dt_max=1e-3)
     assert exc.value.last_node is state
+
+
+def test_a_run_whose_time_cannot_advance_collapses_at_its_data_node():
+    # at t = -1e13 a step of dt_max leaves t as it is; the collapse floor
+    # scales with |t|, so the run stops at once instead of marching in place
+    state = state_from_arrays(make_grid(1, 16), np.ones(16), np.ones(16), t=-1e13)
+    run = run_torus(HEAT, state, t_end=1.0, dt_max=1e-3)
+    assert run.status == STEP_COLLAPSE
+    assert run.series.times.tolist() == [-1e13]
+    assert run.final_state is state
+
+
+def test_a_batch_with_a_time_that_is_not_finite_is_refused():
+    grid = make_grid(1, 16)
+    batch = stack_states([constant_state(grid, 1, 1),
+                          state_from_arrays(grid, np.ones(16), np.ones(16), t=-np.inf)])
+    with pytest.raises(ValidationError, match="finite"):
+        run_torus(HEAT, batch, t_end=0.5, dt_max=1e-3)
+
+
+def test_a_nan_dt_is_refused_not_reported_as_overflow():
+    grid = make_grid(1, 16)
+    stepper = TorusStepper(grid, HEAT)
+    batch = stack_states([constant_state(grid, 1, 1), constant_state(grid, 2, 2)])
+    for state, dt in ((constant_state(grid, 1, 1), float("nan")),
+                      (batch, np.array([np.nan, 1e-3]))):
+        with pytest.raises(ValidationError, match="dt must be positive"):
+            torus_step(state, stepper, dt)
+
+
+@pytest.mark.parametrize("times", [[0.0, np.nan, 1.0], [-np.inf] * 3, [0.0, np.inf]])
+def test_a_series_refuses_times_that_are_not_finite(times):
+    columns = [np.ones(len(times))] * 4
+    with pytest.raises(ValidationError, match="finite and strictly increasing"):
+        FunctionalSeries(times, *columns)
+
+
+LOCKSTEP_PARAMS = SystemParams(n=1, p=2, q=1.5, alpha1=-1 - 0.3j, alpha2=-0.5,
+                               beta1=0.8 + 0.6j, beta2=-0.6 + 0.8j)
+
+
+def test_a_rung_that_collapses_at_its_data_node_leaves_a_batch_mid_way():
+    # the rung of amplitude 1e16 needs a dt below the collapse floor at its
+    # data node; the others blow up and complete as they do alone
+    rungs = [constant_state(make_grid(1, 16), a, a) for a in (1.2, 1e16, 0.6)]
+    run = dict(t_end=2.0, dt_max=1e-2, field_threshold=1e3)
+    batch = run_torus(LOCKSTEP_PARAMS, stack_states(rungs), **run)
+    alone = [run_torus(LOCKSTEP_PARAMS, rung, **run) for rung in rungs]
+    assert [r.status for r in batch] == [BLOWUP, STEP_COLLAPSE, COMPLETED]
+    assert batch[1].series.times.size == 1
+    for together, single in zip(batch, alone):
+        assert together.status == single.status
+        assert np.array_equal(_bits(together), _bits(single))
+        assert together.final_state.t == single.final_state.t
+        assert together.final_state.fields.tobytes() == single.final_state.fields.tobytes()
+        assert together.lap_zero_mode_max == single.lap_zero_mode_max
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_a_step_rate_overflow_in_a_batch_raises_with_that_rungs_node():
+    rungs = [constant_state(make_grid(1, 16), a, a) for a in (0.9, 0.7, 1e200)]
+    with pytest.raises(IntegrationError, match="step rate overflow") as exc:
+        run_torus(LOCKSTEP_PARAMS, stack_states(rungs), t_end=2.0, dt_max=1e-2,
+                  field_threshold=1e3)
+    node = exc.value.last_node
+    assert isinstance(node, torus.FieldState)
+    assert node.fields.shape == (2, 16)
+    assert np.abs(node.fields).max() == 1e200 and node.t == 0.0
 
 
 def test_bound_ordering_across_sampled_configurations():
