@@ -9,18 +9,24 @@ The script runs every invocation of the four workloads in
 ``TREE/perfbench/workloads.py`` at bench seeds 3 and 12, the six packaged
 configs of ``TREE/scripts/configs`` at seed 2024, the ``euclid-run``
 configs of ``OFF_UNIT``, the ``torus-run`` configs of ``TORUS_OFF_UNIT``
-and the ``scaling-study`` configs of ``TORUS_LADDERS`` below, each in a
-fresh ``python -m cgl_blowup`` process with ``--workers 1``.  The workloads
-and packaged configs all have unit alpha and beta.  ``OFF_UNIT`` covers
+and the ``scaling-study`` configs of ``TORUS_LADDERS`` and
+``EUCLID_LADDERS`` below, each in a fresh ``python -m cgl_blowup`` process
+with ``--workers 1``.  The workloads and packaged configs all have unit
+alpha and beta.  ``OFF_UNIT`` covers
 complex beta, unequal alpha, n = 1 and 2 and both schemes;
 ``TORUS_OFF_UNIT`` covers complex alpha and beta, n = 1 and 2, padded and
 unpadded, ``constant_plus_mode`` and ``fourier_mode`` data, with the final
 fields written as snapshots.  ``TORUS_LADDERS`` are ``torus_homogeneous``
 ladders with complex alpha and beta at n = 1 and 2, one with a time budget
 short enough that its rungs stop with different statuses (``completed``
-and ``blow_up_threshold_reached``).  OUTDIR gets, per run,
-its config, its ``--out`` directory and a ``.status`` file with the exit
-code and standard error.  Paths are given relative to OUTDIR, so that the
+and ``blow_up_threshold_reached``).  ``EUCLID_LADDERS`` are ``euclid``
+ladders with complex beta, real alpha with |alpha1| != |alpha2| and
+q = 1.5: two at n = 1, one of them with a rung that completes at the
+budget, and a short one at n = 2 whose smallest rung completes too.  They
+cover the lockstep step's grouping of tridiagonal solves by
+r = dt |alpha| / h^2, which unit coefficients never split.  OUTDIR gets,
+per run, its config, its ``--out`` directory and a ``.status`` file with
+the exit code and standard error.  Paths are given relative to OUTDIR, so that the
 messages of two trees compare too.
 
     python3 scripts/compare_outputs.py PARENT a
@@ -135,6 +141,33 @@ TORUS_LADDERS = {
 }
 
 
+def _euclid_ladder(n, start, time_budget, **thresholds):
+    return {
+        "schema_version": 1, "mode": "euclid",
+        "params": {"n": n, "p": 2, "q": 1.5,
+                   "alpha1": _pair(-0.7), "alpha2": _pair(-1.3),
+                   "beta1": _pair(0.6 + 0.8j), "beta2": _pair(-2j)},
+        "epsilon": {"start": start, "factor": 1.3, "count": 6 if n == 1 else 5},
+        "R": 4.0, "box_half_width": 8.0, "h": 4.0 / 64,
+        "r_data": 1.5, "amp_u": 1.0, "amp_v": 0.7,
+        "dt_max": 0.01 if n == 1 else 0.02, "time_budget": time_budget,
+        "functional_threshold": 1e5, "field_threshold": 1e8, **thresholds,
+    }
+
+
+# scaling-study Euclidean ladders off the unit coefficients: |alpha1| !=
+# |alpha2| (the backend takes real alpha only), so the two fields of a rung
+# never share a tridiagonal solve while rungs at one dt share it field by
+# field; at a budget of 2 the smallest 1-d rung ends completed, and at 0.2
+# the smallest 2-d one does
+EUCLID_LADDERS = {
+    "unequal_alpha_1d": _euclid_ladder(1, 1.0, 8.0),
+    "short_budget_1d": _euclid_ladder(1, 1.0, 2.0),
+    "short_2d": _euclid_ladder(2, 14.0, 0.2, functional_threshold=300.0,
+                               field_threshold=1e5),
+}
+
+
 def _jobs(tree: str):
     """(name, command, config, cli seed) of every run, name a relative path."""
     sys.path.insert(0, os.path.join(tree, "perfbench"))
@@ -157,6 +190,8 @@ def _jobs(tree: str):
         yield f"off_unit/torus_{label}", "torus-run", cfg, PACKAGED_SEED
     for label, cfg in TORUS_LADDERS.items():
         yield f"off_unit/ladder_{label}", "scaling-study", cfg, PACKAGED_SEED
+    for label, cfg in EUCLID_LADDERS.items():
+        yield f"off_unit/euclid_ladder_{label}", "scaling-study", cfg, PACKAGED_SEED
 
 
 class Structure(Exception):

@@ -544,11 +544,6 @@ def _ladder_point(eps, run):
     return {"epsilon": eps, "complete": True, "T": t_star}
 
 
-def _euclid_scaling_case(args):
-    spec, run = args
-    return _ladder_point(spec.data.epsilon, euclid.run_euclid(spec, **run))
-
-
 def cmd_scaling_study(cfg, out_dir, seed, workers):
     mode = _get(cfg, "mode", str)
     if mode not in ("euclid", "torus_homogeneous"):
@@ -573,8 +568,7 @@ def cmd_scaling_study(cfg, out_dir, seed, workers):
             functional_threshold=_get(cfg, "functional_threshold", float, 1e6),
             field_threshold=_get(cfg, "field_threshold", float, 1e10),
         )
-        jobs = [(replace(spec, data=replace(spec.data, epsilon=eps)), run)
-                for eps in epsilons]
+        rungs = [replace(spec, data=replace(spec.data, epsilon=eps)) for eps in epsilons]
     else:
         predicted = -(p * q - 1.0) / (p + 1.0)
         tolerance = _get(cfg, "slope_tolerance", float, 0.10)
@@ -583,13 +577,15 @@ def cmd_scaling_study(cfg, out_dir, seed, workers):
                    field_threshold=_get(cfg, "field_threshold", float, 1e6))
     if tolerance <= 0:
         raise ConfigError("slope_tolerance must be positive")
+    # the rungs march in lockstep, as one batch
     if mode == "euclid":
-        results = _pmap(_euclid_scaling_case, jobs, workers)
-    else:  # the rungs march in lockstep, as one batch
+        batch = euclid.stack_states([euclid.make_initial_state(s) for s in rungs])
+        runs = euclid.run_euclid(spec, state=batch, **run)
+    else:
         batch = torus.stack_states([torus.constant_state(grid, eps, eps)
                                     for eps in epsilons])
-        results = [_ladder_point(eps, r) for eps, r in zip(
-            epsilons, torus.run_torus(params, batch, check_zero_mode=False, **run))]
+        runs = torus.run_torus(params, batch, check_zero_mode=False, **run)
+    results = [_ladder_point(eps, r) for eps, r in zip(epsilons, runs)]
 
     complete = [r for r in results if r["complete"]]
     write_csv(
@@ -697,7 +693,10 @@ def main(argv=None) -> int:
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", required=True)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--workers", type=int, default=1)
+        sp.add_argument("--workers", type=int, default=1,
+                        help="worker processes for ode-verify's independent specs; "
+                             "the other commands run in this process, and "
+                             "scaling-study marches its rungs in lockstep")
 
     args = parser.parse_args(argv)
     if args.seed < 0:

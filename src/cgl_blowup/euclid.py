@@ -15,9 +15,11 @@ scanning the weight radius produces the amplitude-scaling bound T1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -44,6 +46,7 @@ __all__ = [
     "ThresholdConstants",
     "EuclidBounds",
     "make_initial_state",
+    "stack_states",
     "euclid_step",
     "cfl_limit",
     "discrete_laplacian",
@@ -178,6 +181,12 @@ class EuclidState:
     v = (beta2/|beta2|) rho[1] at time t, held as ``fields``, rho real of
     shape (2, *grid shape): the stacked pair, named as in the torus state.
 
+    A batch of k states stacks their pairs on a leading axis, ``fields`` of
+    shape (k, 2, *grid shape), and holds their times as an array ``t`` of k
+    floats; a time that is an array is what makes a state a batch.  Its
+    rungs step, and are observed, together, and its ``u`` and ``v`` have
+    the batch axis too.
+
     From data on these phases the system keeps its fields on them, with
     rho_u' = |alpha1| Lap rho_u + |beta1| |rho_v|^p and likewise rho_v', so
     a run marches rho in real arithmetic; Re(conj(beta1) u) = |beta1| rho_u.
@@ -194,6 +203,8 @@ class EuclidState:
     _second: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        if isinstance(self.t, (list, tuple)):  # a batch: one time per state
+            self.t = np.array(self.t, dtype=float)
         if isinstance(self.fields, np.ndarray):  # _on_grid refuses anything else
             self.fields = self.fields.view()
             self.fields.flags.writeable = False
@@ -205,49 +216,73 @@ class EuclidState:
     @property
     def u(self) -> np.ndarray:
         """The real amplitude rho[0] of u, so |u| = |field u|."""
-        return self.fields[0]
+        return self.fields[_field(self, 0)]
 
     @property
     def v(self) -> np.ndarray:
         """The real amplitude rho[1] of v, so |v| = |field v|."""
-        return self.fields[1]
+        return self.fields[_field(self, 1)]
 
-    @property
-    def second_difference(self) -> np.ndarray:
-        """h^2 Lap_h rho on the interior, computed once and shared by the
-        state's derivative and, in 1-d, the step from it."""
+    def second_difference(self, n: int) -> np.ndarray:
+        """h^2 Lap_h rho on the interior of a grid of dimension n, computed
+        once and shared by the state's derivative and, in 1-d, the step
+        from it."""
         if self._second is None:
-            self._second = _second_difference(self.fields)
+            self._second = _second_difference(self.fields, n)
         return self._second
 
 
-# the interior of stacked fields on a grid of dimension n
-_INTERIOR = {n: (slice(None),) + (slice(1, -1),) * n for n in (1, 2)}
+def stack_states(states) -> EuclidState:
+    """The batch of ``states``, single states on one grid, stacked in order."""
+    try:
+        fields = np.stack([s.fields for s in states])
+    except ValueError:  # no states, or states on different grids
+        raise ValidationError("a batch needs one or more states on one grid") from None
+    return EuclidState(fields, [s.t for s in states])
 
 
-def _second_difference(a: np.ndarray) -> np.ndarray:
-    """The centered second differences, summed over the axes, of each of the
-    stacked fields ``a`` on its interior."""
+def _batch_shape(state: EuclidState) -> tuple:
+    """(k,) for a batch of k states, () for a single state."""
+    return getattr(state.t, "shape", ())
+
+
+def _field(state: EuclidState, i: int) -> tuple:
+    """The index of field i of every pair of ``state.fields``."""
+    return (slice(None),) * len(_batch_shape(state)) + (i,)
+
+
+# indices into the stacked fields of one state or a batch on a grid of
+# dimension n: their interior; and, of every pair, field u, field v and
+# both reversed
+_INTERIOR = {n: (Ellipsis,) + (slice(1, -1),) * n for n in (1, 2)}
+_PAIR = {n: [(Ellipsis, i) + (slice(None),) * n for i in (0, 1, slice(None, None, -1))]
+         for n in (1, 2)}
+
+
+def _second_difference(a: np.ndarray, n: int) -> np.ndarray:
+    """The centered second differences, summed over the last n (grid) axes,
+    of each of the stacked fields ``a`` on its interior."""
     # summed left to right, in place where the order allows
-    if a.ndim == 2:
-        out = a[:, :-2] - 2.0 * a[:, 1:-1]
-        out += a[:, 2:]
+    if n == 1:
+        out = a[..., :-2] - 2.0 * a[..., 1:-1]
+        out += a[..., 2:]
         return out
-    out = a[:, :-2, 1:-1] + a[:, 2:, 1:-1]
-    out += a[:, 1:-1, :-2]
-    out += a[:, 1:-1, 2:]
-    out -= 4.0 * a[:, 1:-1, 1:-1]
+    out = a[..., :-2, 1:-1] + a[..., 2:, 1:-1]
+    out += a[..., 1:-1, :-2]
+    out += a[..., 1:-1, 2:]
+    out -= 4.0 * a[..., 1:-1, 1:-1]
     return out
 
 
 def _on_grid(state: EuclidState, spec: EuclidRunSpec) -> EuclidState:
     """``state``, refused unless its fields are a float64 pair on the spec's
-    grid."""
-    rho = state.fields
+    grid, or a batch of k such pairs with k times."""
+    rho, batch = state.fields, _batch_shape(state)
+    pair = (2, *spec.grid.shape)
     if not (isinstance(rho, np.ndarray) and rho.dtype == np.float64
-            and rho.shape == (2, *spec.grid.shape)):
-        raise ValidationError(
-            f"the amplitudes must be a float64 array of shape {(2, *spec.grid.shape)}")
+            and len(batch) <= 1 and rho.shape == (*batch, *pair) and rho.size):
+        raise ValidationError(f"the amplitudes must be a float64 array of shape {pair}, "
+                              "or for a batch of k > 0 times that shape behind k")
     return state
 
 
@@ -271,19 +306,21 @@ def make_initial_state(spec: EuclidRunSpec) -> EuclidState:
 def discrete_laplacian(a: np.ndarray, h: float) -> np.ndarray:
     """Second-order centered Laplacian with homogeneous Dirichlet boundary."""
     out = np.zeros_like(a)
-    out[(slice(1, -1),) * a.ndim] = _second_difference(a[np.newaxis])[0] / (h * h)
+    out[(slice(1, -1),) * a.ndim] = _second_difference(a, a.ndim) / (h * h)
     return out
 
 
 def _nonlinearity(node: EuclidState, params: SystemParams) -> np.ndarray:
     """|beta1| |v|^p and |beta2| |u|^q, stacked as rho; non-finite where
     they overflow."""
-    power = np.abs(node.fields[::-1])
+    u, v, reversed_pair = _PAIR[params.n]
+    power = np.abs(node.fields[reversed_pair])
+    v_p, u_q = power[u], power[v]
     with np.errstate(over="ignore", invalid="ignore"):
-        power[0] **= params.p
-        power[1] **= params.q
-        power[0] *= abs(params.beta1)
-        power[1] *= abs(params.beta2)
+        v_p **= params.p
+        u_q **= params.q
+        v_p *= abs(params.beta1)
+        u_q *= abs(params.beta2)
     return power
 
 
@@ -311,32 +348,57 @@ def solve_banded(rhs: np.ndarray, r: float, state=None) -> np.ndarray:
     return x
 
 
+def _per_rung(state: EuclidState, dt, n: int):
+    """dt as a factor of the stacked fields of ``state`` on a grid of
+    dimension n: the float of a single state, or the array of one dt per
+    rung of a batch, shaped to broadcast over each rung's pair; refused
+    unless positive."""
+    batch = _batch_shape(state)
+    if isinstance(dt, Real) and not batch:
+        if not dt > 0.0:
+            raise ValidationError("dt must be positive")
+        return dt
+    dt = np.asarray(dt, dtype=float)
+    if dt.shape != batch:
+        raise ValidationError("a batch steps with one dt per state, a state with one")
+    if not (dt > 0.0).all():
+        raise ValidationError("dt must be positive")
+    return dt.reshape(batch + (1,) * (n + 1))
+
+
 def _imex_step_1d(node, spec, dt, force):
-    # Crank-Nicolson diffusion, explicit forcing, both amplitudes at once: one
-    # solve with two right-hand sides where the diffusion coefficients agree
+    # Crank-Nicolson diffusion, explicit forcing: one solve for all the
+    # (rung, field) columns that share r = dt |alpha| / h^2
     h = spec.grid.h
     r = dt * spec.diffusion / (h * h)
-    rhs = 0.5 * r * node.second_difference
-    rhs += node.fields[:, 1:-1]
-    rhs += dt * force[:, 1:-1]
+    rhs = 0.5 * r * node.second_difference(1)
+    rhs += node.fields[..., 1:-1]
+    rhs += dt * force[..., 1:-1]
+    columns = rhs.reshape(-1, rhs.shape[-1])
     out = np.zeros(node.fields.shape)
-    if r[0, 0] == r[1, 0]:
-        out[:, 1:-1] = solve_banded(rhs.T, r[0, 0], node).T
-    else:
-        for k in (0, 1):
-            out[k, 1:-1] = solve_banded(rhs[k], r[k, 0], node)
-    return EuclidState(out, node.t + dt)
+    solved = out.reshape(columns.shape[0], -1)[:, 1:-1]
+    rs = r.ravel().tolist()
+    for value in dict.fromkeys(rs):
+        which = [i for i, x in enumerate(rs) if x == value]
+        if len(which) == len(rs):  # every column: no fancy-indexed copies
+            which = slice(None)
+        solved[which] = solve_banded(columns[which].T, value, node).T
+    return out
 
 
 def _imex_step_2d(node, spec, dt, force):
     # Peaceman-Rachford ADI with the nonlinearity split over the half steps,
-    # one amplitude at a time (both in one array solved slower)
+    # one amplitude of one rung at a time (both in one array solved slower)
     h = spec.grid.h
+    grid = spec.grid.shape
     out = np.zeros(node.fields.shape)
-    half = np.zeros(node.fields.shape[1:])
-    for a, d, f, new in zip(node.fields, spec.diffusion.flat, force, out):
-        r = dt * d / (h * h)
-        forcing = 0.5 * dt * f[1:-1, 1:-1]
+    half = np.zeros(grid)
+    columns = zip(node.fields.reshape(-1, *grid), force.reshape(-1, *grid),
+                  out.reshape(-1, *grid), np.repeat(np.ravel(dt), 2).tolist(),
+                  itertools.cycle(spec.diffusion.flat))
+    for a, f, new, step, d in columns:
+        r = step * d / (h * h)
+        forcing = 0.5 * step * f[1:-1, 1:-1]
         # x-implicit half step
         rhs = a[1:-1, :-2] - 2.0 * a[1:-1, 1:-1]
         rhs += a[1:-1, 2:]
@@ -351,15 +413,15 @@ def _imex_step_2d(node, spec, dt, force):
         rhs += half[1:-1, 1:-1]
         rhs += forcing
         new[1:-1, 1:-1] = solve_banded(rhs.T, r, node).T
-    return EuclidState(out, node.t + dt)
+    return out
 
 
 def _rhs(node: EuclidState, spec: EuclidRunSpec) -> np.ndarray:
     """Discrete right-hand side |alpha| Lap_h rho + nonlinearity of both
     amplitudes, zero on the boundary."""
-    h = spec.grid.h
-    inner = _INTERIOR[spec.params.n]
-    lap = node.second_difference / (h * h)
+    h, n = spec.grid.h, spec.params.n
+    inner = _INTERIOR[n]
+    lap = node.second_difference(n) / (h * h)
     lap *= spec.diffusion
     lap += _node_nonlinearity(node, spec.params)[inner]
     out = np.zeros(node.fields.shape)
@@ -371,55 +433,59 @@ def _explicit_step(node, spec, dt):
     # Heun's method on the full right-hand side
     k1 = _rhs(node, spec)
     k2 = _rhs(EuclidState(node.fields + dt * k1, node.t), spec)
-    return EuclidState(node.fields + 0.5 * dt * (k1 + k2), node.t + dt)
+    return node.fields + 0.5 * dt * (k1 + k2)
 
 
 def cfl_limit(spec: EuclidRunSpec) -> float:
     return spec.grid.h ** 2 / (2.0 * spec.params.n * float(spec.diffusion.max()))
 
 
-def euclid_step(state: EuclidState, spec: EuclidRunSpec, dt: float) -> EuclidState:
+def euclid_step(state: EuclidState, spec: EuclidRunSpec, dt) -> EuclidState:
     """One IMEX (default) or explicit step; raises on field overflow, the
-    IntegrationError carrying ``state`` as the last good node."""
-    _on_grid(state, spec)
-    if not dt > 0:
-        raise ValidationError("dt must be positive")
+    IntegrationError carrying ``state`` as the last good node.  A batch
+    steps each rung by its own dt, given as an array of one per rung; the
+    1-d step solves all its columns that share r = dt |alpha| / h^2 in one
+    call."""
+    step = _per_rung(_on_grid(state, spec), dt, spec.params.n)
     if spec.scheme == "explicit":
-        if dt > cfl_limit(spec) * (1 + 1e-12):
+        if np.max(step) > cfl_limit(spec) * (1 + 1e-12):
             raise ValidationError(
                 f"explicit step dt={dt} exceeds the diffusion limit {cfl_limit(spec)}"
             )
-        new = _explicit_step(state, spec, dt)
+        fields = _explicit_step(state, spec, step)
     else:
         nonlinearity = _node_nonlinearity(state, spec.params)
         if not np.isfinite(nonlinearity).all():
             raise IntegrationError(f"nonlinearity overflow at t={state.t}", last_node=state)
         imex = _imex_step_1d if spec.params.n == 1 else _imex_step_2d
-        new = imex(state, spec, dt, nonlinearity)
-    if not np.isfinite(new.fields).all():
+        fields = imex(state, spec, step, nonlinearity)
+    if not np.isfinite(fields).all():
         raise IntegrationError(f"field overflow at t={state.t}", last_node=state)
-    return new
+    return EuclidState(fields, state.t + dt)
 
 
-def _weighted_means(a: np.ndarray, spec: EuclidRunSpec) -> tuple[float, float]:
+def _weighted_means(a: np.ndarray, spec: EuclidRunSpec) -> tuple:
     """The grid quadrature of |beta| a * phi(x/R), for both stacked
-    amplitudes ``a``."""
+    amplitudes ``a``: two floats, or for a batch two lists of per-rung
+    floats."""
     # |beta| a first, which for real beta is Re(conj(beta) field) to the bit
     terms = spec.beta_abs * a
     terms *= spec.weight
-    U, V = terms.reshape(2, -1).sum(axis=1) * spec.grid.cell_volume
-    return float(U), float(V)
+    sums = terms.reshape(*a.shape[:-spec.params.n], -1).sum(axis=-1) * spec.grid.cell_volume
+    U, V = sums.T.tolist()
+    return U, V
 
 
-def weighted_functionals(state: EuclidState, spec: EuclidRunSpec) -> tuple[float, float]:
+def weighted_functionals(state: EuclidState, spec: EuclidRunSpec) -> tuple:
     """Grid quadrature of Re(conj(beta) field) * phi(x/R), that is of
-    |beta| rho * phi(x/R)."""
+    |beta| rho * phi(x/R); per-rung lists for a batch."""
     return _weighted_means(_on_grid(state, spec).fields, spec)
 
 
-def functional_derivatives(state: EuclidState, spec: EuclidRunSpec) -> tuple[float, float]:
+def functional_derivatives(state: EuclidState, spec: EuclidRunSpec) -> tuple:
     """d/dt of the weighted functionals from the discrete right-hand side,
-    |alpha| Lap_h rho + |beta| |other amplitude|^p."""
+    |alpha| Lap_h rho + |beta| |other amplitude|^p; per-rung lists for a
+    batch."""
     return _weighted_means(_rhs(_on_grid(state, spec), spec), spec)
 
 
@@ -436,8 +502,11 @@ def run_euclid(
     until max |field| crosses field_threshold (status blow_up...).
 
     The run marches from the data profile, or from ``state``, which must be
-    finite and on the spec's grid.  The weight is evaluated once per run (``spec.weight``), and the
-    nonlinearity once per node (``_node_nonlinearity``).
+    finite and on the spec's grid.  For a batch ``state`` (see
+    :class:`EuclidState`) the rungs march in lockstep, each with its own dt
+    and stop, and a list of one Run per rung is returned.  The weight is
+    evaluated once per run (``spec.weight``), and the nonlinearity once per
+    node (``_node_nonlinearity``).
     """
     if state is not None and not np.isfinite(_on_grid(state, spec).fields).all():
         raise ValidationError("the amplitudes must be finite")

@@ -93,12 +93,12 @@ def trailing_decade_window(times, values) -> tuple[float, float]:
 def fit_power_law(times, values, window: tuple[float, float] | None = None) -> RateFit:
     """Fit y ~ A (T*-t)^(-gamma) on the given time window.
 
-    Requires the windowed series to be strictly positive and increasing with
-    at least 20 nodes.  T* is bracketed in [t_hi, t_hi + 10 (t_hi - t_lo)]
-    and located by golden-section search on the inner-regression misfit; a
-    T* at the upper end of the bracket, to the sqrt(eps) relative precision
-    a golden-section search resolves a minimizer to, is no minimum and is
-    rejected.
+    Requires a finite window and the windowed series to be finite, strictly
+    positive and increasing with at least 20 nodes.  T* is bracketed in
+    [t_hi, t_hi + 10 (t_hi - t_lo)] and located by golden-section search on
+    the inner-regression misfit; a T* at the upper end of the bracket, to
+    the sqrt(eps) relative precision a golden-section search resolves a
+    minimizer to, is no minimum and is rejected.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -107,13 +107,16 @@ def fit_power_law(times, values, window: tuple[float, float] | None = None) -> R
     if window is None:
         window = (float(times[0]), float(times[-1]))
     t_lo, t_hi = float(window[0]), float(window[1])
-    if not (t_hi > t_lo):
-        raise ValidationError("window must have positive length")
+    if not (t_hi > t_lo and math.isfinite(t_hi - t_lo)):
+        raise ValidationError("window must be finite with positive length")
     mask = (times >= t_lo) & (times <= t_hi)
     t = times[mask]
     y = values[mask]
     if t.size < 20:
         raise ValidationError(f"need >= 20 nodes in window, got {t.size}")
+    # NaN compares False, so the order checks below would let it through
+    if not (np.isfinite(t).all() and np.isfinite(y).all()):
+        raise ValidationError("times and values must be finite on the window")
     if np.any(y <= 0.0):
         raise ValidationError("series must be strictly positive on the window")
     if np.any(np.diff(y) <= 0.0):

@@ -1,4 +1,5 @@
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,9 +22,11 @@ from cgl_blowup.euclid import (
     make_initial_state,
     run_euclid,
     solve_banded,
+    stack_states,
     weighted_functionals,
 )
-from cgl_blowup.ode_core import BLOWUP, STEP_COLLAPSE, damped_bounds, damped_hypothesis_terms
+from cgl_blowup.ode_core import (BLOWUP, COMPLETED, STEP_COLLAPSE, damped_bounds,
+                                  damped_hypothesis_terms)
 from cgl_blowup.system import FunctionalSeries, SystemParams
 from cgl_blowup.testfn import build_test_function
 
@@ -329,6 +332,91 @@ def test_standalone_steps_give_the_runs_bits(n, monkeypatch):
     assert given.final_state.fields.tobytes() == run.final_state.fields.tobytes()
 
 
+def _unequal_alpha_spec(n):
+    params = SystemParams(n=n, p=2, q=1.5, alpha1=-0.7, alpha2=-1.3,
+                          beta1=0.6 + 0.8j, beta2=-2j)
+    return EuclidRunSpec(params=params, R=4.0, box_half_width=8.0, h=4.0 / 64,
+                         data=DataSpec(epsilon=1.0, r_data=2.0, amp_v=0.7,
+                                       shape="gaussian"))
+
+
+def _rung_states(spec, epsilons):
+    return [make_initial_state(replace(spec, data=replace(spec.data, epsilon=eps)))
+            for eps in epsilons]
+
+
+def _bits(run):
+    series = run.series
+    return np.array([series.times, series.U, series.V, series.dU, series.dV]).view(np.int64)
+
+
+@pytest.mark.parametrize("n,epsilons,t_end,statuses", [
+    (1, (6.0, 1.0, 8.0, 2.0), 1.0, [BLOWUP, COMPLETED, BLOWUP, BLOWUP]),
+    (2, (40.0, 6.0, 60.0), 0.06, [COMPLETED, COMPLETED, BLOWUP]),
+])
+def test_a_lockstep_batch_gives_each_rung_its_own_runs_bits(n, epsilons, t_end, statuses):
+    # |alpha1| != |alpha2|, so a 1-d step's fields never share r, while
+    # rungs at the same dt share it field by field; the rungs leave the
+    # batch at different steps
+    spec = _unequal_alpha_spec(n)
+    rungs = _rung_states(spec, epsilons)
+    run = dict(t_end=t_end, dt_max=5e-3, dt_safety=0.1, field_threshold=1e3)
+    batch = run_euclid(spec, state=stack_states(rungs), **run)
+    alone = [run_euclid(spec, state=rung, **run) for rung in rungs]
+    assert [r.status for r in batch] == statuses
+    assert len({r.series.times.size for r in batch}) == len(epsilons)
+    for together, single in zip(batch, alone):
+        assert together.status == single.status
+        assert np.array_equal(_bits(together), _bits(single))
+        assert isinstance(together.final_state, EuclidState)
+        assert together.final_state.t == single.final_state.t
+        assert isinstance(together.final_state.t, float)
+        assert together.final_state.fields.tobytes() == single.final_state.fields.tobytes()
+
+
+def test_a_batch_needs_one_time_and_one_dt_per_state_on_one_grid():
+    spec = small_spec()
+    rho = make_initial_state(spec).fields
+    with pytest.raises(ValidationError, match="one or more states on one grid"):
+        stack_states([EuclidState(rho, 0.0), EuclidState(np.ones((2, 10)), 0.0)])
+    with pytest.raises(ValidationError, match="one or more states on one grid"):
+        stack_states([])
+    for fields, t in ((np.stack([rho, rho, rho]), [0.0, 0.0]),  # a time short
+                      (np.stack([rho, rho]), 0.0),  # a batch with one time
+                      (rho[np.newaxis, :0], np.zeros(0))):  # an empty batch
+        with pytest.raises(ValidationError, match="amplitudes"):
+            euclid_step(EuclidState(fields, t), spec, 1e-3)
+    batch = stack_states([EuclidState(rho, 0.0), EuclidState(2.0 * rho, 0.5)])
+    assert batch.t.tolist() == [0.0, 0.5]
+    assert batch.u.shape == batch.v.shape == (2, rho.shape[1])
+    assert np.array_equal(batch.v[1], 2.0 * rho[1])
+    for state, dt in ((batch, np.array([1e-3, 1e-3, 1e-3])), (batch, 1e-3),
+                      (EuclidState(rho, 0.0), np.array([1e-3, 1e-3]))):
+        with pytest.raises(ValidationError, match="one dt per state"):
+            euclid_step(state, spec, dt)
+    for dt in (np.array([1e-3, 0.0]), np.array([np.nan, 1e-3])):
+        with pytest.raises(ValidationError, match="dt must be positive"):
+            euclid_step(batch, spec, dt)
+    stepped = euclid_step(batch, spec, np.array([1e-3, 2e-3]))
+    assert stepped.t.tolist() == [1e-3, 0.5 + 2e-3]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_a_batch_with_an_overflowing_rung_raises_carrying_the_batch():
+    spec = small_spec()
+    rho = make_initial_state(spec).fields
+    batch = stack_states([EuclidState(rho, 0.0), EuclidState(np.full(rho.shape, 1e200), 0.0)])
+    with pytest.raises(IntegrationError, match="nonlinearity overflow") as exc:
+        euclid_step(batch, spec, np.array([1e-3, 1e-3]))
+    assert exc.value.last_node is batch
+    # in a run, the step rate of the rung overflows first, before any step
+    with pytest.raises(IntegrationError, match="step rate overflow") as exc:
+        run_euclid(spec, t_end=1.0, dt_max=1e-3, state=batch)
+    node = exc.value.last_node
+    assert node.fields.shape == rho.shape and node.fields.max() == 1e200 and node.t == 0.0
+
+
 # ---------------------------------------------------------------------------
 # functionals
 
@@ -367,6 +455,20 @@ def test_an_unpickled_states_amplitudes_are_read_only():
         copy.fields *= 2.0
     with pytest.raises(ValueError, match="read-only"):
         copy.u[100] = 1.0
+
+
+def test_an_unpickled_batchs_amplitudes_are_read_only():
+    spec = small_spec()
+    rho = make_initial_state(spec).fields
+    batch = stack_states([EuclidState(rho, 0.0), EuclidState(2.0 * rho, 0.5)])
+    functional_derivatives(batch, spec)
+    copy = pickle.loads(pickle.dumps(batch))
+    assert copy.t.tolist() == [0.0, 0.5] and copy.fields.tobytes() == batch.fields.tobytes()
+    assert functional_derivatives(copy, spec) == functional_derivatives(batch, spec)
+    with pytest.raises(ValueError, match="read-only"):
+        copy.fields *= 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        copy.v[1, 100] = 1.0
 
 
 def test_a_states_amplitudes_are_read_only():

@@ -119,6 +119,20 @@ def test_validation_gates():
         fit_power_law(t, y[::-1])
     with pytest.raises(ValidationError):
         fit_power_law(t, y, window=(0.5, 0.5))
+    with pytest.raises(ValidationError, match="finite"):
+        fit_power_law(t, y, window=(0.0, np.inf))
+
+
+@pytest.mark.parametrize("where,bad", [("values", np.nan), ("values", np.inf),
+                                       ("values", -np.inf), ("times", np.inf)])
+def test_a_series_that_is_not_finite_on_the_window_is_refused(where, bad):
+    # NaN passes the positivity and order checks, as it compares False
+    t = np.linspace(0.0, 0.9, 40)
+    y = 1.0 / (1.0 - t)
+    column = y if where == "values" else t
+    column[10 if where == "values" else -1] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        fit_power_law(t, y)
 
 
 def test_ratefit_invariants_enforced():

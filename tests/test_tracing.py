@@ -95,3 +95,47 @@ def test_a_torus_ladder_steps_its_rungs_together_under_the_traced_names(tmp_path
     calls = {name: entry["calls"] for name, entry in tracer.totals().items()}
     assert calls["torus.torus_step"] == longest - 1
     assert calls["torus.functionals"] >= longest - 1
+
+
+def test_a_euclidean_ladder_steps_its_rungs_together_under_the_traced_names(tmp_path):
+    # the Euclidean ladder marches as one batch too: a lockstep step of the
+    # live rungs is one euclid_step call, with one solve per distinct r
+    import json
+    from dataclasses import replace
+
+    from cgl_blowup import cli, euclid
+    from cgl_blowup.system import SystemParams
+
+    unit = {"alpha1": -1, "alpha2": -1, "beta1": 1, "beta2": 1}
+    ladder = {"start": 2.0, "factor": 1.3, "count": 5}
+    box = {"R": 4.0, "box_half_width": 8.0, "h": 4.0 / 64, "r_data": 1.0}
+    # a slope of -1.56 against -2: so short a ladder needs a loose tolerance
+    run = {"time_budget": 5.0, "dt_max": 1e-2, "functional_threshold": 1e4,
+           "field_threshold": 1e8, "slope_tolerance": 0.5}
+    config = tmp_path / "ladder.json"
+    config.write_text(json.dumps({
+        "schema_version": 1, "mode": "euclid",
+        "params": {"n": 1, "p": 2, "q": 2, **unit}, "epsilon": ladder, **box, **run}))
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer)
+        code = cli.main(["scaling-study", "--config", str(config),
+                         "--out", str(tmp_path / "out")])
+    finally:
+        tracer.restore()
+    assert code == 0
+    spec = euclid.EuclidRunSpec(params=SystemParams(n=1, p=2, q=2, **unit), R=4.0,
+                                box_half_width=8.0, h=4.0 / 64,
+                                data=euclid.DataSpec(epsilon=1.0, r_data=1.0))
+    sizes = [
+        euclid.run_euclid(replace(spec, data=replace(spec.data, epsilon=eps)), t_end=5.0,
+                          dt_max=1e-2, functional_threshold=1e4,
+                          field_threshold=1e8).series.times.size
+        for eps in (ladder["start"] * ladder["factor"] ** k for k in range(5))]
+    assert len(set(sizes)) > 1  # rungs leave the batch at different steps
+    calls = {name: entry["calls"] for name, entry in tracer.totals().items()}
+    assert calls["euclid.euclid_step"] == max(sizes) - 1
+    assert calls["euclid.functional_derivatives"] == max(sizes)
+    # unit alpha: every live rung at one dt shares one solve
+    assert max(sizes) - 1 <= calls["euclid.solve_banded"] < sum(sizes) - 5
