@@ -18,12 +18,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from numbers import Real
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from . import testfn
 from .errors import IntegrationError, ValidationError
@@ -332,6 +331,15 @@ def _node_nonlinearity(node: EuclidState, params: SystemParams) -> np.ndarray:
     return node.held[1]
 
 
+@cache
+def _dgtsv():
+    """LAPACK's dgtsv, imported once per process on first use, so that a
+    process that makes no Euclidean solve never loads scipy.linalg."""
+    from scipy.linalg.lapack import dgtsv
+
+    return dgtsv
+
+
 def solve_banded(rhs: np.ndarray, r: float, state=None) -> np.ndarray:
     """Solve (I - r/2 * T) x = rhs on the interior, T = tridiag(1, -2, 1).
 
@@ -342,7 +350,7 @@ def solve_banded(rhs: np.ndarray, r: float, state=None) -> np.ndarray:
     """
     m = rhs.shape[0]
     off = np.full(m - 1, -0.5 * r)
-    x, info = dgtsv(off, np.full(m, 1.0 + r), off, rhs)[3:]
+    x, info = _dgtsv()(off, np.full(m, 1.0 + r), off, rhs)[3:]
     if info != 0:
         raise IntegrationError(f"tridiagonal solve failed (info {info})", last_node=state)
     return x
@@ -510,6 +518,11 @@ def run_euclid(
     """
     if state is not None and not np.isfinite(_on_grid(state, spec).fields).all():
         raise ValidationError("the amplitudes must be finite")
+    if spec.scheme == "imex":
+        # import the solver before the march, not in its first step: an
+        # import amid the step's arrays leaves the heap laid out otherwise
+        # for the rest of the process
+        _dgtsv()
 
     def observe(s, rungs):
         return (*weighted_functionals(s, spec), *functional_derivatives(s, spec))

@@ -13,13 +13,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0, j1
 
 from .errors import ValidationError
 
 __all__ = ["TestFunctionData", "build_test_function", "verify_phi_inequality"]
 
 _J01 = 2.404825557695773  # first zero of J_0, correctly rounded
+
+
+# scipy's Bessel functions, imported on the first call: only the weight of
+# dimension 2 needs them, so other runs never load scipy.special
+def _j0(x):
+    from scipy.special import j0
+
+    return j0(x)
+
+
+def _j1(x):
+    from scipy.special import j1
+
+    return j1(x)
 
 
 def _sinc(x):
@@ -58,7 +71,7 @@ def _j1_over_x(x):
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < 1e-8
     xs = np.where(small, 1.0, x)
-    return np.where(small, 0.5, j1(xs) / xs)
+    return np.where(small, 0.5, _j1(xs) / xs)
 
 
 @dataclass(frozen=True)
@@ -79,7 +92,7 @@ class TestFunctionData:
         if self.n == 1:
             val = np.cos(0.5 * np.pi * r)
         elif self.n == 2:
-            val = j0(self.bessel_zero * r)
+            val = _j0(self.bessel_zero * r)
         else:
             val = _sinc(np.pi * r)
         return np.where(inside, val, 0.0)
@@ -91,7 +104,7 @@ class TestFunctionData:
             val = -0.5 * np.pi * np.sin(0.5 * np.pi * r)
         elif self.n == 2:
             k = self.bessel_zero
-            val = -k * j1(k * r)
+            val = -k * _j1(k * r)
         else:
             val = np.pi * _dsinc(np.pi * r)
         return np.where(inside, val, 0.0)
@@ -102,7 +115,7 @@ class TestFunctionData:
             return -((0.5 * np.pi) ** 2) * np.cos(0.5 * np.pi * r)
         if self.n == 2:
             k = self.bessel_zero
-            return -k * k * (j0(k * r) - _j1_over_x(k * r))
+            return -k * k * (_j0(k * r) - _j1_over_x(k * r))
         # spherical: sinc'' = -sinc - 2 sinc'/x
         x = np.pi * r
         return np.pi ** 2 * (-_sinc(x) - 2.0 * _dsinc_over_x(x))
@@ -165,7 +178,7 @@ def build_test_function(n: int) -> TestFunctionData:
     if n == 1:
         lam, zero, l1 = 0.25 * np.pi ** 2, 0.0, 1.0
     elif n == 2:
-        lam, zero, l1 = _J01 * _J01, _J01, np.pi * j1(_J01) ** 2
+        lam, zero, l1 = _J01 * _J01, _J01, np.pi * _j1(_J01) ** 2
     else:
         lam, zero, l1 = np.pi ** 2, 0.0, 2.0 / np.pi
     return TestFunctionData(n=n, lam=float(lam), lambda_eff=float(2 * lam),

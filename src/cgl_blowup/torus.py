@@ -207,10 +207,18 @@ class TorusStepper:
         return dt.reshape(dt.shape + (1,) * (self.grid.n + 1))
 
     def propagators(self, dt):
-        """exp(dt/2 lin) and its square for ``per_rung(dt)``, rebuilt only
-        when some rung's dt changes."""
-        key = dt if isinstance(dt, Real) else np.asarray(dt, dtype=float).tobytes()
-        if key != self._dt:
+        """exp(dt/2 lin) and its square for ``per_rung(dt)``, rebuilt when dt
+        changes.  For a batch only the rows of the rungs whose dt changed are
+        recomputed, and all rows when the batch size changes."""
+        key = dt if isinstance(dt, Real) else np.asarray(dt, dtype=float).tolist()
+        last = self._dt
+        if isinstance(key, list) and isinstance(last, list) and len(key) == len(last):
+            e, e2 = self._propagators
+            for i, (new, old) in enumerate(zip(key, last)):
+                if new != old:
+                    row = np.exp(0.5 * self.per_rung(new) * self.lin)
+                    e[i], e2[i], last[i] = row, row * row, new
+        elif key != last:
             e = np.exp(0.5 * self.per_rung(dt) * self.lin)
             self._dt, self._propagators = key, (e, e * e)
         return self._propagators

@@ -417,6 +417,27 @@ def test_a_lockstep_batch_gives_each_rung_its_own_runs_bits(n, modes, pad):
         assert together.lap_zero_mode_max == single.lap_zero_mode_max
 
 
+@pytest.mark.parametrize("n,modes", [(1, 32), (2, 16)])
+def test_a_batch_recomputes_the_propagators_of_the_rungs_whose_dt_changed(
+        n, modes, monkeypatch):
+    params = SystemParams(n=n, p=2, q=1.5, alpha1=-1 - 0.3j, alpha2=-0.5, beta1=1, beta2=1)
+    grid = make_grid(n, modes)
+    stepper = TorusStepper(grid, params)
+    stepper.propagators(np.array([1e-2, 3e-3, 7e-3]))
+    rows, exp = [], np.exp  # rows: the propagators computed, one per dt
+    monkeypatch.setattr(np, "exp", lambda a: rows.append(a.size // stepper.lin.size) or exp(a))
+    # one rung's dt changes, none, two, a rung leaves, a single state, a batch
+    for dts, recomputed in (([1e-2, 2.5e-3, 7e-3], 1), ([1e-2, 2.5e-3, 7e-3], 0),
+                            ([9e-3, 2.5e-3, 6e-3], 2), ([9e-3, 6e-3], 2),
+                            (6e-3, 1), ([6e-3, 6e-3], 2)):
+        dt = np.array(dts) if isinstance(dts, list) else dts
+        rows.clear()
+        got = stepper.propagators(dt)
+        assert sum(rows) == recomputed
+        fresh = TorusStepper(grid, params).propagators(dt)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in fresh]
+
+
 def test_a_batch_needs_one_time_and_one_dt_per_state_on_one_grid():
     grid = make_grid(1, 16)
     with pytest.raises(ValidationError, match="one time per state"):
