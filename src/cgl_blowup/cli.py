@@ -543,6 +543,13 @@ def _ladder_point(eps, run):
     return {"epsilon": eps, "complete": True, "T": t_star}
 
 
+def _slope_tolerance(cfg, default):
+    tolerance = _get(cfg, "slope_tolerance", float, default)
+    if tolerance <= 0:
+        raise ConfigError("slope_tolerance must be positive")
+    return tolerance
+
+
 def cmd_scaling_study(cfg, out_dir, seed, workers):
     mode = _get(cfg, "mode", str)
     if mode not in ("euclid", "torus_homogeneous"):
@@ -553,37 +560,31 @@ def cmd_scaling_study(cfg, out_dir, seed, workers):
     n, p, q = params.n, params.p, params.q
     gap = params.rates[0] - n / 2.0
     epsilons = _scaling_epsilons(cfg)
-    run = {"t_end": _get(cfg, "time_budget", float, 200.0)}
+    t_end = _get(cfg, "time_budget", float, 200.0)
+    # the rungs march in lockstep, as one batch
     if mode == "euclid":
         if gap <= 0:
             raise ConfigError(
                 "critical or supercritical exponents: (p+1)/(pq-1) must exceed n/2"
             )
         predicted = -1.0 / gap
-        tolerance = _get(cfg, "slope_tolerance", float, 0.15)
+        tolerance = _slope_tolerance(cfg, 0.15)
         spec = _parse_euclid_spec(cfg, params, cfg, epsilons[0], r_data=1.0)
-        run.update(
-            dt_max=_get(cfg, "dt_max", float, 2e-3),
+        rungs = [replace(spec, data=replace(spec.data, epsilon=eps)) for eps in epsilons]
+        runs = euclid.run_euclid(
+            spec, t_end, dt_max=_get(cfg, "dt_max", float, 2e-3),
             functional_threshold=_get(cfg, "functional_threshold", float, 1e6),
             field_threshold=_get(cfg, "field_threshold", float, 1e10),
-        )
-        rungs = [replace(spec, data=replace(spec.data, epsilon=eps)) for eps in epsilons]
+            state=euclid.stack_states([euclid.make_initial_state(s) for s in rungs]))
     else:
         predicted = -(p * q - 1.0) / (p + 1.0)
-        tolerance = _get(cfg, "slope_tolerance", float, 0.10)
+        tolerance = _slope_tolerance(cfg, 0.10)
         grid = torus.make_grid(n, _get(cfg, "modes", int, 32))
-        run.update(dt_max=_get(cfg, "dt_max", float, 1e-3),
-                   field_threshold=_get(cfg, "field_threshold", float, 1e6))
-    if tolerance <= 0:
-        raise ConfigError("slope_tolerance must be positive")
-    # the rungs march in lockstep, as one batch
-    if mode == "euclid":
-        batch = euclid.stack_states([euclid.make_initial_state(s) for s in rungs])
-        runs = euclid.run_euclid(spec, state=batch, **run)
-    else:
-        batch = torus.stack_states([torus.constant_state(grid, eps, eps)
-                                    for eps in epsilons])
-        runs = torus.run_torus(params, batch, check_zero_mode=False, **run)
+        runs = torus.run_torus(
+            params, t_end=t_end, dt_max=_get(cfg, "dt_max", float, 1e-3),
+            field_threshold=_get(cfg, "field_threshold", float, 1e6), check_zero_mode=False,
+            state=torus.stack_states([torus.constant_state(grid, eps, eps)
+                                      for eps in epsilons]))
     results = [_ladder_point(eps, r) for eps, r in zip(epsilons, runs)]
 
     complete = [r for r in results if r["complete"]]

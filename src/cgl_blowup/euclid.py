@@ -19,7 +19,6 @@ import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from functools import cache, cached_property
-from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -33,8 +32,8 @@ from .ode_core import (
     power_product,
 )
 from .ratefit import golden_section
-from .system import (FunctionalSeries, OdiReport, Run, SystemParams, check_growth_pair,
-                     jensen_coefficients, march)
+from .system import (PAIR_INDEX, FunctionalSeries, OdiReport, PairState, Run, SystemParams,
+                     check_growth_pair, jensen_coefficients, march, stack_states)
 from .testfn import TestFunctionData
 
 __all__ = [
@@ -175,16 +174,12 @@ class EuclidGrid:
 
 
 @dataclass(eq=False)
-class EuclidState:
+class EuclidState(PairState):
     """The amplitudes rho of the fields u = (beta1/|beta1|) rho[0] and
     v = (beta2/|beta2|) rho[1] at time t, held as ``fields``, rho real of
-    shape (2, *grid shape): the stacked pair, named as in the torus state.
-
-    A batch of k states stacks their pairs on a leading axis, ``fields`` of
-    shape (k, 2, *grid shape), and holds their times as an array ``t`` of k
-    floats; a time that is an array is what makes a state a batch.  Its
-    rungs step, and are observed, together, and its ``u`` and ``v`` have
-    the batch axis too.
+    shape (2, *grid shape): the stacked pair, named as in the torus state;
+    or a batch of such pairs (see :class:`PairState`).  ``u`` and ``v`` are
+    the real amplitudes, so |u| = |field u|.
 
     From data on these phases the system keeps its fields on them, with
     rho_u' = |alpha1| Lap rho_u + |beta1| |rho_v|^p and likewise rho_v', so
@@ -212,16 +207,6 @@ class EuclidState:
         self.__dict__.update(state)
         self.__post_init__()
 
-    @property
-    def u(self) -> np.ndarray:
-        """The real amplitude rho[0] of u, so |u| = |field u|."""
-        return self.fields[_field(self, 0)]
-
-    @property
-    def v(self) -> np.ndarray:
-        """The real amplitude rho[1] of v, so |v| = |field v|."""
-        return self.fields[_field(self, 1)]
-
     def second_difference(self, n: int) -> np.ndarray:
         """h^2 Lap_h rho on the interior of a grid of dimension n, computed
         once and shared by the state's derivative and, in 1-d, the step
@@ -231,31 +216,9 @@ class EuclidState:
         return self._second
 
 
-def stack_states(states) -> EuclidState:
-    """The batch of ``states``, single states on one grid, stacked in order."""
-    try:
-        fields = np.stack([s.fields for s in states])
-    except ValueError:  # no states, or states on different grids
-        raise ValidationError("a batch needs one or more states on one grid") from None
-    return EuclidState(fields, [s.t for s in states])
-
-
-def _batch_shape(state: EuclidState) -> tuple:
-    """(k,) for a batch of k states, () for a single state."""
-    return getattr(state.t, "shape", ())
-
-
-def _field(state: EuclidState, i: int) -> tuple:
-    """The index of field i of every pair of ``state.fields``."""
-    return (slice(None),) * len(_batch_shape(state)) + (i,)
-
-
-# indices into the stacked fields of one state or a batch on a grid of
-# dimension n: their interior; and, of every pair, field u, field v and
-# both reversed
+# indices of the interior of the stacked fields of one state or a batch on a
+# grid of dimension n
 _INTERIOR = {n: (Ellipsis,) + (slice(1, -1),) * n for n in (1, 2)}
-_PAIR = {n: [(Ellipsis, i) + (slice(None),) * n for i in (0, 1, slice(None, None, -1))]
-         for n in (1, 2)}
 
 
 def _second_difference(a: np.ndarray, n: int) -> np.ndarray:
@@ -276,7 +239,7 @@ def _second_difference(a: np.ndarray, n: int) -> np.ndarray:
 def _on_grid(state: EuclidState, spec: EuclidRunSpec) -> EuclidState:
     """``state``, refused unless its fields are a float64 pair on the spec's
     grid, or a batch of k such pairs with k times."""
-    rho, batch = state.fields, _batch_shape(state)
+    rho, batch = state.fields, state.batch_shape
     pair = (2, *spec.grid.shape)
     if not (isinstance(rho, np.ndarray) and rho.dtype == np.float64
             and len(batch) <= 1 and rho.shape == (*batch, *pair) and rho.size):
@@ -312,7 +275,7 @@ def discrete_laplacian(a: np.ndarray, h: float) -> np.ndarray:
 def _nonlinearity(node: EuclidState, params: SystemParams) -> np.ndarray:
     """|beta1| |v|^p and |beta2| |u|^q, stacked as rho; non-finite where
     they overflow."""
-    u, v, reversed_pair = _PAIR[params.n]
+    u, v, reversed_pair = PAIR_INDEX[params.n]
     power = np.abs(node.fields[reversed_pair])
     v_p, u_q = power[u], power[v]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -354,24 +317,6 @@ def solve_banded(rhs: np.ndarray, r: float, state=None) -> np.ndarray:
     if info != 0:
         raise IntegrationError(f"tridiagonal solve failed (info {info})", last_node=state)
     return x
-
-
-def _per_rung(state: EuclidState, dt, n: int):
-    """dt as a factor of the stacked fields of ``state`` on a grid of
-    dimension n: the float of a single state, or the array of one dt per
-    rung of a batch, shaped to broadcast over each rung's pair; refused
-    unless positive."""
-    batch = _batch_shape(state)
-    if isinstance(dt, Real) and not batch:
-        if not dt > 0.0:
-            raise ValidationError("dt must be positive")
-        return dt
-    dt = np.asarray(dt, dtype=float)
-    if dt.shape != batch:
-        raise ValidationError("a batch steps with one dt per state, a state with one")
-    if not (dt > 0.0).all():
-        raise ValidationError("dt must be positive")
-    return dt.reshape(batch + (1,) * (n + 1))
 
 
 def _imex_step_1d(node, spec, dt, force):
@@ -454,7 +399,7 @@ def euclid_step(state: EuclidState, spec: EuclidRunSpec, dt) -> EuclidState:
     steps each rung by its own dt, given as an array of one per rung; the
     1-d step solves all its columns that share r = dt |alpha| / h^2 in one
     call."""
-    step = _per_rung(_on_grid(state, spec), dt, spec.params.n)
+    step = _on_grid(state, spec).per_rung(dt)
     if spec.scheme == "explicit":
         if np.max(step) > cfl_limit(spec) * (1 + 1e-12):
             raise ValidationError(

@@ -1,6 +1,6 @@
-"""Shared PDE-side types: system coefficients, functional time series,
-growth-inequality reports and the run record, plus the adaptive marching loop
-both PDE backends drive."""
+"""Shared PDE-side types: system coefficients, the stacked-pair state format,
+functional time series, growth-inequality reports and the run record, plus
+the adaptive marching loop both PDE backends drive."""
 
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ import numpy as np
 from .errors import IntegrationError, ValidationError
 from .ode_core import BLOWUP, COMPLETED, STEP_COLLAPSE
 
-__all__ = ["SystemParams", "FunctionalSeries", "OdiReport", "jensen_coefficients",
-           "Run", "march"]
+__all__ = ["SystemParams", "PairState", "stack_states", "FunctionalSeries", "OdiReport",
+           "jensen_coefficients", "Run", "march"]
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,63 @@ class SystemParams:
         """The blow-up rate exponents (p+1)/(pq-1) of U and (q+1)/(pq-1) of V."""
         D = self.p * self.q - 1.0
         return (self.p + 1.0) / D, (self.q + 1.0) / D
+
+
+# indices into the stacked fields of one state or a batch on a grid of
+# dimension n: of every pair, field u, field v and both reversed
+PAIR_INDEX = {n: [(Ellipsis, i) + (slice(None),) * n for i in (0, 1, slice(None, None, -1))]
+              for n in (1, 2)}
+
+
+class PairState:
+    """The format both PDE states share: the pair (u, v) at time t stacked
+    as ``fields`` of shape (2, *grid), or a batch of k pairs stacked on a
+    leading axis, ``fields`` of shape (k, 2, *grid), whose times ``t`` are
+    an array of k floats.  A time that is an array is what makes a state a
+    batch; its rungs step, and are observed, together, and its ``u`` and
+    ``v`` have the batch axis too."""
+
+    @property
+    def batch_shape(self) -> tuple:
+        """(k,) for a batch of k states, () for a single state."""
+        return getattr(self.t, "shape", ())  # a float has none, and np.shape is slow on one
+
+    @property
+    def u(self) -> np.ndarray:
+        """The first field of every pair, a view."""
+        return self.fields[(slice(None),) * len(self.batch_shape) + (0,)]
+
+    @property
+    def v(self) -> np.ndarray:
+        """The second field of every pair, a view."""
+        return self.fields[(slice(None),) * len(self.batch_shape) + (1,)]
+
+    def per_rung(self, dt):
+        """dt as a factor of ``fields``: the float of a single state, or the
+        array of one dt per rung of a batch, shaped to broadcast over each
+        rung's pair; refused unless positive."""
+        batch = self.batch_shape
+        if isinstance(dt, Real) and not batch:
+            if not dt > 0.0:
+                raise ValidationError("dt must be positive")
+            return dt
+        dt = np.asarray(dt, dtype=float)
+        if dt.shape != batch:
+            raise ValidationError("a batch steps with one dt per state, a state with one")
+        if not (dt > 0.0).all():
+            raise ValidationError("dt must be positive")
+        return dt.reshape(batch + (1,) * (self.fields.ndim - len(batch)))
+
+
+def stack_states(states):
+    """The batch of ``states``, single states on one grid, stacked in order."""
+    if any(s.batch_shape for s in states):
+        raise ValidationError("a batch stacks single states, not batches")
+    try:
+        fields = np.stack([s.fields for s in states])
+    except ValueError:  # no states, or states on different grids
+        raise ValidationError("a batch needs one or more states on one grid") from None
+    return replace(states[0], fields=fields, t=[s.t for s in states])
 
 
 @dataclass(frozen=True)
@@ -205,11 +262,10 @@ def march(params, state, t_end, dt_max, dt_safety, step, observe,
     |field| crosses field_threshold, or until U or V crosses
     functional_threshold (status blow_up...).
 
-    ``state.fields`` is the stacked pair (2, *grid) of one run, or a batch
-    of k such pairs stacked on a leading axis, whose times ``state.t`` are
-    then an array of k floats.  A single run is a batch of one.  ``step``
-    gets a float dt for a single state and an array of per-rung dts for a
-    batch.  ``observe(state, rungs)`` gives (U, V, U', V') at every node,
+    ``state`` is a :class:`PairState`: the stacked pair of one run, or a
+    batch of k pairs with an array of k times.  A single run is a batch of
+    one.  ``step`` gets a float dt for a single state and an array of
+    per-rung dts for a batch.  ``observe(state, rungs)`` gives (U, V, U', V') at every node,
     each a float, or a sequence of per-rung floats for a batch; ``rungs``
     lists the live rungs' numbers in the batch given here, in batch order.
 
@@ -234,7 +290,7 @@ def march(params, state, t_end, dt_max, dt_safety, step, observe,
         raise ValidationError("field and functional thresholds must be positive")
     ab1, ab2 = abs(params.beta1), abs(params.beta2)
     p, q = params.p, params.q
-    single = np.ndim(state.t) == 0
+    single = not state.batch_shape
     live = list(range(1 if single else len(state.t)))  # rungs in the batch, in order
     rows = [array("d") for _ in live]  # each rung's (t, U, V, U', V') nodes, flat
     ends = [None] * len(live)  # each rung's (final state, status)

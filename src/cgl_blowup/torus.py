@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import IntegrationError, ValidationError
 from .ode_core import BoundReport, undamped_bounds, CoupledODESpec
-from .system import (FunctionalSeries, OdiReport, Run, SystemParams, check_growth_pair,
-                     jensen_coefficients, march)
+from .system import (PAIR_INDEX, FunctionalSeries, OdiReport, PairState, Run, SystemParams,
+                     check_growth_pair, jensen_coefficients, march, stack_states)
 
 __all__ = [
     "TorusGrid",
@@ -86,15 +86,10 @@ def make_grid(n: int, modes: int | None = None) -> TorusGrid:
 
 
 @dataclass(frozen=True)
-class FieldState:
+class FieldState(PairState):
     """u and v at time t, stacked as one C-ordered complex array ``fields``
     of shape (2, *grid.shape): the pair that a step transforms in one FFT
-    call.  ``u`` and ``v`` are views of the pair's first and second field.
-
-    A batch of k states stacks their pairs on a leading axis, fields of
-    shape (k, 2, *grid.shape), and holds their times as an array ``t`` of k
-    floats; its rungs step, and are observed, together, and its ``u`` and
-    ``v`` have the batch axis too."""
+    call; or a batch of such pairs (see :class:`PairState`)."""
 
     grid: TorusGrid
     fields: np.ndarray
@@ -113,26 +108,10 @@ class FieldState:
             if not t.size:
                 raise ValidationError("a batch needs at least one state")
             object.__setattr__(self, "t", t)
+        elif np.ndim(self.t):
+            raise ValidationError("a single state needs a single time")
         if not np.isfinite(fields.view(float)).all():
             raise ValidationError("fields must be finite")
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.fields[_field(0, self.fields.ndim - self.grid.n - 1)]
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.fields[_field(1, self.fields.ndim - self.grid.n - 1)]
-
-
-def _field(i: int, batch_axes: int) -> tuple:
-    """The index of field i of every pair of stacked fields with
-    ``batch_axes`` leading batch axes (0 or 1)."""
-    return (slice(None),) * batch_axes + (i,)
-
-
-def _batched(state: FieldState) -> bool:
-    return state.fields.ndim > state.grid.n + 1
 
 
 def constant_state(grid: TorusGrid, cu: complex, cv: complex) -> FieldState:
@@ -147,15 +126,6 @@ def state_from_arrays(grid: TorusGrid, u, v, t: float = 0.0) -> FieldState:
     except ValueError:  # u and v of different shapes
         raise ValidationError("field shapes must match the grid") from None
     return FieldState(grid=grid, fields=fields, t=t)
-
-
-def stack_states(states) -> FieldState:
-    """The batch of ``states``, single states on one grid, stacked in order."""
-    grids = {s.grid for s in states}
-    if len(grids) != 1:
-        raise ValidationError("a batch needs states on one grid")
-    return FieldState(grid=grids.pop(), fields=np.stack([s.fields for s in states]),
-                      t=[s.t for s in states])
 
 
 def _resize_spectrum(ah: np.ndarray, modes: int, size: int, n: int) -> np.ndarray:
@@ -192,34 +162,30 @@ class TorusStepper:
         # stacked 2-d arrays cost page faults on every transform; sized to
         # the batch it is given
         self._size = (3 * grid.modes // 2 if pad else grid.modes,) * grid.n
-        self._work = self._pair = None
+        self._work = None
 
-    def per_rung(self, dt):
-        """dt, a float, or an array of one per rung of a batch shaped here to
-        broadcast over each rung's pair; refused unless positive."""
-        if isinstance(dt, Real):
-            if not dt > 0.0:
-                raise ValidationError("dt must be positive")
-            return dt
-        dt = np.asarray(dt, dtype=float)
-        if not (dt > 0.0).all():
-            raise ValidationError("dt must be positive")
-        return dt.reshape(dt.shape + (1,) * (self.grid.n + 1))
+    def check_grid(self, state: FieldState) -> None:
+        """Refuse ``state`` unless it is on the stepper's grid, compared by
+        value."""
+        if self.grid is not state.grid and self.grid != state.grid:
+            raise ValidationError("the stepper was built for another grid")
 
     def propagators(self, dt):
-        """exp(dt/2 lin) and its square for ``per_rung(dt)``, rebuilt when dt
-        changes.  For a batch only the rows of the rungs whose dt changed are
-        recomputed, and all rows when the batch size changes."""
+        """exp(dt/2 lin) and its square for dt, a float, or an array of one
+        dt per rung of a batch, rebuilt when dt changes.  For a batch only
+        the rows of the rungs whose dt changed are recomputed, and all rows
+        when the batch size changes."""
         key = dt if isinstance(dt, Real) else np.asarray(dt, dtype=float).tolist()
         last = self._dt
         if isinstance(key, list) and isinstance(last, list) and len(key) == len(last):
             e, e2 = self._propagators
             for i, (new, old) in enumerate(zip(key, last)):
                 if new != old:
-                    row = np.exp(0.5 * self.per_rung(new) * self.lin)
+                    row = np.exp(0.5 * new * self.lin)
                     e[i], e2[i], last[i] = row, row * row, new
         elif key != last:
-            e = np.exp(0.5 * self.per_rung(dt) * self.lin)
+            h = np.reshape(key, (-1,) + (1,) * self.lin.ndim) if isinstance(key, list) else key
+            e = np.exp(0.5 * h * self.lin)
             self._dt, self._propagators = key, (e, e * e)
         return self._propagators
 
@@ -238,12 +204,11 @@ class TorusStepper:
         shape = yh.shape[:-n] + self._size
         if self._work is None or self._work.shape[1:] != shape:
             self._work = np.empty((3,) + shape, dtype=complex)
-            self._pair = _field(0, yh.ndim - n - 1), _field(1, yh.ndim - n - 1)
         y, powers, nh = self._work
         if self.pad:
             yh = _resize_spectrum(yh, modes, 3 * modes // 2, n)
         self.ifft(yh, y)
-        u, v = self._pair
+        u, v, _ = PAIR_INDEX[n]
         powers[u] = np.abs(y[v]) ** self.p
         powers[v] = np.abs(y[u]) ** self.q
         self.fft(powers, nh)
@@ -256,11 +221,8 @@ def torus_step(state: FieldState, stepper: TorusStepper, dt) -> FieldState:
     """One integrating-factor RK4 step (linear part exact per mode) with the
     run's ``stepper``, which holds the params and pad.  A batch steps each
     rung by its own dt, given as an array of one per rung."""
-    h = stepper.per_rung(dt)
-    if getattr(h, "shape", ())[:1] != state.fields.shape[:-state.grid.n - 1]:
-        raise ValidationError("a batch steps with one dt per state, a state with one")
-    if stepper.grid is not state.grid and stepper.grid != state.grid:  # by value
-        raise ValidationError("the stepper was built for another grid")
+    h = state.per_rung(dt)
+    stepper.check_grid(state)
     e, e2 = stepper.propagators(dt)
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -315,18 +277,17 @@ def functional_derivatives(state: FieldState, params: SystemParams) -> tuple:
     return _real_parts((np.conj(params.beta1) * params.beta1 * vol,
                         np.conj(params.beta2) * params.beta2 * vol),
                        (_grid_means(np.abs(state.v) ** params.p, n),
-                        _grid_means(np.abs(state.u) ** params.q, n)), _batched(state))
+                        _grid_means(np.abs(state.u) ** params.q, n)), bool(state.batch_shape))
 
 
 def laplacian_zero_mode(state: FieldState, stepper: TorusStepper):
     """Physical-space mean of the Laplacian terms; machine-zero check of
     the exactness that drives the mean-field growth inequality.  A list of
     one per rung for a batch."""
-    if stepper.grid is not state.grid and stepper.grid != state.grid:  # by value
-        raise ValidationError("the stepper was built for another grid")
+    stepper.check_grid(state)
     lap = stepper.ifft(stepper.lin * stepper.fft(state.fields))
     U, V = _zero_modes(lap, stepper.params, state.grid)
-    if not _batched(state):
+    if not state.batch_shape:
         return max(abs(U), abs(V))
     return [max(abs(a), abs(b)) for a, b in zip(U, V)]
 
@@ -353,7 +314,7 @@ def run_torus(
     lockstep, each with its own dt and stop, and a list of one TorusRun per
     rung is returned."""
     stepper = TorusStepper(state.grid, params, pad)
-    single = not _batched(state)
+    single = not state.batch_shape
     lap = [0.0] * np.size(state.t)  # each rung's largest zero-mode residual
 
     def observe(s, rungs):

@@ -456,6 +456,17 @@ def test_a_batch_needs_one_time_and_one_dt_per_state_on_one_grid():
         torus_step(batch, stepper, np.array([1e-3, 0.0]))
 
 
+@pytest.mark.parametrize("t", [[0.0], (0.0,), np.zeros(1), np.zeros((1, 1))])
+def test_a_single_state_refuses_an_array_time(t):
+    # a time that is an array makes a state a batch, which one pair is not
+    grid = make_grid(1, 16)
+    with pytest.raises(ValidationError, match="a single state needs a single time"):
+        torus.FieldState(grid, np.ones((2, 16)), t=t)
+    with pytest.raises(ValidationError, match="a single state needs a single time"):
+        state_from_arrays(grid, np.ones(16), np.ones(16), t=t)
+    assert torus.FieldState(grid, np.ones((2, 16)), t=np.float64(0.5)).batch_shape == ()
+
+
 @pytest.mark.parametrize("layout", ["reversed", "strided", "fortran_2d"])
 def test_a_non_contiguous_field_steps_to_the_bits_of_its_contiguous_copy(layout):
     n = 2 if layout == "fortran_2d" else 1
