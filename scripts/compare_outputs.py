@@ -10,9 +10,9 @@ The script runs every invocation of the four workloads in
 configs of ``TREE/scripts/configs`` at seed 2024, the ``euclid-run``
 configs of ``OFF_UNIT``, the ``torus-run`` configs of ``TORUS_OFF_UNIT``
 and the ``scaling-study`` configs of ``TORUS_LADDERS`` and
-``EUCLID_LADDERS`` below, each in a fresh ``python -m cgl_blowup`` process
-with ``--workers 1``.  The workloads and packaged configs all have unit
-alpha and beta.  ``OFF_UNIT`` covers
+``EUCLID_LADDERS`` below, each in a fresh ``python -m cgl_blowup`` process.
+The workloads and packaged configs all have unit alpha and beta.
+``OFF_UNIT`` covers
 complex beta, unequal alpha, n = 1 and 2 and both schemes;
 ``TORUS_OFF_UNIT`` covers complex alpha and beta, n = 1 and 2, padded and
 unpadded, ``constant_plus_mode`` and ``fourier_mode`` data, with the final
@@ -337,7 +337,7 @@ def main() -> int:
         proc = subprocess.run(
             [sys.executable, "-m", "cgl_blowup", command,
              "--config", f"{name}.config.json", "--out", name,
-             "--seed", str(cli_seed), "--workers", "1"],
+             "--seed", str(cli_seed)],
             cwd=args.outdir, env=env, capture_output=True, text=True)
         with open(os.path.join(args.outdir, f"{name}.status"), "w",
                   encoding="utf-8") as fh:

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run every packaged verification config and summarize the exit codes.
 
-Usage: python3 scripts/run_full_suite.py [outdir] [--seed N] [--workers N]
+Usage: python3 scripts/run_full_suite.py [outdir] [--seed N]
 """
 
 import argparse
@@ -20,7 +20,7 @@ RUNS = [
 ]
 
 
-def run(outdir: pathlib.Path, seed: int, workers: int) -> int:
+def run(outdir: pathlib.Path, seed: int) -> int:
     from cgl_blowup.cli import main as cli_main
 
     worst = 0
@@ -32,7 +32,6 @@ def run(outdir: pathlib.Path, seed: int, workers: int) -> int:
             "--config", str(CONFIG_DIR / config),
             "--out", str(target),
             "--seed", str(seed),
-            "--workers", str(workers),
         ])
         print(f"{command:14s} {name:22s} exit={code}")
         worst = max(worst, code)
@@ -43,8 +42,7 @@ if __name__ == "__main__":
     parser = argparse.ArgumentParser()
     parser.add_argument("outdir", nargs="?", default="suite_out")
     parser.add_argument("--seed", type=int, default=2024)
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
     out = pathlib.Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
-    sys.exit(run(out, args.seed, args.workers))
+    sys.exit(run(out, args.seed))

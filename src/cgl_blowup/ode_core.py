@@ -333,7 +333,8 @@ def integrate_coupled(
                         else:
                             lo = mid
                     theta = min(theta, hi)
-                t = t + theta * h
+                # theta * h below half an ulp of t would repeat the last time
+                t = max(t + theta * h, math.nextafter(t, math.inf))
                 f = _hermite(theta, h, f, k1f, fn, k7f)
                 g = _hermite(theta, h, g, k1g, gn, k7g)
                 ts_append(t)

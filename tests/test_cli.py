@@ -6,14 +6,16 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import stdtrit
 
 import cgl_blowup
-from cgl_blowup import cli, testfn
+from cgl_blowup import ode_core, testfn
 from cgl_blowup.cli import main
+from cgl_blowup.sampling import sample_coupled_spec
 from cgl_blowup.serialize import write_json
 
 CONFIGS = Path(__file__).parents[1] / "scripts" / "configs"
@@ -252,27 +254,6 @@ def test_mutated_packaged_config_exits_2(mutation):
         config.write_text(json.dumps(cfg))
         assert run_cli([_COMMAND_OF[name], "--config", config, "--out", out]) == 2
         assert not out.exists()
-
-
-def test_pool_forks_no_more_workers_than_jobs(monkeypatch):
-    started = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    assert cli._pmap(abs, [-1, -2, -3], 64) == [1, 2, 3]
-    assert started == [3]
 
 
 def test_testfn_check_passes(tmp_path):
@@ -518,6 +499,36 @@ def test_ode_verify_reports_residual_defect(tmp_path):
     assert (out / "specs.csv").exists()
 
 
+def test_ode_verify_draws_the_shrinks_after_the_pair_specs(tmp_path, monkeypatch):
+    ratios = []
+    check = ode_core.check_comparison
+
+    def recording(sub, sup, spec):
+        ratios.append(sub.f[0] / sup.f[0])
+        return check(sub, sup, spec)
+
+    monkeypatch.setattr(ode_core, "check_comparison", recording)
+    cfg = write_config(tmp_path / "c.json", {
+        "schema_version": 1, "n_specs": 1, "t_end": 1.0, "n_comparison_pairs": 3,
+    })
+    run_cli(["ode-verify", "--config", cfg, "--out", tmp_path / "out", "--seed", 2024])
+    rng = np.random.default_rng(2025)
+    specs = [sample_coupled_spec(rng) for _ in range(3)]
+    assert ratios == pytest.approx([rng.uniform(0.9, 0.99) for _ in specs], rel=1e-15)
+    # a second copy of the specs' stream would give 0.9 + 0.03 (p - 1) of the first
+    assert ratios[0] != pytest.approx(0.9 + 0.03 * (specs[0].p - 1), rel=1e-12)
+
+
+def test_ode_verify_writes_its_report_when_a_crossing_falls_within_an_ulp(tmp_path):
+    # spec 19 of seed 28 crosses its threshold within half an ulp of t past
+    # its last node; the literal residual check fails, as for every seed
+    out = tmp_path / "out"
+    assert run_cli(["ode-verify", "--config", CONFIGS / "ode_verify.json",
+                    "--out", out, "--seed", 28]) == 1
+    assert json.loads((out / "report.json").read_text())["seed"] == 28
+    assert (out / "specs.csv").exists()
+
+
 def test_scaling_study_torus(tmp_path):
     cfg = write_config(tmp_path / "c.json", scaling_torus_config())
     out = tmp_path / "out"
@@ -610,6 +621,13 @@ def test_cli_import_leaves_scipy_subpackages_unloaded():
         f"import json, sys, cgl_blowup, cgl_blowup.cli\n"
         f"print(json.dumps([m for m in {_SCIPY!r} if m in sys.modules]))")
     assert loaded == []
+
+
+def test_cli_import_loads_no_process_pool():
+    loaded = _fresh_python(
+        "import json, sys, cgl_blowup, cgl_blowup.cli\n"
+        "print(json.dumps('multiprocessing' in sys.modules))")
+    assert loaded is False
 
 
 # runs main(argv) in a fresh interpreter, after importing the scipy

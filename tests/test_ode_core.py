@@ -115,6 +115,18 @@ def test_trajectory_records_are_clean():
     assert traj.escape_time() == traj.times[-1]
 
 
+def test_crossing_node_passes_the_last_nodes_time():
+    # the threshold falls within half an ulp of t past the last accepted node,
+    # so t + theta * h rounds back to that node's time
+    spec = CoupledODESpec(p=3.1983282033417213, q=3.0, C_p=1.6875, C_q=2.0,
+                          omega=0.0, f0=1.0537600937714449, g0=0.6500167397223429)
+    traj = integrate_coupled(spec, t_end=4.0, tol=1e-10, blowup_threshold=1e6)
+    assert traj.status == BLOWUP
+    assert np.all(np.diff(traj.times) > 0)
+    assert traj.times[-1] == math.nextafter(traj.times[-2], math.inf)
+    assert traj.f[-1] == pytest.approx(1e6, rel=1e-12)
+
+
 def test_t_end_that_collapses_the_first_step_is_rejected():
     # The collapse floor is 1e-14 * max(t, 1e-3 t_end): at t_end = 1e16 the
     # first step 1/300 is already below it, so the run would end at t = 0.
