@@ -40,8 +40,10 @@ byte-identical, or compared by value: ``.csv`` cell by cell under the same
 header and shape, ``.json`` walked in parallel with the same keys, lengths
 and non-numeric leaves, ``.bin`` snapshots as complex128 arrays; any other
 file must be identical.  One line is printed per differing file, with its
-largest relative drift |a-b|/max(|a|,|b|), then a summary line.  The exit
-code is 1 when a file is missing or structurally different, else 0.
+largest relative drift |a-b|/max(|a|,|b|) and where it sits (the CSV
+column header, the JSON key path or the snapshot element), then a summary
+line.  The exit code is 1 when a file is missing or structurally
+different, else 0.
 """
 
 from __future__ import annotations
@@ -198,15 +200,19 @@ class Structure(Exception):
     """Two files that cannot be compared by value."""
 
 
-def _rel_drift(a, b) -> float:
-    """The largest |a-b|/max(|a|,|b|) of two arrays of one shape; values
-    that differ and cannot be scaled so (a NaN or an infinity) count as inf."""
+def _rel_drift(a, b) -> tuple:
+    """The largest |a-b|/max(|a|,|b|) of two flat arrays of one shape and
+    its index (None where nothing drifts); values that differ and cannot
+    be scaled so (a NaN or an infinity) count as inf."""
     a, b = np.asarray(a), np.asarray(b)
     with np.errstate(invalid="ignore", divide="ignore"):
         drift = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
     same = (a == b) | (np.isnan(a) & np.isnan(b))
     drift = np.where(same, 0.0, np.where(np.isnan(drift), np.inf, drift))
-    return float(drift.max(initial=0.0))
+    if not drift.any():
+        return 0.0, None
+    i = int(drift.argmax())
+    return float(drift[i]), i
 
 
 def _number(cell):
@@ -217,7 +223,8 @@ def _number(cell):
 
 
 def _csv_numbers(a: str, b: str) -> list:
-    """The pairs of numeric cells at the same place of two CSV texts."""
+    """The (column header, a, b) of the numeric cells at the same place of
+    two CSV texts."""
     rows_a = [line.split(",") for line in a.splitlines()]
     rows_b = [line.split(",") for line in b.splitlines()]
     if rows_a[:1] != rows_b[:1]:
@@ -225,19 +232,20 @@ def _csv_numbers(a: str, b: str) -> list:
     if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
         raise Structure("shapes differ")
     pairs = []
-    cells_a = (cell for row in rows_a[1:] for cell in row)
+    cells_a = (cell for row in rows_a[1:] for cell in zip(rows_a[0], row))
     cells_b = (cell for row in rows_b[1:] for cell in row)
-    for cell_a, cell_b in zip(cells_a, cells_b):
+    for (column, cell_a), cell_b in zip(cells_a, cells_b):
         x, y = _number(cell_a), _number(cell_b)
         if x is not None and y is not None:
-            pairs.append((x, y))
+            pairs.append((column, x, y))
         elif cell_a != cell_b:
             raise Structure(f"cells {cell_a!r} and {cell_b!r} differ")
     return pairs
 
 
 def _json_numbers(a, b, where="", pairs=None) -> list:
-    """The pairs of numbers at the same place of two JSON values."""
+    """The (key path, a, b) of the numbers at the same place of two JSON
+    values."""
     pairs = [] if pairs is None else pairs
     if isinstance(a, dict) and isinstance(b, dict):
         if list(a) != list(b):
@@ -250,28 +258,34 @@ def _json_numbers(a, b, where="", pairs=None) -> list:
         for i, (x, y) in enumerate(zip(a, b)):
             _json_numbers(x, y, f"{where}/{i}", pairs)
     elif all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b)):
-        pairs.append((a, b))
+        pairs.append((where or "/", a, b))
     elif a != b or type(a) is not type(b):
         raise Structure(f"values differ at {where or '/'}")
     return pairs
 
 
-def _file_drift(name: str, a: bytes, b: bytes) -> float:
+def _file_drift(name: str, a: bytes, b: bytes) -> tuple:
     """The largest relative drift between the differing contents ``a`` and
-    ``b`` of file ``name``; raises Structure (or ValueError on a file that
-    does not parse) when they do not compare by value."""
+    ``b`` of file ``name`` and where it sits; raises Structure (or
+    ValueError on a file that does not parse) when they do not compare by
+    value."""
     if name.endswith(".bin"):
         x, y = np.frombuffer(a, dtype=np.complex128), np.frombuffer(b, dtype=np.complex128)
         if x.shape != y.shape:
             raise Structure("snapshot sizes differ")
-        return _rel_drift(x, y)
+        value, i = _rel_drift(x, y)
+        return value, None if i is None else f"element {i}"
     if name.endswith(".csv"):
         pairs = _csv_numbers(a.decode(), b.decode())
     elif name.endswith(".json"):
         pairs = _json_numbers(json.loads(a), json.loads(b))
     else:
         raise Structure("contents differ")
-    return _rel_drift(*zip(*pairs)) if pairs else 0.0
+    if not pairs:
+        return 0.0, None
+    places, x, y = zip(*pairs)
+    value, i = _rel_drift(x, y)
+    return value, None if i is None else places[i]
 
 
 def _files(root: str) -> set:
@@ -299,12 +313,13 @@ def drift(tree_a: str, tree_b: str) -> int:
             identical += 1
             continue
         try:
-            value = _file_drift(name, a, b)
+            value, place = _file_drift(name, a, b)
         except (Structure, ValueError) as exc:  # a parse error is a ValueError
             print(f"{name}: structurally different: {exc}")
             broken += 1
             continue
-        print(f"{name}: max relative drift {value:.3g}")
+        at = "" if place is None else f" at {place}"
+        print(f"{name}: max relative drift {value:.3g}{at}")
         drifted.append((value, name))
     largest = " (largest {:.3g} in {})".format(*max(drifted)) if drifted else ""
     print(f"{len(files_a | files_b)} files: {identical} identical, "

@@ -126,6 +126,11 @@ class EuclidRunSpec:
         return self.tf.phi(self.grid.radii() / self.R)
 
     @cached_property
+    def weight_laplacian(self) -> np.ndarray:
+        """|alpha| Lap_h phi(x/R), stacked as rho: see functional_derivatives."""
+        return self.diffusion * discrete_laplacian(self.weight, self.grid.h)
+
+    @cached_property
     def diffusion(self) -> np.ndarray:
         """|alpha1| and |alpha2|, a column of the stacked amplitudes."""
         return self._column(-self.params.alpha1.real, -self.params.alpha2.real)
@@ -184,17 +189,15 @@ class EuclidState(PairState):
     From data on these phases the system keeps its fields on them, with
     rho_u' = |alpha1| Lap rho_u + |beta1| |rho_v|^p and likewise rho_v', so
     a run marches rho in real arithmetic; Re(conj(beta1) u) = |beta1| rho_u.
-    fields and t are not changed once the state is made; it keeps its
-    nonlinearity and second differences once computed.  So ``fields`` is a
-    read-only view of the given array, in unpickled copies too; the
-    caller's array stays writable.
+    fields and t are not changed once the state is made, as it keeps its
+    nonlinearity once computed: ``fields`` is a read-only view of the given
+    array, in unpickled copies too; the caller's array stays writable.
     """
 
     fields: np.ndarray
     t: float
     # (params, its nonlinearity) once _node_nonlinearity has computed it
     held: Optional[tuple] = field(default=None, init=False, repr=False)
-    _second: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if isinstance(self.t, (list, tuple)):  # a batch: one time per state
@@ -206,14 +209,6 @@ class EuclidState(PairState):
     def __setstate__(self, state):
         self.__dict__.update(state)
         self.__post_init__()
-
-    def second_difference(self, n: int) -> np.ndarray:
-        """h^2 Lap_h rho on the interior of a grid of dimension n, computed
-        once and shared by the state's derivative and, in 1-d, the step
-        from it."""
-        if self._second is None:
-            self._second = _second_difference(self.fields, n)
-        return self._second
 
 
 # indices of the interior of the stacked fields of one state or a batch on a
@@ -324,7 +319,7 @@ def _imex_step_1d(node, spec, dt, force):
     # (rung, field) columns that share r = dt |alpha| / h^2
     h = spec.grid.h
     r = dt * spec.diffusion / (h * h)
-    rhs = 0.5 * r * node.second_difference(1)
+    rhs = 0.5 * r * _second_difference(node.fields, 1)
     rhs += node.fields[..., 1:-1]
     rhs += dt * force[..., 1:-1]
     columns = rhs.reshape(-1, rhs.shape[-1])
@@ -353,8 +348,7 @@ def _imex_step_2d(node, spec, dt, force):
         r = step * d / (h * h)
         forcing = 0.5 * step * f[1:-1, 1:-1]
         # x-implicit half step
-        rhs = a[1:-1, :-2] - 2.0 * a[1:-1, 1:-1]
-        rhs += a[1:-1, 2:]
+        rhs = _second_difference(a[1:-1], 1)
         rhs *= 0.5 * r
         rhs += a[1:-1, 1:-1]
         rhs += forcing
@@ -371,10 +365,10 @@ def _imex_step_2d(node, spec, dt, force):
 
 def _rhs(node: EuclidState, spec: EuclidRunSpec) -> np.ndarray:
     """Discrete right-hand side |alpha| Lap_h rho + nonlinearity of both
-    amplitudes, zero on the boundary."""
+    amplitudes, zero on the boundary: the explicit step's stages."""
     h, n = spec.grid.h, spec.params.n
     inner = _INTERIOR[n]
-    lap = node.second_difference(n) / (h * h)
+    lap = _second_difference(node.fields, n) / (h * h)
     lap *= spec.diffusion
     lap += _node_nonlinearity(node, spec.params)[inner]
     out = np.zeros(node.fields.shape)
@@ -417,29 +411,32 @@ def euclid_step(state: EuclidState, spec: EuclidRunSpec, dt) -> EuclidState:
     return EuclidState(fields, state.t + dt)
 
 
-def _weighted_means(a: np.ndarray, spec: EuclidRunSpec) -> tuple:
-    """The grid quadrature of |beta| a * phi(x/R), for both stacked
-    amplitudes ``a``: two floats, or for a batch two lists of per-rung
-    floats."""
-    # |beta| a first, which for real beta is Re(conj(beta) field) to the bit
-    terms = spec.beta_abs * a
-    terms *= spec.weight
-    sums = terms.reshape(*a.shape[:-spec.params.n], -1).sum(axis=-1) * spec.grid.cell_volume
-    U, V = sums.T.tolist()
-    return U, V
+def _quadrature(terms: np.ndarray, spec: EuclidRunSpec) -> tuple:
+    """h^n times the grid sum of each stacked amplitude's ``terms``: two
+    floats, or for a batch two lists of per-rung floats."""
+    sums = terms.reshape(*terms.shape[:-spec.params.n], -1).sum(axis=-1) * spec.grid.cell_volume
+    return tuple(sums.T.tolist())
 
 
 def weighted_functionals(state: EuclidState, spec: EuclidRunSpec) -> tuple:
     """Grid quadrature of Re(conj(beta) field) * phi(x/R), that is of
     |beta| rho * phi(x/R); per-rung lists for a batch."""
-    return _weighted_means(_on_grid(state, spec).fields, spec)
+    # |beta| rho first, which for real beta is Re(conj(beta) field) to the bit
+    terms = spec.beta_abs * _on_grid(state, spec).fields
+    terms *= spec.weight
+    return _quadrature(terms, spec)
 
 
 def functional_derivatives(state: EuclidState, spec: EuclidRunSpec) -> tuple:
-    """d/dt of the weighted functionals from the discrete right-hand side,
-    |alpha| Lap_h rho + |beta| |other amplitude|^p; per-rung lists for a
-    batch."""
-    return _weighted_means(_rhs(_on_grid(state, spec), spec), spec)
+    """d/dt of the weighted functionals from the discrete right-hand side:
+    the quadrature of |beta| (|alpha| (Lap_h w) rho + w |other amplitude|^p),
+    w = phi(x/R), per-rung lists for a batch.  Summing by parts moves Lap_h
+    from rho onto w exactly, as both vanish on the box's boundary (|x| >= 2R)."""
+    node = _on_grid(state, spec)
+    terms = spec.weight_laplacian * node.fields
+    terms += spec.weight * _node_nonlinearity(node, spec.params)
+    terms *= spec.beta_abs
+    return _quadrature(terms, spec)
 
 
 def run_euclid(

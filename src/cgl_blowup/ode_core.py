@@ -361,13 +361,11 @@ def integrate_coupled(
             h *= fac if fac > min_fac else min_fac
     else:
         raise IntegrationError("step budget exhausted", last_node=(t, f, g))
-
-    return Trajectory(
-        times=np.array(ts),
-        values=np.column_stack([fs, gs]),
-        status=status,
-        threshold=blowup_threshold if status == BLOWUP else None,
-    )
+    try:
+        return Trajectory(times=np.array(ts), values=np.column_stack([fs, gs]), status=status,
+                          threshold=blowup_threshold if status == BLOWUP else None)
+    except ValidationError as exc:  # the run's own record refuses its nodes
+        raise IntegrationError(f"trajectory refused: {exc}", last_node=(t, f, g)) from None
 
 
 def tail_corrected_lifespan(traj: Trajectory, spec: CoupledODESpec) -> float:

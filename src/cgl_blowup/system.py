@@ -276,9 +276,10 @@ def march(params, state, t_end, dt_max, dt_safety, step, observe,
     batch, and the others step in lockstep.
 
     Returns the :class:`Run`, or for a batch a list of one per rung, each
-    with its own final state.  A step rate past the float range raises
-    IntegrationError carrying that rung's last node; one that ``step``
-    raises propagates as it is (for a batch, carrying the batch).
+    with its own final state.  A step rate past the float range, or a
+    series its record refuses, raises IntegrationError carrying that rung's
+    last node; one that ``step`` raises propagates as it is (for a batch,
+    carrying the batch).
     """
     if not all(_positive(t_end - t) for t in np.atleast_1d(state.t).tolist()):
         raise ValidationError("state times must be finite and below a finite t_end")
@@ -338,6 +339,10 @@ def march(params, state, t_end, dt_max, dt_safety, step, observe,
                 state = replace(state, fields=state.fields[keep], t=state.t[keep])
             state = step(state, dts[0] if single else np.array(dts))
         data_node = False
-    runs = [Run(FunctionalSeries(*np.frombuffer(r).reshape(-1, 5).T), *end)
-            for r, end in zip(rows, ends)]
+    runs = []
+    for r, (final, status) in zip(rows, ends):
+        try:
+            runs.append(Run(FunctionalSeries(*np.frombuffer(r).reshape(-1, 5).T), final, status))
+        except ValidationError as exc:  # the run's own record refuses its nodes
+            raise IntegrationError(f"series refused: {exc}", last_node=final) from None
     return runs[0] if single else runs

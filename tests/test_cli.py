@@ -15,6 +15,7 @@ from scipy.special import stdtrit
 import cgl_blowup
 from cgl_blowup import ode_core, testfn
 from cgl_blowup.cli import main
+from cgl_blowup.errors import ValidationError
 from cgl_blowup.sampling import sample_coupled_spec
 from cgl_blowup.serialize import write_json
 
@@ -527,6 +528,22 @@ def test_ode_verify_writes_its_report_when_a_crossing_falls_within_an_ulp(tmp_pa
                     "--out", out, "--seed", 28]) == 1
     assert json.loads((out / "report.json").read_text())["seed"] == 28
     assert (out / "specs.csv").exists()
+
+
+def test_a_trajectory_refusing_its_own_nodes_exits_3_not_as_a_config_error(
+        tmp_path, capsys, monkeypatch):
+    # the config is valid: a run whose record refuses the nodes the run made
+    # is a run-time failure
+    def refusing(**kwargs):
+        raise ValidationError("times must be finite and strictly increasing")
+
+    monkeypatch.setattr(ode_core, "Trajectory", refusing)
+    cfg = write_config(tmp_path / "c.json", {"schema_version": 1, "n_specs": 2, "t_end": 1.0})
+    out = tmp_path / "out"
+    assert run_cli(["ode-verify", "--config", cfg, "--out", out, "--seed", 1]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and "strictly increasing" in err
+    assert "config error" not in err
 
 
 def test_scaling_study_torus(tmp_path):

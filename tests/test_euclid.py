@@ -559,6 +559,57 @@ def test_laplacian_contribution_matches_weight_laplacian(tf1):
     assert lap_term == pytest.approx(weight_side, abs=30 * h ** 2)
 
 
+def _rhs_quadrature(state, spec):
+    """The derivatives as the quadrature of |beta| w * _rhs, the full
+    right-hand side field, with no summation by parts."""
+    terms = spec.beta_abs * spec.weight * euclid._rhs(state, spec)
+    sums = terms.reshape(*terms.shape[:-spec.params.n], -1).sum(axis=-1)
+    return (sums * spec.grid.cell_volume).T
+
+
+def _stepped_state(case):
+    # |alpha1| != |alpha2| and complex beta, one step from gaussian data
+    spec = _unequal_alpha_spec(2 if case == "2d" else 1)
+    if case == "1d_batch":
+        return spec, euclid_step(stack_states(_rung_states(spec, (1.0, 3.0, 6.0))), spec,
+                                 [1e-3, 2e-3, 5e-4])
+    return spec, euclid_step(make_initial_state(spec), spec, 1e-3)
+
+
+_ORACLE_CASES = ["1d", "2d", "1d_batch"]
+
+
+@pytest.mark.parametrize("case", _ORACLE_CASES)
+def test_derivatives_by_parts_equal_the_quadrature_of_the_right_hand_side(case):
+    spec, state = _stepped_state(case)
+    got = np.array(functional_derivatives(state, spec))
+    np.testing.assert_allclose(got, _rhs_quadrature(state, spec), rtol=1e-12, atol=0)
+
+
+def test_the_derivative_oracle_sees_a_weight_laplacian_without_diffusion(monkeypatch):
+    monkeypatch.setattr(EuclidRunSpec, "weight_laplacian",
+                        property(lambda spec: discrete_laplacian(spec.weight, spec.grid.h)))
+    for case in _ORACLE_CASES:
+        spec, state = _stepped_state(case)
+        got = np.array(functional_derivatives(state, spec))
+        want = _rhs_quadrature(state, spec)
+        assert np.max(np.abs(got - want) / np.abs(want)) > 1e-3
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("R,h", [(4.0, 4.0 / 64), (6.4, 6.4 / 64), (4.0, 4.0 / 67)])
+def test_the_weight_vanishes_on_the_boundary_of_the_smallest_box(n, R, h):
+    # the derivatives' summation by parts is exact only where rho and the
+    # weight both vanish on the boundary
+    spec = EuclidRunSpec(params=heat_params(n=n), R=R, box_half_width=2.0 * R, h=h,
+                         data=DataSpec(epsilon=0.5, r_data=R / 2))
+    boundary = np.ones(spec.grid.shape, dtype=bool)
+    boundary[(slice(1, -1),) * n] = False
+    assert np.count_nonzero(spec.weight) > 0
+    assert np.all(spec.weight[boundary] == 0.0)
+    assert np.all(make_initial_state(spec).fields[:, boundary] == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # growth inequality and bounds
 
