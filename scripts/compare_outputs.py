@@ -42,8 +42,9 @@ and non-numeric leaves, ``.bin`` snapshots as complex128 arrays; any other
 file must be identical.  One line is printed per differing file, with its
 largest relative drift |a-b|/max(|a|,|b|) and where it sits (the CSV
 column header, the JSON key path or the snapshot element), then a summary
-line.  The exit code is 1 when a file is missing or structurally
-different, else 0.
+line with the bound.  The exit code is 1 when a file is missing or
+structurally different, or when a drift exceeds the benchmark gate's
+relative bound ``DRIFT_BOUND`` (``perfbench/gate.py``), else 0.
 """
 
 from __future__ import annotations
@@ -58,6 +59,10 @@ import sys
 import numpy as np
 
 from run_full_suite import RUNS
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "perfbench"))
+from gate import DRIFT_BOUND  # noqa: E402
 
 WORKLOADS = ("ode_sweep", "torus_1d", "euclid_1d", "grid_2d")
 BENCH_SEEDS = (3, 12)
@@ -300,7 +305,8 @@ def _read(path: str) -> bytes:
 
 def drift(tree_a: str, tree_b: str) -> int:
     """Print how the output trees ``tree_a`` and ``tree_b`` differ; 1 when a
-    file is missing or structurally different, else 0."""
+    file is missing or structurally different or drifts beyond
+    ``DRIFT_BOUND``, else 0."""
     files_a, files_b = _files(tree_a), _files(tree_b)
     identical, drifted, broken = 0, [], 0
     for name in sorted(files_a | files_b):
@@ -323,8 +329,9 @@ def drift(tree_a: str, tree_b: str) -> int:
         drifted.append((value, name))
     largest = " (largest {:.3g} in {})".format(*max(drifted)) if drifted else ""
     print(f"{len(files_a | files_b)} files: {identical} identical, "
-          f"{len(drifted)} drifted{largest}, {broken} missing or structurally different")
-    return 1 if broken else 0
+          f"{len(drifted)} drifted{largest}, {broken} missing or structurally "
+          f"different; drift bound {DRIFT_BOUND:.3g}")
+    return 1 if broken or max(drifted, default=(0.0,))[0] > DRIFT_BOUND else 0
 
 
 def main() -> int:

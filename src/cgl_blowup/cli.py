@@ -199,41 +199,27 @@ def cmd_ode_verify(cfg, out_dir, seed):
 
     checks = [
         {
-            "name": "conserved_identity_literal",
-            "passed": bool(all(r["residual_literal"] < residual_tolerance
+            "name": f"conserved_identity_{kind}",
+            "passed": bool(all(r[f"residual_{kind}"] < residual_tolerance
                                for r in rows)),
-            "max_value": max(r["residual_literal"] for r in rows),
+            "max_value": max(r[f"residual_{kind}"] for r in rows),
             "tolerance": residual_tolerance,
-        },
-        {
-            "name": "conserved_identity_scaled",
-            "passed": bool(all(r["residual_scaled"] < residual_tolerance
-                               for r in rows)),
-            "max_value": max(r["residual_scaled"] for r in rows),
-            "tolerance": residual_tolerance,
-        },
-        {
-            "name": "worked_symmetric_case",
-            "passed": bool(worked["within_tolerance"] and worked["bound_respected"]),
-        },
-        {
-            "name": "lifespan_bounds_dominate",
-            "passed": bool(all(r["bound_respected"] for r in rows)),
-        },
-        {
-            "name": "lower_bound_curves_dominated",
-            "passed": bool(all(r["curve_dominated"] for r in rows)),
-        },
-        {
-            "name": "undamped_monotonicity",
-            "passed": bool(all(r["monotone"] for r in rows)),
-        },
-        {
-            "name": "ordered_data_comparison",
-            "passed": not comparison_failures,
-            "failures": comparison_failures,
-        },
+        }
+        for kind in ("literal", "scaled")
     ]
+    checks.append({
+        "name": "worked_symmetric_case",
+        "passed": bool(worked["within_tolerance"] and worked["bound_respected"]),
+    })
+    checks += [{"name": name, "passed": bool(all(r[key] for r in rows))}
+               for name, key in (("lifespan_bounds_dominate", "bound_respected"),
+                                 ("lower_bound_curves_dominated", "curve_dominated"),
+                                 ("undamped_monotonicity", "monotone"))]
+    checks.append({
+        "name": "ordered_data_comparison",
+        "passed": not comparison_failures,
+        "failures": comparison_failures,
+    })
     all_passed = all(c["passed"] for c in checks)
 
     failing = [
@@ -703,13 +689,13 @@ def main(argv=None) -> int:
     except (ConfigError, ValidationError, MemoryError) as exc:
         # MemoryError: the config asks for arrays too large to allocate
         print(f"config error: {exc}", file=sys.stderr)
-        # a config error writes nothing, so leave no empty --out behind
-        if created and os.path.isdir(args.out) and not os.listdir(args.out):
-            os.rmdir(args.out)
-        return EXIT_CONFIG
+        code = EXIT_CONFIG
     except IntegrationError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        code = EXIT_RUNTIME
+    # a run that failed before writing anything leaves no empty --out behind
+    if created and os.path.isdir(args.out) and not os.listdir(args.out):
+        os.rmdir(args.out)
     return code
 
 

@@ -257,7 +257,7 @@ def _positive(value, finite: bool = True) -> bool:
 
 
 def march(params, state, t_end, dt_max, dt_safety, step, observe,
-          field_threshold, functional_threshold=None, dt_cap=math.inf):
+          field_threshold, functional_threshold=None):
     """Advance ``state`` with ``step(state, dt)`` until t_end, until max
     |field| crosses field_threshold, or until U or V crosses
     functional_threshold (status blow_up...).
@@ -271,9 +271,9 @@ def march(params, state, t_end, dt_max, dt_safety, step, observe,
 
     At every node each live rung is decided once: blow-up at a threshold
     (never at its data node), else completed at t_end, else its own dt, from
-    its max |u| and max |v| and never above ``dt_cap``, with step collapse
-    when that dt falls below the floor.  The rungs that stopped leave the
-    batch, and the others step in lockstep.
+    its max |u| and max |v|, with step collapse when that dt falls below
+    the floor.  The rungs that stopped leave the batch, and the others step
+    in lockstep.
 
     Returns the :class:`Run`, or for a batch a list of one per rung, each
     with its own final state.  A step rate past the float range, or a
@@ -325,7 +325,7 @@ def march(params, state, t_end, dt_max, dt_safety, step, observe,
                 raise IntegrationError(
                     f"step rate overflow at t={t}", last_node=rung(state, pos)) from None
             dt = min(dt_max, dt_safety / rate) if rate > 0 else dt_max
-            dt = min(dt, dt_cap, t_end - t)
+            dt = min(dt, t_end - t)
             if dt < 1e-14 * max(abs(t), 1e-3 * t_end):
                 stops[pos] = STEP_COLLAPSE
             else:

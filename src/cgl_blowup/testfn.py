@@ -35,43 +35,32 @@ def _j1(x):
     return j1(x)
 
 
-def _sinc(x):
+def _removable(x, cut, series, closed):
+    """A function with a removable singularity at 0: its Taylor polynomial
+    ``series`` where |x| < cut, else its ``closed`` form, which is never
+    evaluated there."""
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 - x * x / 6.0 + x ** 4 / 120.0, np.sin(xs) / xs)
-    return out
+    small = np.abs(x) < cut
+    return np.where(small, series(x), closed(np.where(small, 1.0, x)))
+
+
+def _sinc(x):
+    return _removable(x, 1e-4, lambda x: 1.0 - x * x / 6.0 + x ** 4 / 120.0,
+                      lambda x: np.sin(x) / x)
 
 
 def _dsinc(x):
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, 1.0, x)
-    out = np.where(
-        small,
-        -x / 3.0 + x ** 3 / 30.0,
-        (np.cos(xs) - np.sin(xs) / xs) / xs,
-    )
-    return out
+    return _removable(x, 1e-4, lambda x: -x / 3.0 + x ** 3 / 30.0,
+                      lambda x: (np.cos(x) - np.sin(x) / x) / x)
 
 
 def _dsinc_over_x(x):
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, 1.0, x)
-    out = np.where(
-        small,
-        -1.0 / 3.0 + x * x / 10.0,
-        (np.cos(xs) - np.sin(xs) / xs) / (xs * xs),
-    )
-    return out
+    return _removable(x, 1e-4, lambda x: -1.0 / 3.0 + x * x / 10.0,
+                      lambda x: (np.cos(x) - np.sin(x) / x) / (x * x))
 
 
 def _j1_over_x(x):
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-8
-    xs = np.where(small, 1.0, x)
-    return np.where(small, 0.5, _j1(xs) / xs)
+    return _removable(x, 1e-8, lambda x: 0.5, lambda x: _j1(x) / x)
 
 
 @dataclass(frozen=True)
@@ -123,13 +112,8 @@ class TestFunctionData:
     def _dpsi_over_r(self, r):
         r = np.asarray(r, dtype=float)
         if self.n == 1:
-            small = r < 1e-8
-            rs = np.where(small, 1.0, r)
-            return np.where(
-                small,
-                -((0.5 * np.pi) ** 2),
-                -0.5 * np.pi * np.sin(0.5 * np.pi * r) / rs,
-            )
+            return _removable(r, 1e-8, lambda r: -((0.5 * np.pi) ** 2),
+                              lambda r: -0.5 * np.pi * np.sin(0.5 * np.pi * r) / r)
         if self.n == 2:
             k = self.bessel_zero
             return -k * k * _j1_over_x(k * r)

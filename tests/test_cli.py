@@ -498,6 +498,17 @@ def test_ode_verify_reports_residual_defect(tmp_path):
     assert report["failing_cases"]
     assert code == 1
     assert (out / "specs.csv").exists()
+    # the checks' names, order and keys are the report's format
+    identity = ["name", "passed", "max_value", "tolerance"]
+    assert [(c["name"], list(c)) for c in report["checks"]] == [
+        ("conserved_identity_literal", identity),
+        ("conserved_identity_scaled", identity),
+        ("worked_symmetric_case", ["name", "passed"]),
+        ("lifespan_bounds_dominate", ["name", "passed"]),
+        ("lower_bound_curves_dominated", ["name", "passed"]),
+        ("undamped_monotonicity", ["name", "passed"]),
+        ("ordered_data_comparison", ["name", "passed", "failures"]),
+    ]
 
 
 def test_ode_verify_draws_the_shrinks_after_the_pair_specs(tmp_path, monkeypatch):
@@ -544,6 +555,7 @@ def test_a_trajectory_refusing_its_own_nodes_exits_3_not_as_a_config_error(
     err = capsys.readouterr().err
     assert err.startswith("runtime error:") and "strictly increasing" in err
     assert "config error" not in err
+    assert not out.exists()  # the run wrote nothing, so its --out is gone
 
 
 def test_scaling_study_torus(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import pickle
 from dataclasses import replace
 
@@ -137,6 +138,13 @@ def test_explicit_run_caps_dt_below_the_diffusion_limit():
     assert steps.size >= 50
     assert np.all(steps <= 0.9 * cfl * (1 + 1e-12))
     assert steps.max() == pytest.approx(0.9 * cfl, rel=1e-12)
+
+
+def test_explicit_run_still_refuses_an_infinite_dt_max():
+    # the explicit run caps dt_max at its diffusion limit, which must not
+    # turn an infinite dt_max into a finite one
+    with pytest.raises(ValidationError, match="dt_max"):
+        run_euclid(small_spec(scheme="explicit"), t_end=1.0, dt_max=math.inf)
 
 
 def test_overflow_carries_last_state():

@@ -4,6 +4,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import j0, j1
 
+from cgl_blowup import testfn
 from cgl_blowup.errors import ValidationError
 from cgl_blowup.testfn import build_test_function, verify_phi_inequality
 
@@ -31,6 +32,23 @@ def test_one_dimensional_closed_forms():
     assert tf1.l1_norm == pytest.approx(1.0, abs=1e-12)
     x = np.array([0.0, 0.3, 0.9])
     assert tf1.psi(x) == pytest.approx(np.cos(np.pi * x / 2), rel=1e-14)
+
+
+@pytest.mark.parametrize("f, cut, at_zero, signs", [
+    (testfn._sinc, 1e-4, 1.0, (1, -1)),
+    (testfn._dsinc, 1e-4, 0.0, (1, -1)),
+    (testfn._dsinc_over_x, 1e-4, -1.0 / 3.0, (1, -1)),
+    (testfn._j1_over_x, 1e-8, 0.5, (1, -1)),
+    (build_test_function(1)._dpsi_over_r, 1e-8, -((0.5 * np.pi) ** 2), (1,)),  # radii
+], ids=["sinc", "dsinc", "dsinc_over_x", "j1_over_x", "dpsi_over_r_1d"])
+def test_removable_singularities_join_their_series_at_the_cut(f, cut, at_zero, signs):
+    # the Taylor polynomial just inside the cut against the closed form just
+    # outside it; _dsinc and _dsinc_over_x lose about 8 digits to
+    # cancellation there, so 1e-6 is as tight as the closed forms allow
+    for sign in signs:
+        inside, outside = f(sign * cut * (1 - 1e-9)), f(sign * cut * (1 + 1e-9))
+        assert inside == pytest.approx(outside, rel=1e-6)
+    assert f(0.0) == at_zero
 
 
 def test_two_dimensional_bessel_eigenpair():
