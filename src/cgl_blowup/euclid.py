@@ -2,10 +2,11 @@
 real) on a Dirichlet box truncating R^n (n = 1 or 2), with functionals
 weighted by the compactly supported profile phi(x/R).
 
-From data on the phases of beta the fields stay on them, so the one state
-type, :class:`EuclidState`, holds the real amplitudes rho of the fields
-u = (beta1/|beta1|) rho[0] and v = (beta2/|beta2|) rho[1] as its ``fields``,
-and the steppers march rho in float64.
+From data on the phases of beta the fields stay on them, with
+rho_u' = |alpha1| Lap rho_u + |beta1| |rho_v|^p and likewise rho_v', so the
+state, :class:`PairState`, holds the real amplitudes rho of the fields
+u = (beta1/|beta1|) rho[0] and v = (beta2/|beta2|) rho[1] as its float64
+``fields``, its ``u`` and ``v``; Re(conj(beta1) u) = |beta1| rho_u.
 
 The weighted means obey a damped growth inequality with damping
 |alpha_i| * lambda_eff / R^2; instantiating the damped ODE bounds with
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cache, cached_property
 from typing import Optional
 
@@ -40,7 +41,7 @@ __all__ = [
     "DataSpec",
     "EuclidRunSpec",
     "EuclidGrid",
-    "EuclidState",
+    "PairState",
     "ThresholdConstants",
     "EuclidBounds",
     "make_initial_state",
@@ -178,39 +179,6 @@ class EuclidGrid:
         return self.h ** self.n
 
 
-@dataclass(eq=False)
-class EuclidState(PairState):
-    """The amplitudes rho of the fields u = (beta1/|beta1|) rho[0] and
-    v = (beta2/|beta2|) rho[1] at time t, held as ``fields``, rho real of
-    shape (2, *grid shape): the stacked pair, named as in the torus state;
-    or a batch of such pairs (see :class:`PairState`).  ``u`` and ``v`` are
-    the real amplitudes, so |u| = |field u|.
-
-    From data on these phases the system keeps its fields on them, with
-    rho_u' = |alpha1| Lap rho_u + |beta1| |rho_v|^p and likewise rho_v', so
-    a run marches rho in real arithmetic; Re(conj(beta1) u) = |beta1| rho_u.
-    fields and t are not changed once the state is made, as it keeps its
-    nonlinearity once computed: ``fields`` is a read-only view of the given
-    array, in unpickled copies too; the caller's array stays writable.
-    """
-
-    fields: np.ndarray
-    t: float
-    # (params, its nonlinearity) once _node_nonlinearity has computed it
-    held: Optional[tuple] = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        if isinstance(self.t, (list, tuple)):  # a batch: one time per state
-            self.t = np.array(self.t, dtype=float)
-        if isinstance(self.fields, np.ndarray):  # _on_grid refuses anything else
-            self.fields = self.fields.view()
-            self.fields.flags.writeable = False
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self.__post_init__()
-
-
 # indices of the interior of the stacked fields of one state or a batch on a
 # grid of dimension n
 _INTERIOR = {n: (Ellipsis,) + (slice(1, -1),) * n for n in (1, 2)}
@@ -231,7 +199,7 @@ def _second_difference(a: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _on_grid(state: EuclidState, spec: EuclidRunSpec) -> EuclidState:
+def _on_grid(state: PairState, spec: EuclidRunSpec) -> PairState:
     """``state``, refused unless its fields are a float64 pair on the spec's
     grid, or a batch of k such pairs with k times."""
     rho, batch = state.fields, state.batch_shape
@@ -243,7 +211,7 @@ def _on_grid(state: EuclidState, spec: EuclidRunSpec) -> EuclidState:
     return state
 
 
-def make_initial_state(spec: EuclidRunSpec) -> EuclidState:
+def make_initial_state(spec: EuclidRunSpec) -> PairState:
     """The amplitudes eps * amp * profile(|x| / r_data), zero on the
     boundary, of the data on the phases of beta: conj(beta1) u0 and
     conj(beta2) v0 are positive reals on the support."""
@@ -257,7 +225,7 @@ def make_initial_state(spec: EuclidRunSpec) -> EuclidState:
     rho = np.zeros((2, *spec.grid.shape))
     rho[0][inner] = d.epsilon * d.amp_u * profile[inner]
     rho[1][inner] = d.epsilon * d.amp_v * profile[inner]
-    return EuclidState(rho, 0.0)
+    return PairState(rho, 0.0)
 
 
 def discrete_laplacian(a: np.ndarray, h: float) -> np.ndarray:
@@ -267,7 +235,7 @@ def discrete_laplacian(a: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def _nonlinearity(node: EuclidState, params: SystemParams) -> np.ndarray:
+def _nonlinearity(node: PairState, params: SystemParams) -> np.ndarray:
     """|beta1| |v|^p and |beta2| |u|^q, stacked as rho; non-finite where
     they overflow."""
     u, v, reversed_pair = PAIR_INDEX[params.n]
@@ -281,7 +249,7 @@ def _nonlinearity(node: EuclidState, params: SystemParams) -> np.ndarray:
     return power
 
 
-def _node_nonlinearity(node: EuclidState, params: SystemParams) -> np.ndarray:
+def _node_nonlinearity(node: PairState, params: SystemParams) -> np.ndarray:
     """``_nonlinearity(node, params)``, computed once per node and kept on
     it, so a node's derivative and the step from it share one computation."""
     if node.held is None or node.held[0] is not params:
@@ -358,7 +326,7 @@ def _imex_step_2d(node, spec, dt, force):
     return out
 
 
-def _rhs(node: EuclidState, spec: EuclidRunSpec) -> np.ndarray:
+def _rhs(node: PairState, spec: EuclidRunSpec) -> np.ndarray:
     """Discrete right-hand side |alpha| Lap_h rho + nonlinearity of both
     amplitudes, zero on the boundary: the explicit step's stages."""
     h, n = spec.grid.h, spec.params.n
@@ -374,7 +342,7 @@ def _rhs(node: EuclidState, spec: EuclidRunSpec) -> np.ndarray:
 def _explicit_step(node, spec, dt):
     # Heun's method on the full right-hand side
     k1 = _rhs(node, spec)
-    k2 = _rhs(EuclidState(node.fields + dt * k1, node.t), spec)
+    k2 = _rhs(PairState(node.fields + dt * k1, node.t), spec)
     return node.fields + 0.5 * dt * (k1 + k2)
 
 
@@ -382,7 +350,7 @@ def cfl_limit(spec: EuclidRunSpec) -> float:
     return spec.grid.h ** 2 / (2.0 * spec.params.n * float(spec.diffusion.max()))
 
 
-def euclid_step(state: EuclidState, spec: EuclidRunSpec, dt) -> EuclidState:
+def euclid_step(state: PairState, spec: EuclidRunSpec, dt) -> PairState:
     """One IMEX (default) or explicit step; raises on field overflow, the
     IntegrationError carrying ``state`` as the last good node.  A batch
     steps each rung by its own dt, given as an array of one per rung; the
@@ -403,7 +371,7 @@ def euclid_step(state: EuclidState, spec: EuclidRunSpec, dt) -> EuclidState:
         fields = imex(state, spec, step, nonlinearity)
     if not np.isfinite(fields).all():
         raise IntegrationError(f"field overflow at t={state.t}", last_node=state)
-    return EuclidState(fields, state.t + dt)
+    return PairState(fields, state.t + dt)
 
 
 def _quadrature(terms: np.ndarray, spec: EuclidRunSpec) -> tuple:
@@ -413,7 +381,7 @@ def _quadrature(terms: np.ndarray, spec: EuclidRunSpec) -> tuple:
     return tuple(sums.T.tolist())
 
 
-def weighted_functionals(state: EuclidState, spec: EuclidRunSpec) -> tuple:
+def weighted_functionals(state: PairState, spec: EuclidRunSpec) -> tuple:
     """Grid quadrature of Re(conj(beta) field) * phi(x/R), that is of
     |beta| rho * phi(x/R); per-rung lists for a batch."""
     # |beta| rho first, which for real beta is Re(conj(beta) field) to the bit
@@ -422,7 +390,7 @@ def weighted_functionals(state: EuclidState, spec: EuclidRunSpec) -> tuple:
     return _quadrature(terms, spec)
 
 
-def functional_derivatives(state: EuclidState, spec: EuclidRunSpec) -> tuple:
+def functional_derivatives(state: PairState, spec: EuclidRunSpec) -> tuple:
     """d/dt of the weighted functionals from the discrete right-hand side:
     the quadrature of |beta| (|alpha| (Lap_h w) rho + w |other amplitude|^p),
     w = phi(x/R), per-rung lists for a batch.  Summing by parts moves Lap_h
@@ -441,14 +409,14 @@ def run_euclid(
     functional_threshold: Optional[float] = 1e5,
     field_threshold: float = 1e7,
     dt_safety: float = 0.05,
-    state: Optional[EuclidState] = None,
+    state: Optional[PairState] = None,
 ) -> Run:
     """Advance until t_end, until U or V crosses functional_threshold, or
     until max |field| crosses field_threshold (status blow_up...).
 
     The run marches from the data profile, or from ``state``, which must be
     finite and on the spec's grid.  For a batch ``state`` (see
-    :class:`EuclidState`) the rungs march in lockstep, each with its own dt
+    :class:`PairState`) the rungs march in lockstep, each with its own dt
     and stop, and a list of one Run per rung is returned.  The weight is
     evaluated once per run (``spec.weight``), and the nonlinearity once per
     node (``_node_nonlinearity``).

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from numbers import Real
 
 import numpy as np
@@ -65,13 +65,31 @@ PAIR_INDEX = {n: [(Ellipsis, i) + (slice(None),) * n for i in (0, 1, slice(None,
               for n in (1, 2)}
 
 
+@dataclass(eq=False)
 class PairState:
-    """The format both PDE states share: the pair (u, v) at time t stacked
-    as ``fields`` of shape (2, *grid), or a batch of k pairs stacked on a
-    leading axis, ``fields`` of shape (k, 2, *grid), whose times ``t`` are
-    an array of k floats.  A time that is an array is what makes a state a
-    batch; its rungs step, and are observed, together, and its ``u`` and
-    ``v`` have the batch axis too."""
+    """The pair (u, v) at time t, the state of both PDE backends, stacked as
+    ``fields`` of shape (2, *grid); or a batch of k pairs on a leading axis,
+    ``fields`` of shape (k, 2, *grid), whose times ``t`` are an array of k
+    floats (a list or tuple is made one), which makes it a batch: its rungs
+    step, and are observed, together, and its ``u`` and ``v`` have the batch
+    axis too.  What steps a state owns its grid and refuses a state off it.
+    ``fields`` is a read-only view of the given array, in unpickled copies
+    too, as a backend keeps what it computes from a node in ``held``."""
+
+    fields: np.ndarray
+    t: float
+    held: tuple | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if isinstance(self.t, (list, tuple)):  # a batch: one time per state
+            self.t = np.array(self.t, dtype=float)
+        if isinstance(self.fields, np.ndarray):  # the backends refuse anything else
+            self.fields = self.fields.view()
+            self.fields.flags.writeable = False
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.__post_init__()
 
     @property
     def batch_shape(self) -> tuple:
@@ -113,7 +131,7 @@ def stack_states(states):
         fields = np.stack([s.fields for s in states])
     except ValueError:  # no states, or states on different grids
         raise ValidationError("a batch needs one or more states on one grid") from None
-    return replace(states[0], fields=fields, t=[s.t for s in states])
+    return PairState(fields, [s.t for s in states])
 
 
 @dataclass(frozen=True)
@@ -297,7 +315,7 @@ def march(params, state, t_end, dt_max, dt_safety, step, observe,
     ends = [None] * len(live)  # each rung's (final state, status)
 
     def rung(s, pos):
-        return s if single else replace(s, fields=s.fields[pos], t=float(s.t[pos]))
+        return s if single else PairState(s.fields[pos], float(s.t[pos]))
 
     data_node = True  # the data node is never threshold-checked
     while live:
@@ -336,7 +354,7 @@ def march(params, state, t_end, dt_max, dt_safety, step, observe,
         live = [live[pos] for pos in keep]
         if live:
             if stops and not single:
-                state = replace(state, fields=state.fields[keep], t=state.t[keep])
+                state = PairState(state.fields[keep], state.t[keep])
             state = step(state, dts[0] if single else np.array(dts))
         data_node = False
     runs = []

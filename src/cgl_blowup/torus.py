@@ -24,7 +24,7 @@ from .system import (PAIR_INDEX, FunctionalSeries, OdiReport, PairState, Run, Sy
 
 __all__ = [
     "TorusGrid",
-    "FieldState",
+    "PairState",
     "TorusRun",
     "make_grid",
     "constant_state",
@@ -85,47 +85,22 @@ def make_grid(n: int, modes: int | None = None) -> TorusGrid:
     return TorusGrid(n=n, modes=modes)
 
 
-@dataclass(frozen=True)
-class FieldState(PairState):
-    """u and v at time t, stacked as one C-ordered complex array ``fields``
-    of shape (2, *grid.shape): the pair that a step transforms in one FFT
-    call; or a batch of such pairs (see :class:`PairState`)."""
-
-    grid: TorusGrid
-    fields: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        fields = np.ascontiguousarray(self.fields, dtype=complex)
-        object.__setattr__(self, "fields", fields)
-        pair = (2, *self.grid.shape)
-        if fields.shape[-len(pair):] != pair or fields.ndim > len(pair) + 1:
-            raise ValidationError("field shapes must match the grid")
-        if fields.ndim > len(pair):  # a batch: one time per state
-            t = np.asarray(self.t, dtype=float)
-            if t.shape != fields.shape[:1]:
-                raise ValidationError("a batch needs one time per state")
-            if not t.size:
-                raise ValidationError("a batch needs at least one state")
-            object.__setattr__(self, "t", t)
-        elif np.ndim(self.t):
-            raise ValidationError("a single state needs a single time")
-        if not np.isfinite(fields.view(float)).all():
-            raise ValidationError("fields must be finite")
-
-
-def constant_state(grid: TorusGrid, cu: complex, cv: complex) -> FieldState:
+def constant_state(grid: TorusGrid, cu: complex, cv: complex) -> PairState:
     return state_from_arrays(grid, np.full(grid.shape, cu, dtype=complex),
                              np.full(grid.shape, cv, dtype=complex))
 
 
-def state_from_arrays(grid: TorusGrid, u, v, t: float = 0.0) -> FieldState:
-    """The state of fields u and v, stacked into a new array."""
-    try:
-        fields = np.stack((u, v))
-    except ValueError:  # u and v of different shapes
-        raise ValidationError("field shapes must match the grid") from None
-    return FieldState(grid=grid, fields=fields, t=t)
+def state_from_arrays(grid: TorusGrid, u, v, t: float = 0.0) -> PairState:
+    """The state of fields u and v on ``grid`` at the time t, a float,
+    stacked into a new complex array; refused unless the fields are finite."""
+    if np.shape(u) != grid.shape or np.shape(v) != grid.shape:
+        raise ValidationError("field shapes must match the grid")
+    if np.ndim(t):
+        raise ValidationError("a single state needs a single time")
+    fields = np.array((u, v), dtype=complex)
+    if not np.isfinite(fields.view(float)).all():
+        raise ValidationError("fields must be finite")
+    return PairState(fields, t)
 
 
 def _resize_spectrum(ah: np.ndarray, modes: int, size: int, n: int) -> np.ndarray:
@@ -140,14 +115,16 @@ def _resize_spectrum(ah: np.ndarray, modes: int, size: int, n: int) -> np.ndarra
 
 
 class TorusStepper:
-    """What the steps of one run share: its params and pad, ``k^2``, the
-    linear symbols ``alpha_i k^2`` and ``beta_i`` of both fields stacked on a
-    leading axis, and the propagators of the last dt.  The state is the
-    stacked pair ``FieldState.fields``, so a step transforms the state itself
+    """What the steps of one run share: its grid, params and pad, ``k^2``,
+    the linear symbols ``alpha_i k^2`` and ``beta_i`` of both fields stacked
+    on a leading axis, and the propagators of the last dt.  The state is the
+    stacked pair ``PairState.fields``, so a step transforms the state itself
     and each transform of the pair is one FFT call.  A batch of states is
     transformed the same way, all its rungs in one call."""
 
     def __init__(self, grid: TorusGrid, params: SystemParams, pad: bool = False):
+        if grid.n != params.n:
+            raise ValidationError(f"a grid of dimension {grid.n} for n = {params.n}")
         if params.alpha1.real > 0.0 or params.alpha2.real > 0.0:
             raise ValidationError(
                 "simulation requires Re(alpha) <= 0 (growing linear modes)"
@@ -164,26 +141,22 @@ class TorusStepper:
         self._size = (3 * grid.modes // 2 if pad else grid.modes,) * grid.n
         self._work = None
 
-    def check_grid(self, state: FieldState) -> None:
-        """Refuse ``state`` unless it is on the stepper's grid, compared by
-        value."""
-        if self.grid is not state.grid and self.grid != state.grid:
+    def check_grid(self, state: PairState) -> None:
+        """Refuse ``state`` unless its fields are a pair on the stepper's
+        grid, or a non-empty batch of such pairs with one time each."""
+        shape, batch = state.fields.shape, state.batch_shape
+        pair = (2, *self.grid.shape)
+        if shape[-len(pair):] != pair or len(shape) > len(pair) + 1:
             raise ValidationError("the stepper was built for another grid")
+        if shape != (*batch, *pair) or not all(batch):
+            raise ValidationError("a batch needs one time per state, one state or more, "
+                                  "and a single state needs a single time")
 
     def propagators(self, dt):
         """exp(dt/2 lin) and its square for dt, a float, or an array of one
-        dt per rung of a batch, rebuilt when dt changes.  For a batch only
-        the rows of the rungs whose dt changed are recomputed, and all rows
-        when the batch size changes."""
+        dt per rung of a batch, rebuilt when dt changes."""
         key = dt if isinstance(dt, Real) else np.asarray(dt, dtype=float).tolist()
-        last = self._dt
-        if isinstance(key, list) and isinstance(last, list) and len(key) == len(last):
-            e, e2 = self._propagators
-            for i, (new, old) in enumerate(zip(key, last)):
-                if new != old:
-                    row = np.exp(0.5 * new * self.lin)
-                    e[i], e2[i], last[i] = row, row * row, new
-        elif key != last:
+        if key != self._dt:
             h = np.reshape(key, (-1,) + (1,) * self.lin.ndim) if isinstance(key, list) else key
             e = np.exp(0.5 * h * self.lin)
             self._dt, self._propagators = key, (e, e * e)
@@ -217,12 +190,12 @@ class TorusStepper:
         return self.beta * nh
 
 
-def torus_step(state: FieldState, stepper: TorusStepper, dt) -> FieldState:
+def torus_step(state: PairState, stepper: TorusStepper, dt) -> PairState:
     """One integrating-factor RK4 step (linear part exact per mode) with the
-    run's ``stepper``, which holds the params and pad.  A batch steps each
-    rung by its own dt, given as an array of one per rung."""
-    h = state.per_rung(dt)
+    run's ``stepper``, which holds the grid, params and pad.  A batch steps
+    each rung by its own dt, given as an array of one per rung."""
     stepper.check_grid(state)
+    h = state.per_rung(dt)
     e, e2 = stepper.propagators(dt)
 
     with np.errstate(over="ignore", invalid="ignore"):
@@ -232,12 +205,9 @@ def torus_step(state: FieldState, stepper: TorusStepper, dt) -> FieldState:
         n3 = stepper.nonlinearity(e * yh + 0.5 * h * n2)
         n4 = stepper.nonlinearity(e2 * yh + h * e * n3)
         y = stepper.ifft(e2 * yh + h / 6.0 * (e2 * n1 + 2.0 * e * (n2 + n3) + n4))
-    try:  # FieldState checks finiteness, once per step
-        return FieldState(grid=state.grid, fields=y, t=state.t + dt)
-    except ValidationError:
-        raise IntegrationError(
-            f"field overflow at t={state.t}", last_node=state
-        ) from None
+    if not np.isfinite(y.view(float)).all():
+        raise IntegrationError(f"field overflow at t={state.t}", last_node=state)
+    return PairState(y, state.t + dt)
 
 
 def _grid_means(a: np.ndarray, n: int) -> np.ndarray:
@@ -254,39 +224,45 @@ def _real_parts(coefs, means, batched: bool) -> tuple:
     return tuple([float((c * m).real) for m in column] for c, column in zip(coefs, means))
 
 
-def _zero_modes(pair: np.ndarray, params: SystemParams, grid: TorusGrid) -> tuple:
+def _volume(state: PairState, params: SystemParams) -> float:
+    """The torus volume for params.n, refusing a state not on a grid of n axes."""
+    if state.fields.ndim != len(state.batch_shape) + 1 + params.n:
+        raise ValidationError(f"the state is not on a grid of dimension n = {params.n}")
+    return VOLUME_FACTOR ** params.n
+
+
+def _zero_modes(pair: np.ndarray, params: SystemParams, vol: float) -> tuple:
     """Re(conj(beta_i) * vol * mean(field i)) for each of the stacked fields
-    ``pair``: the zero Fourier modes times the domain volume."""
-    vol = grid.volume
-    means = _grid_means(pair, grid.n)  # (*batch, 2)
+    ``pair``: the zero Fourier modes times the domain volume ``vol``."""
+    means = _grid_means(pair, params.n)  # (*batch, 2)
     return _real_parts((np.conj(params.beta1) * vol, np.conj(params.beta2) * vol),
                        means.T, means.ndim > 1)
 
 
-def functionals(state: FieldState, params: SystemParams) -> tuple:
+def functionals(state: PairState, params: SystemParams) -> tuple:
     """U = Re(conj(beta1) * volume * mean(u)) and likewise V: the zero
     Fourier mode times the domain volume; per-rung lists for a batch."""
-    return _zero_modes(state.fields, params, state.grid)
+    return _zero_modes(state.fields, params, _volume(state, params))
 
 
-def functional_derivatives(state: FieldState, params: SystemParams) -> tuple:
+def functional_derivatives(state: PairState, params: SystemParams) -> tuple:
     """d/dt of the functionals from the spectral right-hand side.  The
     Laplacian term has exactly zero mean; only the nonlinearity remains.
     Per-rung lists for a batch."""
-    n, vol = state.grid.n, state.grid.volume
+    n, vol = params.n, _volume(state, params)
     return _real_parts((np.conj(params.beta1) * params.beta1 * vol,
                         np.conj(params.beta2) * params.beta2 * vol),
                        (_grid_means(np.abs(state.v) ** params.p, n),
                         _grid_means(np.abs(state.u) ** params.q, n)), bool(state.batch_shape))
 
 
-def laplacian_zero_mode(state: FieldState, stepper: TorusStepper):
+def laplacian_zero_mode(state: PairState, stepper: TorusStepper):
     """Physical-space mean of the Laplacian terms; machine-zero check of
     the exactness that drives the mean-field growth inequality.  A list of
     one per rung for a batch."""
     stepper.check_grid(state)
     lap = stepper.ifft(stepper.lin * stepper.fft(state.fields))
-    U, V = _zero_modes(lap, stepper.params, state.grid)
+    U, V = _zero_modes(lap, stepper.params, stepper.grid.volume)
     if not state.batch_shape:
         return max(abs(U), abs(V))
     return [max(abs(a), abs(b)) for a, b in zip(U, V)]
@@ -299,7 +275,7 @@ class TorusRun(Run):
 
 def run_torus(
     params: SystemParams,
-    state: FieldState,
+    state: PairState,
     t_end: float,
     dt_max: float,
     field_threshold: float = 1e6,
@@ -310,10 +286,13 @@ def run_torus(
     """Advance to t_end or to the first state with max |field| above the
     threshold, shrinking dt with the nonlinear amplitude near blow-up.
 
-    For a batch ``state`` (see :class:`FieldState`) the rungs march in
-    lockstep, each with its own dt and stop, and a list of one TorusRun per
-    rung is returned."""
-    stepper = TorusStepper(state.grid, params, pad)
+    A finite state on params.n axes of its modes; for a batch ``state``
+    (see :class:`PairState`) the rungs march in lockstep, each with its own
+    dt and stop, and a list of one TorusRun per rung is returned."""
+    stepper = TorusStepper(make_grid(params.n, state.fields.shape[-1]), params, pad)
+    stepper.check_grid(state)
+    if not np.isfinite(state.fields).all():
+        raise ValidationError("fields must be finite")
     single = not state.batch_shape
     lap = [0.0] * np.size(state.t)  # each rung's largest zero-mode residual
 

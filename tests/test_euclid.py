@@ -11,7 +11,7 @@ from cgl_blowup.errors import IntegrationError, ValidationError
 from cgl_blowup.euclid import (
     DataSpec,
     EuclidRunSpec,
-    EuclidState,
+    PairState,
     blowup_bounds,
     cfl_limit,
     check_weighted_growth_inequality,
@@ -100,7 +100,7 @@ def test_symmetric_case_preserved():
 
 def test_zero_data_fixed_point():
     spec = small_spec()
-    state = EuclidState(fields=np.zeros((2, *spec.grid.shape)), t=0.0)
+    state = PairState(fields=np.zeros((2, *spec.grid.shape)), t=0.0)
     out = euclid_step(state, spec, 1e-3)
     assert np.all(out.u == 0) and np.all(out.v == 0)
 
@@ -149,7 +149,7 @@ def test_explicit_run_still_refuses_an_infinite_dt_max():
 
 def test_overflow_carries_last_state():
     spec = small_spec()
-    state = EuclidState(fields=np.full((2, *spec.grid.shape), 1e200), t=0.0)
+    state = PairState(fields=np.full((2, *spec.grid.shape), 1e200), t=0.0)
     with pytest.raises(IntegrationError) as exc:
         euclid_step(state, spec, 1e-3)
     assert exc.value.last_node is state
@@ -159,7 +159,7 @@ def test_overflow_carries_last_state():
                             "ignore:invalid value:RuntimeWarning")
 def test_run_past_the_float_range_raises_with_the_last_good_node():
     spec = small_spec()
-    state = EuclidState(fields=np.full((2, *spec.grid.shape), 1e200), t=0.0)
+    state = PairState(fields=np.full((2, *spec.grid.shape), 1e200), t=0.0)
     with pytest.raises(IntegrationError) as exc:
         run_euclid(spec, t_end=1.0, dt_max=1e-3, state=state)
     assert exc.value.last_node is state
@@ -168,7 +168,7 @@ def test_run_past_the_float_range_raises_with_the_last_good_node():
 def test_a_run_whose_time_cannot_advance_collapses_at_its_data_node():
     # at t = -1e13 a step leaves t as it is; the collapse floor scales with |t|
     spec = small_spec()
-    state = EuclidState(fields=make_initial_state(spec).fields, t=-1e13)
+    state = PairState(fields=make_initial_state(spec).fields, t=-1e13)
     run = run_euclid(spec, t_end=1.0, dt_max=1e-3, state=state)
     assert run.status == STEP_COLLAPSE
     assert run.series.times.tolist() == [-1e13]
@@ -204,7 +204,7 @@ def test_solve_banded_matches_scipy_bit_for_bit(r, shape, transposed):
 
 def test_singular_solve_carries_the_state():
     # r = -2 on two nodes gives [[-1, 1], [1, -1]]
-    state = EuclidState(fields=np.zeros((2, 4)), t=0.5)
+    state = PairState(fields=np.zeros((2, 4)), t=0.5)
     with pytest.raises(IntegrationError) as exc:
         solve_banded(np.ones(2), -2.0, state)
     assert exc.value.last_node is state
@@ -271,7 +271,7 @@ def test_run_to_nonlinearity_overflow_raises_with_the_last_good_node(monkeypatch
     with pytest.raises(IntegrationError, match="nonlinearity overflow") as exc:
         run_euclid(small_spec(), t_end=0.2, dt_max=2e-3)
     last = exc.value.last_node
-    assert isinstance(last, EuclidState)
+    assert isinstance(last, PairState)
     assert last.t == nodes[4].t and last.t > 0
     assert np.array_equal(last.u, nodes[4].u) and np.array_equal(last.v, nodes[4].v)
     assert np.all(np.isfinite(last.u)) and np.all(np.isfinite(last.v))
@@ -284,7 +284,7 @@ def test_a_state_off_the_spec_grid_is_refused():
                 np.ones(shape),  # one amplitude
                 np.ones((2, *shape), dtype=complex),
                 np.ones((2, *shape), dtype=np.float32)):
-        state = EuclidState(fields=rho, t=0.0)
+        state = PairState(fields=rho, t=0.0)
         with pytest.raises(ValidationError, match="amplitudes"):
             euclid_step(state, spec, 1e-3)
         with pytest.raises(ValidationError, match="amplitudes"):
@@ -297,7 +297,7 @@ def test_a_state_off_the_spec_grid_is_refused():
         rho = make_initial_state(spec).fields.copy()
         rho[1, 100] = bad
         with pytest.raises(ValidationError, match="finite"):
-            run_euclid(spec, t_end=0.1, dt_max=1e-3, state=EuclidState(fields=rho, t=0.0))
+            run_euclid(spec, t_end=0.1, dt_max=1e-3, state=PairState(fields=rho, t=0.0))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -376,7 +376,7 @@ def test_a_lockstep_batch_gives_each_rung_its_own_runs_bits(n, epsilons, t_end, 
     for together, single in zip(batch, alone):
         assert together.status == single.status
         assert np.array_equal(_bits(together), _bits(single))
-        assert isinstance(together.final_state, EuclidState)
+        assert isinstance(together.final_state, PairState)
         assert together.final_state.t == single.final_state.t
         assert isinstance(together.final_state.t, float)
         assert together.final_state.fields.tobytes() == single.final_state.fields.tobytes()
@@ -386,20 +386,20 @@ def test_a_batch_needs_one_time_and_one_dt_per_state_on_one_grid():
     spec = small_spec()
     rho = make_initial_state(spec).fields
     with pytest.raises(ValidationError, match="one or more states on one grid"):
-        stack_states([EuclidState(rho, 0.0), EuclidState(np.ones((2, 10)), 0.0)])
+        stack_states([PairState(rho, 0.0), PairState(np.ones((2, 10)), 0.0)])
     with pytest.raises(ValidationError, match="one or more states on one grid"):
         stack_states([])
     for fields, t in ((np.stack([rho, rho, rho]), [0.0, 0.0]),  # a time short
                       (np.stack([rho, rho]), 0.0),  # a batch with one time
                       (rho[np.newaxis, :0], np.zeros(0))):  # an empty batch
         with pytest.raises(ValidationError, match="amplitudes"):
-            euclid_step(EuclidState(fields, t), spec, 1e-3)
-    batch = stack_states([EuclidState(rho, 0.0), EuclidState(2.0 * rho, 0.5)])
+            euclid_step(PairState(fields, t), spec, 1e-3)
+    batch = stack_states([PairState(rho, 0.0), PairState(2.0 * rho, 0.5)])
     assert batch.t.tolist() == [0.0, 0.5]
     assert batch.u.shape == batch.v.shape == (2, rho.shape[1])
     assert np.array_equal(batch.v[1], 2.0 * rho[1])
     for state, dt in ((batch, np.array([1e-3, 1e-3, 1e-3])), (batch, 1e-3),
-                      (EuclidState(rho, 0.0), np.array([1e-3, 1e-3]))):
+                      (PairState(rho, 0.0), np.array([1e-3, 1e-3]))):
         with pytest.raises(ValidationError, match="one dt per state"):
             euclid_step(state, spec, dt)
     for dt in (np.array([1e-3, 0.0]), np.array([np.nan, 1e-3])):
@@ -414,7 +414,7 @@ def test_a_batch_needs_one_time_and_one_dt_per_state_on_one_grid():
 def test_a_batch_with_an_overflowing_rung_raises_carrying_the_batch():
     spec = small_spec()
     rho = make_initial_state(spec).fields
-    batch = stack_states([EuclidState(rho, 0.0), EuclidState(np.full(rho.shape, 1e200), 0.0)])
+    batch = stack_states([PairState(rho, 0.0), PairState(np.full(rho.shape, 1e200), 0.0)])
     with pytest.raises(IntegrationError, match="nonlinearity overflow") as exc:
         euclid_step(batch, spec, np.array([1e-3, 1e-3]))
     assert exc.value.last_node is batch
@@ -441,34 +441,10 @@ def test_initial_data_phase_alignment():
     assert U > 0 and V > 0
 
 
-def test_a_state_pickles_and_its_copy_steps_to_the_same_bits():
-    spec = small_spec()
-    state = make_initial_state(spec)
-    functional_derivatives(state, spec)
-    copy = pickle.loads(pickle.dumps(state))
-    assert copy.t == state.t and copy.fields.tobytes() == state.fields.tobytes()
-    assert functional_derivatives(copy, spec) == functional_derivatives(state, spec)
-    stepped, from_copy = euclid_step(state, spec, 1e-3), euclid_step(copy, spec, 1e-3)
-    assert from_copy.t == stepped.t and from_copy.fields.tobytes() == stepped.fields.tobytes()
-
-
-def test_an_unpickled_states_amplitudes_are_read_only():
-    # the copy keeps the original's nonlinearity and second differences, so
-    # its amplitudes must not change under them either
-    spec = small_spec()
-    state = make_initial_state(spec)
-    functional_derivatives(state, spec)
-    copy = pickle.loads(pickle.dumps(state))
-    with pytest.raises(ValueError, match="read-only"):
-        copy.fields *= 2.0
-    with pytest.raises(ValueError, match="read-only"):
-        copy.u[100] = 1.0
-
-
 def test_an_unpickled_batchs_amplitudes_are_read_only():
     spec = small_spec()
     rho = make_initial_state(spec).fields
-    batch = stack_states([EuclidState(rho, 0.0), EuclidState(2.0 * rho, 0.5)])
+    batch = stack_states([PairState(rho, 0.0), PairState(2.0 * rho, 0.5)])
     functional_derivatives(batch, spec)
     copy = pickle.loads(pickle.dumps(batch))
     assert copy.t.tolist() == [0.0, 0.5] and copy.fields.tobytes() == batch.fields.tobytes()
@@ -477,21 +453,6 @@ def test_an_unpickled_batchs_amplitudes_are_read_only():
         copy.fields *= 2.0
     with pytest.raises(ValueError, match="read-only"):
         copy.v[1, 100] = 1.0
-
-
-def test_a_states_amplitudes_are_read_only():
-    # the state keeps values computed from rho, so rho must not change under
-    # them
-    spec = small_spec()
-    rho = make_initial_state(spec).fields.copy()
-    state = EuclidState(fields=rho, t=0.0)
-    functional_derivatives(state, spec)
-    with pytest.raises(ValueError, match="read-only"):
-        state.fields *= 2.0
-    with pytest.raises(ValueError, match="read-only"):
-        state.u[100] = 1.0
-    rho[1, 100] = 2.0  # the caller's array stays writable, viewed, not copied
-    assert state.fields[1, 100] == 2.0
 
 
 @pytest.mark.parametrize("alpha", [(-1.0, -1.0), (-0.7, -1.3)])
@@ -519,7 +480,7 @@ def test_a_run_sees_beta_through_its_modulus_only(n, alpha):
 
 def test_weighted_functional_of_unit_field():
     spec = small_spec()
-    state = EuclidState(fields=np.ones((2, *spec.grid.shape)), t=0.0)
+    state = PairState(fields=np.ones((2, *spec.grid.shape)), t=0.0)
     U, V = weighted_functionals(state, spec)
     # n=1 norm of the weight is exactly 1, so the integral is R
     assert U == pytest.approx(spec.R, rel=1e-6)
@@ -530,7 +491,7 @@ def test_weighted_functional_support():
     spec = small_spec()
     x = spec.grid.axis
     u = np.where(np.abs(x) > spec.R, 1.0, 0.0)
-    state = EuclidState(fields=np.stack([u, u]), t=0.0)
+    state = PairState(fields=np.stack([u, u]), t=0.0)
     U, V = weighted_functionals(state, spec)
     assert U == 0.0 and V == 0.0
 
@@ -539,7 +500,7 @@ def test_weighted_functional_signed(tf1):
     spec = small_spec()
     x = spec.grid.axis
     u = np.sign(x) * tf1.phi(np.abs(x) / spec.R)
-    state = EuclidState(fields=np.stack([u, u]), t=0.0)
+    state = PairState(fields=np.stack([u, u]), t=0.0)
     U, _ = weighted_functionals(state, spec)
     # odd field: signed quadrature cancels, no positive part is taken
     assert abs(U) < 1e-12

@@ -1,4 +1,6 @@
-"""The stacked-pair state format that both PDE backends share."""
+"""The stacked-pair state that both PDE backends share."""
+
+import pickle
 
 import numpy as np
 import pytest
@@ -10,11 +12,66 @@ from cgl_blowup.errors import IntegrationError, ValidationError
 def _single_state(backend):
     if backend == "torus":
         return torus.constant_state(torus.make_grid(1, 16), 1.0, 2.0)
-    return euclid.EuclidState(np.arange(18.0).reshape(2, 9), 0.25)
+    return euclid.PairState(np.arange(18.0).reshape(2, 9), 0.25)
+
+
+PARAMS = system.SystemParams(n=1, p=2, q=1.5, alpha1=-1, alpha2=-1, beta1=1, beta2=1)
+
+
+def _run(backend):
+    """Writable fields on the grid of a run of ``backend``, and that run's
+    step of 1e-3 and functional derivatives."""
+    if backend == "torus":
+        grid = torus.make_grid(1, 16)
+        x = grid.axes()[0]
+        fields = np.array([0.5 + 0.1 * np.cos(x), 0.7 + 0.05j * np.sin(x)])
+        stepper = torus.TorusStepper(grid, PARAMS)
+        return (fields, lambda s: torus.torus_step(s, stepper, 1e-3),
+                lambda s: torus.functional_derivatives(s, PARAMS))
+    spec = euclid.EuclidRunSpec(params=PARAMS, R=4.0, box_half_width=8.0, h=4.0 / 64,
+                                data=euclid.DataSpec(epsilon=0.5, r_data=2.0))
+    return (euclid.make_initial_state(spec).fields.copy(),
+            lambda s: euclid.euclid_step(s, spec, 1e-3),
+            lambda s: euclid.functional_derivatives(s, spec))
 
 
 def test_both_backends_stack_states_with_the_shared_function():
     assert torus.stack_states is euclid.stack_states is system.stack_states
+
+
+def test_both_backends_share_one_state_type():
+    assert torus.PairState is euclid.PairState is system.PairState
+    for backend in ("torus", "euclid"):
+        fields, step, _ = _run(backend)
+        assert type(step(system.PairState(fields, 0.0))) is system.PairState
+
+
+@pytest.mark.parametrize("backend", ["torus", "euclid"])
+def test_a_states_fields_are_read_only_also_when_unpickled(backend):
+    # a backend keeps values computed from the fields on the state, so the
+    # fields must not change under them, in an unpickled copy either
+    fields, step, derivatives = _run(backend)
+    state = system.PairState(fields, 0.0)
+    derivatives(state)
+    for node in (state, step(state), pickle.loads(pickle.dumps(state))):
+        with pytest.raises(ValueError, match="read-only"):
+            node.fields *= 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            node.u[3] = 1.0
+    fields[1, 3] = 2.0  # the caller's array stays writable, viewed, not copied
+    assert state.fields[1, 3] == 2.0
+
+
+@pytest.mark.parametrize("backend", ["torus", "euclid"])
+def test_an_unpickled_state_steps_to_the_same_bits(backend):
+    fields, step, derivatives = _run(backend)
+    state = system.PairState(fields, 0.0)
+    derivatives(state)  # a Euclidean copy keeps the nonlinearity held on the state
+    copy = pickle.loads(pickle.dumps(state))
+    assert copy.t == state.t and copy.fields.tobytes() == state.fields.tobytes()
+    assert derivatives(copy) == derivatives(state)
+    stepped, from_copy = step(state), step(copy)
+    assert from_copy.t == stepped.t and from_copy.fields.tobytes() == stepped.fields.tobytes()
 
 
 @pytest.mark.parametrize("backend", ["torus", "euclid"])

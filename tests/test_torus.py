@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -57,8 +59,9 @@ def test_constant_data_matches_closed_form():
 
 
 def test_zero_data_is_fixed_point():
-    state = constant_state(make_grid(1, 32), 0.0, 0.0)
-    out = torus_step(state, TorusStepper(state.grid, HEAT), 0.01)
+    grid = make_grid(1, 32)
+    state = constant_state(grid, 0.0, 0.0)
+    out = torus_step(state, TorusStepper(grid, HEAT), 0.01)
     assert np.all(out.u == 0) and np.all(out.v == 0)
 
 
@@ -261,9 +264,10 @@ def test_step_rejects_growing_linear_part():
 
 
 def test_step_overflow_carries_last_state():
-    state = constant_state(make_grid(1, 32), 1e200, 1e200)
+    grid = make_grid(1, 32)
+    state = constant_state(grid, 1e200, 1e200)
     with pytest.raises(IntegrationError) as exc:
-        torus_step(state, TorusStepper(state.grid, HEAT), 1.0)
+        torus_step(state, TorusStepper(grid, HEAT), 1.0)
     assert exc.value.last_node is state
 
 
@@ -279,16 +283,31 @@ def _bumped_state(grid, amplitude=1.0):
                                         pytest.param(make_grid(2, 32), id="dimension")])
 def test_step_refuses_a_stepper_built_for_another_run(other_grid):
     params = SystemParams(n=1, p=2, q=1.5, alpha1=-1, alpha2=-0.5, beta1=1, beta2=1)
-    state = _bumped_state(make_grid(1, 32))
-    stepper = TorusStepper(other_grid, params)
+    grid = make_grid(1, 32)
+    state = _bumped_state(grid)
+    stepper = TorusStepper(other_grid, replace(params, n=other_grid.n))
     with pytest.raises(ValidationError, match="another grid"):
         torus_step(state, stepper, 1e-3)
     with pytest.raises(ValidationError, match="another grid"):
         laplacian_zero_mode(state, stepper)
-    # grids are compared by value: an equal grid object is the same grid
+    # grids are compared by shape: an equal grid object is the same grid
     equal = TorusStepper(make_grid(1, 32), params)
-    assert equal.grid is not state.grid
+    assert equal.grid is not grid
     assert torus_step(state, equal, 1e-3).t == 1e-3
+
+
+def test_a_stepper_or_run_refuses_params_of_another_dimension():
+    # params of n = 1 on a 2-d grid would give a 2-d run the functionals and
+    # the lifespan bound of n = 1
+    grid = make_grid(2, 16)
+    state = constant_state(grid, 1, 1)
+    with pytest.raises(ValidationError, match="dimension 2 for n = 1"):
+        TorusStepper(grid, HEAT)
+    with pytest.raises(ValidationError, match="another grid"):
+        run_torus(HEAT, state, t_end=0.5, dt_max=1e-3)
+    for evaluate in (functionals, functional_derivatives):
+        with pytest.raises(ValidationError, match="not on a grid of dimension n = 1"):
+            evaluate(state, HEAT)
 
 
 def _recorded_steps(monkeypatch):
@@ -309,7 +328,8 @@ def _recorded_steps(monkeypatch):
 def test_run_stepper_gives_the_standalone_steps_bits(n, modes, pad, monkeypatch):
     params = SystemParams(n=n, p=2, q=1.5, alpha1=-1 - 0.3j, alpha2=-0.5,
                           beta1=0.8 + 0.6j, beta2=1)
-    start = _bumped_state(make_grid(n, modes))
+    grid = make_grid(n, modes)
+    start = _bumped_state(grid)
     calls = _recorded_steps(monkeypatch)
     run = run_torus(params, start, t_end=3.0, dt_max=1e-2, field_threshold=1e3,
                     pad=pad)
@@ -320,10 +340,10 @@ def test_run_stepper_gives_the_standalone_steps_bits(n, modes, pad, monkeypatch)
     state, rows, lap = start, [], []
     for dt in [None] + dts:
         if dt is not None:
-            state = torus_step(state, TorusStepper(state.grid, params, pad), dt)
+            state = torus_step(state, TorusStepper(grid, params, pad), dt)
         rows.append((state.t, *functionals(state, params),
                      *functional_derivatives(state, params)))
-        lap.append(laplacian_zero_mode(state, TorusStepper(state.grid, params)))
+        lap.append(laplacian_zero_mode(state, TorusStepper(grid, params)))
     series = run.series
     assert np.array(rows).T.tobytes() == np.array(
         [series.times, series.U, series.V, series.dU, series.dV]).tobytes()
@@ -333,7 +353,7 @@ def test_run_stepper_gives_the_standalone_steps_bits(n, modes, pad, monkeypatch)
     stepper = calls[0][2]
     for node, _, _ in calls[::20]:
         assert laplacian_zero_mode(node, stepper) == laplacian_zero_mode(
-            node, TorusStepper(node.grid, params))
+            node, TorusStepper(grid, params))
 
 
 def test_run_sets_up_once_and_transforms_both_fields_together(monkeypatch):
@@ -383,7 +403,7 @@ def test_a_step_transforms_the_state_itself(monkeypatch):
     nodes = [state for state, _, _ in calls] + [run.final_state]
     assert len(forward) == len(inverse) == 5 * len(calls)
     assert all(forward[5 * i] is node.fields for i, node in enumerate(nodes[:-1]))
-    assert all(inverse[5 * i + 4] is node.fields for i, node in enumerate(nodes[1:]))
+    assert all(inverse[5 * i + 4] is node.fields.base for i, node in enumerate(nodes[1:]))
     final = run.final_state
     assert np.shares_memory(final.u, final.fields) and np.shares_memory(final.v, final.fields)
 
@@ -411,7 +431,7 @@ def test_a_lockstep_batch_gives_each_rung_its_own_runs_bits(n, modes, pad):
     for together, single in zip(batch, alone):
         assert together.status == single.status
         assert np.array_equal(_bits(together), _bits(single))
-        assert isinstance(together.final_state, torus.FieldState)
+        assert isinstance(together.final_state, torus.PairState)
         assert together.final_state.t == single.final_state.t
         assert together.final_state.fields.tobytes() == single.final_state.fields.tobytes()
         assert together.lap_zero_mode_max == single.lap_zero_mode_max
@@ -427,8 +447,8 @@ def test_a_batch_recomputes_the_propagators_of_the_rungs_whose_dt_changed(
     rows, exp = [], np.exp  # rows: the propagators computed, one per dt
     monkeypatch.setattr(np, "exp", lambda a: rows.append(a.size // stepper.lin.size) or exp(a))
     # one rung's dt changes, none, two, a rung leaves, a single state, a batch
-    for dts, recomputed in (([1e-2, 2.5e-3, 7e-3], 1), ([1e-2, 2.5e-3, 7e-3], 0),
-                            ([9e-3, 2.5e-3, 6e-3], 2), ([9e-3, 6e-3], 2),
+    for dts, recomputed in (([1e-2, 2.5e-3, 7e-3], 3), ([1e-2, 2.5e-3, 7e-3], 0),
+                            ([9e-3, 2.5e-3, 6e-3], 3), ([9e-3, 6e-3], 2),
                             (6e-3, 1), ([6e-3, 6e-3], 2)):
         dt = np.array(dts) if isinstance(dts, list) else dts
         rows.clear()
@@ -441,7 +461,8 @@ def test_a_batch_recomputes_the_propagators_of_the_rungs_whose_dt_changed(
 def test_a_batch_needs_one_time_and_one_dt_per_state_on_one_grid():
     grid = make_grid(1, 16)
     with pytest.raises(ValidationError, match="one time per state"):
-        torus.FieldState(grid, np.ones((3, 2, 16)), t=[0.0, 0.0])
+        torus_step(torus.PairState(np.ones((3, 2, 16)), t=[0.0, 0.0]),
+                   TorusStepper(grid, HEAT), 1e-3)
     with pytest.raises(ValidationError, match="one grid"):
         stack_states([constant_state(grid, 1, 1), constant_state(make_grid(1, 32), 1, 1)])
     batch = stack_states([constant_state(grid, 1, 1), constant_state(grid, 2, 2)])
@@ -460,11 +481,12 @@ def test_a_batch_needs_one_time_and_one_dt_per_state_on_one_grid():
 def test_a_single_state_refuses_an_array_time(t):
     # a time that is an array makes a state a batch, which one pair is not
     grid = make_grid(1, 16)
+    stepper = TorusStepper(grid, HEAT)
     with pytest.raises(ValidationError, match="a single state needs a single time"):
-        torus.FieldState(grid, np.ones((2, 16)), t=t)
+        torus_step(torus.PairState(np.ones((2, 16)), t=t), stepper, 1e-3)
     with pytest.raises(ValidationError, match="a single state needs a single time"):
         state_from_arrays(grid, np.ones(16), np.ones(16), t=t)
-    assert torus.FieldState(grid, np.ones((2, 16)), t=np.float64(0.5)).batch_shape == ()
+    assert torus.PairState(np.ones((2, 16)), t=np.float64(0.5)).batch_shape == ()
 
 
 @pytest.mark.parametrize("layout", ["reversed", "strided", "fortran_2d"])
@@ -566,7 +588,7 @@ def test_a_step_rate_overflow_in_a_batch_raises_with_that_rungs_node():
         run_torus(LOCKSTEP_PARAMS, stack_states(rungs), t_end=2.0, dt_max=1e-2,
                   field_threshold=1e3)
     node = exc.value.last_node
-    assert isinstance(node, torus.FieldState)
+    assert isinstance(node, torus.PairState)
     assert node.fields.shape == (2, 16)
     assert np.abs(node.fields).max() == 1e200 and node.t == 0.0
 
