@@ -441,6 +441,19 @@ def test_initial_data_phase_alignment():
     assert U > 0 and V > 0
 
 
+def test_an_unpickled_states_amplitudes_are_read_only():
+    # the copy keeps the original's nonlinearity, so its amplitudes must not
+    # change under it either
+    spec = small_spec()
+    state = make_initial_state(spec)
+    functional_derivatives(state, spec)
+    copy = pickle.loads(pickle.dumps(state))
+    with pytest.raises(ValueError, match="read-only"):
+        copy.fields *= 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        copy.u[100] = 1.0
+
+
 def test_an_unpickled_batchs_amplitudes_are_read_only():
     spec = small_spec()
     rho = make_initial_state(spec).fields
@@ -453,6 +466,21 @@ def test_an_unpickled_batchs_amplitudes_are_read_only():
         copy.fields *= 2.0
     with pytest.raises(ValueError, match="read-only"):
         copy.v[1, 100] = 1.0
+
+
+def test_a_states_amplitudes_are_read_only():
+    # the state keeps values computed from rho, so rho must not change under
+    # them
+    spec = small_spec()
+    rho = make_initial_state(spec).fields.copy()
+    state = PairState(fields=rho, t=0.0)
+    functional_derivatives(state, spec)
+    with pytest.raises(ValueError, match="read-only"):
+        state.fields *= 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        state.u[100] = 1.0
+    rho[1, 100] = 2.0  # the caller's array stays writable, viewed, not copied
+    assert state.fields[1, 100] == 2.0
 
 
 @pytest.mark.parametrize("alpha", [(-1.0, -1.0), (-0.7, -1.3)])
