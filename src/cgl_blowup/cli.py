@@ -182,10 +182,7 @@ def cmd_ode_verify(cfg, out_dir, seed):
     pair_specs = [sample_coupled_spec(rng) for _ in range(n_pairs)]
     for i, spec in enumerate(pair_specs):
         shrink = float(rng.uniform(0.9, 0.99))
-        sub_spec = ode_core.CoupledODESpec(
-            p=spec.p, q=spec.q, C_p=spec.C_p, C_q=spec.C_q,
-            omega=spec.omega, f0=spec.f0 * shrink, g0=spec.g0 * shrink,
-        )
+        sub_spec = replace(spec, f0=spec.f0 * shrink, g0=spec.g0 * shrink)
         sup = ode_core.integrate_coupled(spec, t_end=t_end, tol=tol,
                                          blowup_threshold=1e5)
         sub = ode_core.integrate_coupled(sub_spec, t_end=t_end, tol=tol,

@@ -75,6 +75,10 @@ class DataSpec:
             raise ValidationError("epsilon and r_data must be positive")
         if self.amp_u <= 0 or self.amp_v <= 0:
             raise ValidationError("amplitudes must be positive")
+        # every profile is at most 1, so finite products give finite data
+        if not (math.isfinite(self.epsilon * self.amp_u)
+                and math.isfinite(self.epsilon * self.amp_v)):
+            raise ValidationError("epsilon times each amplitude must be finite")
         if self.shape not in ("weight", "gaussian"):
             raise ValidationError(f"unknown data shape {self.shape!r}")
 

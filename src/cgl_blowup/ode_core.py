@@ -543,52 +543,10 @@ def undamped_bounds(spec: CoupledODESpec) -> BoundReport:
     """
     if spec.omega != 0.0:
         raise ValidationError("undamped bounds require omega = 0")
-    p, q = spec.p, spec.q
-    pp, qq, D = p + 1.0, q + 1.0, p * q - 1.0
-    F0 = power_product((spec.C_q, 1.0), (spec.f0, qq))
-    G0 = power_product((spec.C_p, 1.0), (spec.g0, pp))
-    if _normal(F0) and _normal(G0):
-        if not (F0 >= G0):
-            return BoundReport(False, exponent_caveat=spec.exponent_caveat)
-        # from the F0 - G0 >= 0 just tested, so that F0 == G0 gives shift 0
-        shift = (power_product((F0 - G0, 1.0), (spec.C_p, 1.0, "/"), outer=1.0 / pp)
-                 if F0 > G0 else 0.0)
-    else:
-        shift = _shift_from_logs(spec)
-        if shift is None:
-            return BoundReport(False, exponent_caveat=spec.exponent_caveat)
-
-    A = power_product(
-        (spec.C_p, D / (pp * qq)),
-        (spec.C_q, -D / (pp * qq)),
-        (spec.f0, -D / pp),
-    )
-    B = 2.0 ** (-p * q / qq) * D * spec.C_p ** (q / qq) * spec.C_q ** (1.0 / qq)
-    lifespan = _past_the_range_as_inf(power_product(
-        (2.0, p * q / qq),
-        (D, 1.0, "/"),
-        (spec.C_p, -1.0 / pp),
-        (spec.C_q, -p / pp),
-        (spec.f0, -D / pp),
-    ))
-
-    def g_curve(t: float) -> float:
-        base = A - B * t
-        if base <= 0.0:
-            return math.inf
-        try:  # inline: the curve is evaluated at every node
-            return base ** (-qq / D) - shift
-        except OverflowError:
-            return math.inf
-
-    return BoundReport(
-        hypothesis_satisfied=True,
-        lifespan_bound=lifespan,
-        lower_bound_curve=g_curve,
-        f_lower_bound_curve=_f_from_g_curve(spec, g_curve),
-        omega=0.0,
-        exponent_caveat=spec.exponent_caveat,
-    )
+    shift = _shift(spec)
+    if shift is None:
+        return BoundReport(False, exponent_caveat=spec.exponent_caveat)
+    return _bound_report(spec, shift)
 
 
 def damped_hypothesis_terms(spec: CoupledODESpec) -> tuple[float, float]:
@@ -620,11 +578,19 @@ def _past_the_range_as_inf(lifespan: float) -> float:
     return lifespan if _normal(lifespan) else math.inf
 
 
-def _shift_from_logs(spec: CoupledODESpec) -> Optional[float]:
+def _shift(spec: CoupledODESpec) -> Optional[float]:
     """((C_q f0^(q+1) - C_p g0^(p+1)) / C_p)^(1/(p+1)), or None where it is
-    negative, for data whose powers leave the float range: the first power
-    factored out, the ratio of the second to it taken from their logs."""
+    negative.  For data whose powers leave the float range the first power
+    is factored out and the ratio of the second to it taken from their logs."""
     pp, qq = spec.p + 1.0, spec.q + 1.0
+    F0 = power_product((spec.C_q, 1.0), (spec.f0, qq))
+    G0 = power_product((spec.C_p, 1.0), (spec.g0, pp))
+    if _normal(F0) and _normal(G0):
+        if not (F0 >= G0):
+            return None
+        # from the F0 - G0 >= 0 just tested, so that F0 == G0 gives shift 0
+        return (power_product((F0 - G0, 1.0), (spec.C_p, 1.0, "/"), outer=1.0 / pp)
+                if F0 > G0 else 0.0)
     lead = ((spec.C_q, 1.0), (spec.f0, qq), (spec.C_p, 1.0, "/"))
     log_ratio = pp * math.log(spec.g0) - _log_product(lead)
     if log_ratio > 0.0:  # tested first: expm1 overflows far above it
@@ -642,52 +608,49 @@ def damped_bounds(spec: CoupledODESpec) -> BoundReport:
     """
     if not (spec.omega > 0.0):
         raise ValidationError("damped bounds require omega > 0")
-    p, q = spec.p, spec.q
-    pp, qq, D = p + 1.0, q + 1.0, p * q - 1.0
-    term1, term2 = damped_hypothesis_terms(spec)
     # strict inequalities, no tolerance slack
-    if not (max(term1, term2) < spec.f0):
+    if not (max(damped_hypothesis_terms(spec)) < spec.f0):
         return BoundReport(False, omega=spec.omega,
                            exponent_caveat=spec.exponent_caveat)
+    # term_ordering < f0 makes the shift real, but just above it F0 - G0
+    # may round negative
+    return _bound_report(spec, _shift(spec) or 0.0)
 
-    a = power_product(
-        (((spec.C_p, 1.0), (spec.C_q, 1.0, "/")), D / (pp * qq)),
+
+def _bound_report(spec: CoupledODESpec, shift: float) -> BoundReport:
+    """The bounds of a spec whose hypothesis holds, with the curve's
+    ``shift``: g >= e^(-omega t/(p+1)) ((A - B tau(t))^(-(q+1)/(pq-1)) - shift)
+    with tau(t) = (1 - e^(-decay t)) / decay, decay = omega (pq-1)/((p+1)(q+1)),
+    which is t at omega = 0.  The lifespan bound is the root of A - B tau:
+    the undamped T0 = A / B at omega = 0, -log(1 - decay T0) / decay above.
+    """
+    p, q, omega = spec.p, spec.q, spec.omega
+    pp, qq, D = p + 1.0, q + 1.0, p * q - 1.0
+    A = power_product(
+        (spec.C_p, D / (pp * qq)),
+        (spec.C_q, -D / (pp * qq)),
         (spec.f0, -D / pp),
     )
-    b = (
-        2.0 ** (-p * q / qq)
-        * qq * pp / spec.omega
-        * spec.C_q ** (1.0 / qq)
-        * spec.C_p ** (q / qq)
-    )
-    lead = power_product((spec.C_q, 1.0), (spec.f0, qq), (spec.C_p, 1.0, "/"))
-    rest = power_product((spec.g0, pp))
-    if _normal(lead) and _normal(rest):
-        # clamped: the base rounds negative where f0 is just above term_ordering
-        shift = max(lead - rest, 0.0) ** (1.0 / pp)
-    else:  # term_ordering < f0 makes it positive
-        shift = _shift_from_logs(spec) or 0.0
-    decay = spec.omega * D / (pp * qq)
-
-    # in (0, 1) since term1 < f0, but for round-off and the float range
-    x = power_product(
+    B = 2.0 ** (-p * q / qq) * D * spec.C_p ** (q / qq) * spec.C_q ** (1.0 / qq)
+    T0 = _past_the_range_as_inf(power_product(
         (2.0, p * q / qq),
-        (qq * pp, 1.0, "/"),
-        (spec.omega, 1.0),
-        (spec.C_q, -p / pp),
+        (D, 1.0, "/"),
         (spec.C_p, -1.0 / pp),
+        (spec.C_q, -p / pp),
         (spec.f0, -D / pp),
-    )
-    lifespan = _past_the_range_as_inf(
-        -(qq * pp) / (spec.omega * D) * math.log1p(-x) if x < 1.0 else math.inf)
-
-    omega = spec.omega
+    ))
+    decay = omega * D / (pp * qq)
+    if decay == 0.0:
+        lifespan = T0
+    else:  # decay T0 < 1 under the damped hypothesis, but for round-off and range
+        lifespan = (_past_the_range_as_inf(-math.log1p(-decay * T0) / decay)
+                    if decay * T0 < 1.0 else math.inf)
 
     def g_curve(t: float) -> float:
-        base = a - b * (-math.expm1(-decay * t))
+        base = A - B * (t if decay == 0.0 else -math.expm1(-decay * t) / decay)
         if base <= 0.0:
             return math.inf
-        try:  # inline, as in undamped_bounds
+        try:  # inline: the curve is evaluated at every node
             return math.exp(-omega * t / pp) * (base ** (-qq / D) - shift)
         except OverflowError:  # the power alone may leave the float range
             return (power_product((math.e, -omega * t / pp), (base, -qq / D))
@@ -698,7 +661,7 @@ def damped_bounds(spec: CoupledODESpec) -> BoundReport:
         lifespan_bound=lifespan,
         lower_bound_curve=g_curve,
         f_lower_bound_curve=_f_from_g_curve(spec, g_curve),
-        omega=spec.omega,
+        omega=float(omega),
         exponent_caveat=spec.exponent_caveat,
     )
 

@@ -173,6 +173,19 @@ def test_bad_run_inputs_exit_2(tmp_path, command, overrides):
     assert not out.exists()
 
 
+def test_euclid_data_past_the_float_range_exits_2(tmp_path, capsys):
+    # epsilon * amp_u overflows: refused with the data, before arrays of inf
+    # (and NaN where the profile is 0) are built and stepped
+    cfg = json.loads((CONFIGS / "euclid_suite.json").read_text())
+    cfg["data"].update(epsilon=1e300, amp_u=1e10)
+    path = write_config(tmp_path / "c.json", cfg)
+    out = tmp_path / "out"
+    assert run_cli(["euclid-run", "--config", path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_ode_verify_t_end_beyond_the_collapse_floor_exits_2(tmp_path, capsys):
     # at t_end = 1e16 every run's first step lies below the step-collapse
     # floor 1e-17 * t_end, so no run would integrate past t = 0

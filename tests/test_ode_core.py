@@ -487,9 +487,14 @@ def test_comparison_equal_trajectories_violate_strictness():
     assert verdict.first_violation_time == traj.times[0]
 
 
-def test_comparison_bound_curves_are_sub_solutions():
-    spec = CoupledODESpec(p=2, q=2, C_p=1, C_q=1, omega=0, f0=2, g0=1)
-    report = undamped_bounds(spec)
+@pytest.mark.parametrize("spec", [
+    CoupledODESpec(p=2, q=2, C_p=1, C_q=1, omega=0, f0=2, g0=1),
+    WORKED_DAMPED,
+    CoupledODESpec(p=2.5, q=1.5, C_p=0.8, C_q=1.7, omega=0.3, f0=2, g0=0.9),
+], ids=["undamped", "worked_damped", "damped"])
+def test_comparison_bound_curves_are_sub_solutions(spec):
+    report = damped_bounds(spec) if spec.omega > 0 else undamped_bounds(spec)
+    assert report.hypothesis_satisfied
     traj = integrate_coupled(spec, t_end=10.0, tol=1e-12, blowup_threshold=1e6)
     sub = Trajectory(
         times=traj.times,

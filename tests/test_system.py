@@ -1,6 +1,8 @@
-"""The stacked-pair state that both PDE backends share."""
+"""The stacked-pair state that both PDE backends share, and the backends
+checked against each other."""
 
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,3 +120,60 @@ def test_a_series_refused_by_its_record_raises_with_the_runs_last_node(backend, 
             euclid.run_euclid(spec, t_end=0.01, dt_max=1e-3)
     assert type(exc.value.last_node) is type(_single_state(backend))
     assert exc.value.last_node.t == pytest.approx(0.01)
+
+
+# The box [-L, L] maps onto the torus [0, 2 pi) by x -> (x + L) pi / L: the
+# torus run solves the same system with alpha (pi / L)^2 on the box's grid
+# points but the last (the image of the first), and its fields are the
+# Euclidean amplitudes on the phases of beta.  The Gaussian data stay below
+# 1e-13 at the box's edge, so up to t = 1 the runs differ by their
+# discretizations alone: centered differences with Crank-Nicolson steps
+# against integrating-factor RK4 on the spectral Laplacian.
+# Each tolerance lies between the case's gap and its gap with the Euclidean
+# nonlinearity times 1.1 (both in the comment), and below its gap with the
+# torus diffusion times 0.99 (6.5e-3, 4.6e-3 and 1.4e-2).
+_CROSS_CHECK_CASES = {
+    "unit": ((-1.0, -1.0), (1.0, 1.0), 2e-3),  # 6.9e-4, 0.135
+    "alpha_beta_real": ((-0.7, -1.3), (1.0, 0.6), 1e-3),  # 2.3e-4, 0.073
+    # grows to max |u| 2.7 by t = 1
+    "beta_complex": ((-0.7, -1.3), (0.6 + 0.8j, -2j), 1e-2),  # 5.7e-3, 0.42
+}
+
+
+def _backend_gap(alpha, beta):
+    """The largest gap between the fields at t = 1 of a Euclidean run on
+    [-8, 8] and of the torus run that box maps onto, relative to the largest
+    modulus of the torus fields."""
+    half_width = 8.0
+    params = system.SystemParams(n=1, p=2, q=1.5, alpha1=alpha[0], alpha2=alpha[1],
+                                 beta1=beta[0], beta2=beta[1])
+    spec = euclid.EuclidRunSpec(params=params, R=4.0, box_half_width=half_width, h=1 / 16,
+                                data=euclid.DataSpec(epsilon=1.0, r_data=1.0, amp_v=0.7,
+                                                     shape="gaussian"))
+    phases = np.array([b / abs(b) for b in beta])[:, None]
+    rho = euclid.make_initial_state(spec).fields
+    state = torus.state_from_arrays(torus.make_grid(1, rho.shape[-1] - 1),
+                                    *(phases * rho[:, :-1]))
+    scale = (np.pi / half_width) ** 2
+    torus_params = replace(params, alpha1=alpha[0] * scale, alpha2=alpha[1] * scale)
+    box = euclid.run_euclid(spec, t_end=1.0, dt_max=2e-3).final_state
+    periodic = torus.run_torus(torus_params, state, t_end=1.0, dt_max=2e-3,
+                               check_zero_mode=False).final_state
+    assert box.t == periodic.t == 1.0
+    gap = np.abs(phases * box.fields[:, :-1] - periodic.fields)
+    return np.max(gap) / np.max(np.abs(periodic.fields))
+
+
+@pytest.mark.parametrize("case", _CROSS_CHECK_CASES)
+def test_the_backends_agree_on_a_box_mapped_onto_the_torus(case):
+    alpha, beta, tolerance = _CROSS_CHECK_CASES[case]
+    assert _backend_gap(alpha, beta) < tolerance
+
+
+@pytest.mark.parametrize("case", _CROSS_CHECK_CASES)
+def test_the_backends_disagree_where_the_euclidean_nonlinearity_is_wrong(case, monkeypatch):
+    alpha, beta, tolerance = _CROSS_CHECK_CASES[case]
+    nonlinearity = euclid._nonlinearity
+    monkeypatch.setattr(euclid, "_nonlinearity",
+                        lambda node, params: 1.1 * nonlinearity(node, params))
+    assert _backend_gap(alpha, beta) > tolerance
