@@ -109,10 +109,7 @@ def _write_report(out_dir, report):
 # ---------------------------------------------------------------------------
 # ode-verify
 
-def _ode_case(spec, tol, threshold, t_end):
-    traj = ode_core.integrate_coupled(
-        spec, t_end=t_end, tol=tol, blowup_threshold=threshold
-    )
+def _ode_case(spec, traj):
     if spec.omega > 0:
         report = ode_core.damped_bounds(spec)
     else:
@@ -155,8 +152,11 @@ def cmd_ode_verify(cfg, out_dir, seed):
         raise ConfigError("need n_specs >= 1, n_comparison_pairs >= 0 "
                           "and residual_tolerance > 0")
 
+    # one lockstep march; each trajectory becomes its row as it finishes
     specs = sample_coupled_specs(seed, n_specs)
-    rows = [_ode_case(s, tol, threshold, t_end) for s in specs]
+    rows = [None] * n_specs
+    for i, traj in ode_core.integrate_lockstep(specs, t_end, tol, threshold):
+        rows[i] = _ode_case(specs[i], traj)
 
     # worked symmetric case: exact blow-up 1/3 against bound 2^(4/3)/3
     worked_spec = ode_core.CoupledODESpec(
@@ -180,14 +180,14 @@ def cmd_ode_verify(cfg, out_dir, seed):
     comparison_failures = []
     rng = np.random.default_rng(seed + 1)
     pair_specs = [sample_coupled_spec(rng) for _ in range(n_pairs)]
+    shrinks = [float(rng.uniform(0.9, 0.99)) for _ in range(n_pairs)]
+    # run 2i is pair i's upper run and run 2i + 1 its shrunk lower run
+    runs = dict(ode_core.integrate_lockstep(
+        [run for spec, shrink in zip(pair_specs, shrinks)
+         for run in (spec, replace(spec, f0=spec.f0 * shrink, g0=spec.g0 * shrink))],
+        t_end, tol, 1e5))
     for i, spec in enumerate(pair_specs):
-        shrink = float(rng.uniform(0.9, 0.99))
-        sub_spec = replace(spec, f0=spec.f0 * shrink, g0=spec.g0 * shrink)
-        sup = ode_core.integrate_coupled(spec, t_end=t_end, tol=tol,
-                                         blowup_threshold=1e5)
-        sub = ode_core.integrate_coupled(sub_spec, t_end=t_end, tol=tol,
-                                         blowup_threshold=1e5)
-        verdict = ode_core.check_comparison(sub, sup, spec)
+        verdict = ode_core.check_comparison(runs[2 * i + 1], runs[2 * i], spec)
         if not verdict.passed:
             comparison_failures.append(
                 {"index": i, "time": verdict.first_violation_time,

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass
-from typing import Callable, Optional
+from itertools import compress
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -34,6 +36,7 @@ __all__ = [
     "single_blowup_solution",
     "single_blowup_time",
     "integrate_coupled",
+    "integrate_lockstep",
     "tail_corrected_lifespan",
     "conserved_residual",
     "conserved_residual_scaled",
@@ -191,6 +194,71 @@ def _hermite(theta, h, w0, d0, w1, d1):
     )
 
 
+def _start(spec: CoupledODESpec, t_end: float, tol: float,
+           blowup_threshold: float) -> tuple:
+    """Validate one run and return its constants, its initial state and
+    derivative, and its first step: p, q, (p+1) C_p, (q+1) C_q,
+    omega/(q+1), omega/(p+1), f0, g0, k1f, k1g, h."""
+    if not (0.0 < tol <= 1e-3):
+        raise ValidationError(f"tol must lie in (0, 1e-3], got {tol}")
+    if not (blowup_threshold > max(spec.f0, spec.g0)):
+        raise ValidationError("blowup_threshold must exceed max(f0, g0)")
+    if not (t_end > 0.0):
+        raise ValidationError("t_end must be positive")
+
+    p, q = spec.p, spec.q
+    f, g = spec.f0, spec.g0
+    # k1f, k1g hold the derivative at (t, f, g) (first same as last)
+    k1f, k1g = _rhs(spec, f, g)
+
+    # initial step from the local solution scale
+    scale = min(abs(f) / max(abs(k1f), 1e-300), abs(g) / max(abs(k1g), 1e-300))
+    h = min(1e-2 * scale, t_end) if scale > 0 else t_end * 1e-6
+    h = max(h, 1e-300)
+
+    # the step-collapse floor is 1e-14 * max(t, t_floor) with t_floor = 1e-3 t_end
+    if h < 1e-14 * (1e-3 * t_end):
+        raise ValidationError(
+            f"t_end={t_end:g} is too long for the run's initial time scale "
+            f"{scale:g}: the first step {h:g} is already below the "
+            f"step-collapse floor 1e-17 * t_end"
+        )
+    return (p, q, (p + 1.0) * spec.C_p, (q + 1.0) * spec.C_q,
+            spec.omega / (q + 1.0), spec.omega / (p + 1.0), f, g, k1f, k1g, h)
+
+
+def _crossing(threshold, t, h, w0, d0, w1, d1):
+    """The node (t, f, g) where max(f, g) first reaches ``threshold`` inside
+    an accepted step of length ``h`` from ``t``, on the cubic Hermite model
+    of each component that reaches it; ``w0, d0, w1, d1`` are the (f, g)
+    pairs of the values and slopes at the step's two ends."""
+    theta = 1.0
+    for c0, s0, c1, s1 in zip(w0, d0, w1, d1):
+        if c1 < threshold:
+            continue
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if _hermite(mid, h, c0, s0, c1, s1) >= threshold:
+                hi = mid
+            else:
+                lo = mid
+        theta = min(theta, hi)
+    # theta * h below half an ulp of t would repeat the last time
+    return (max(t + theta * h, math.nextafter(t, math.inf)),
+            *(_hermite(theta, h, *c) for c in zip(w0, d0, w1, d1)))
+
+
+def _trajectory(times, values, status, blowup_threshold, last_node) -> Trajectory:
+    """The run's record; a record that refuses the run's own nodes is the
+    run's failure, raised as an IntegrationError at ``last_node``."""
+    try:
+        return Trajectory(times=times, values=values, status=status,
+                          threshold=blowup_threshold if status == BLOWUP else None)
+    except ValidationError as exc:
+        raise IntegrationError(f"trajectory refused: {exc}", last_node=last_node) from None
+
+
 _SAFETY = 0.9
 _MIN_FAC = 0.2
 _MAX_FAC = 6.0
@@ -216,38 +284,13 @@ def integrate_coupled(
     it, the stage right-hand sides are written out, and max/min/abs are
     conditional expressions with the builtins' tie and NaN semantics, so a
     step makes no Python-level call beyond isfinite, sqrt and the appends.
+    It is the single-spec kernel and the reference that
+    ``integrate_lockstep`` reproduces bit for bit.
     """
-    if not (0.0 < tol <= 1e-3):
-        raise ValidationError(f"tol must lie in (0, 1e-3], got {tol}")
-    if not (blowup_threshold > max(spec.f0, spec.g0)):
-        raise ValidationError("blowup_threshold must exceed max(f0, g0)")
-    if not (t_end > 0.0):
-        raise ValidationError("t_end must be positive")
-
-    p, q = spec.p, spec.q
-    cp_fac = (p + 1.0) * spec.C_p
-    cq_fac = (q + 1.0) * spec.C_q
-    om_f = spec.omega / (q + 1.0)
-    om_g = spec.omega / (p + 1.0)
-
+    p, q, cp_fac, cq_fac, om_f, om_g, f, g, k1f, k1g, h = _start(
+        spec, t_end, tol, blowup_threshold)
     t = 0.0
-    f, g = spec.f0, spec.g0
-    # k1f, k1g hold the derivative at (t, f, g) (first same as last)
-    k1f, k1g = _rhs(spec, f, g)
-
-    # initial step from the local solution scale
-    scale = min(abs(f) / max(abs(k1f), 1e-300), abs(g) / max(abs(k1g), 1e-300))
-    h = min(1e-2 * scale, t_end) if scale > 0 else t_end * 1e-6
-    h = max(h, 1e-300)
-
-    # the step-collapse floor is 1e-14 * max(t, t_floor); t >= 0 throughout
     t_floor = 1e-3 * t_end
-    if h < 1e-14 * t_floor:
-        raise ValidationError(
-            f"t_end={t_end:g} is too long for the run's initial time scale "
-            f"{scale:g}: the first step {h:g} is already below the "
-            f"step-collapse floor 1e-17 * t_end"
-        )
     t_stop = t_end * (1.0 - 1e-15)
     safety, min_fac, max_fac = _SAFETY, _MIN_FAC, _MAX_FAC
     neg_alpha, beta = -_K_ALPHA, _K_BETA
@@ -321,22 +364,8 @@ def integrate_coupled(
 
         if err <= 1.0:
             if fn >= blowup_threshold or gn >= blowup_threshold:
-                theta = 1.0
-                for w0, d0, w1, d1 in ((f, k1f, fn, k7f), (g, k1g, gn, k7g)):
-                    if w1 < blowup_threshold:
-                        continue
-                    lo, hi = 0.0, 1.0
-                    for _ in range(60):
-                        mid = 0.5 * (lo + hi)
-                        if _hermite(mid, h, w0, d0, w1, d1) >= blowup_threshold:
-                            hi = mid
-                        else:
-                            lo = mid
-                    theta = min(theta, hi)
-                # theta * h below half an ulp of t would repeat the last time
-                t = max(t + theta * h, math.nextafter(t, math.inf))
-                f = _hermite(theta, h, f, k1f, fn, k7f)
-                g = _hermite(theta, h, g, k1g, gn, k7g)
+                t, f, g = _crossing(blowup_threshold, t, h, (f, g), (k1f, k1g),
+                                    (fn, gn), (k7f, k7g))
                 ts_append(t)
                 fs_append(f)
                 gs_append(g)
@@ -361,11 +390,145 @@ def integrate_coupled(
             h *= fac if fac > min_fac else min_fac
     else:
         raise IntegrationError("step budget exhausted", last_node=(t, f, g))
-    try:
-        return Trajectory(times=np.array(ts), values=np.column_stack([fs, gs]), status=status,
-                          threshold=blowup_threshold if status == BLOWUP else None)
-    except ValidationError as exc:  # the run's own record refuses its nodes
-        raise IntegrationError(f"trajectory refused: {exc}", last_node=(t, f, g)) from None
+    return _trajectory(np.array(ts), np.column_stack([fs, gs]), status,
+                       blowup_threshold, (t, f, g))
+
+
+def integrate_lockstep(
+    specs,
+    t_end: float,
+    tol: float = 1e-10,
+    blowup_threshold: float = 1e6,
+) -> Iterator[tuple[int, Trajectory]]:
+    """``integrate_coupled`` of every spec of ``specs``, marched in lockstep
+    on arrays; yields ``(index, trajectory)`` as each spec finishes.
+
+    Every spec is validated before any step.  The live specs' states, steps
+    and PI memories sit in arrays, with row 0 for f and row 1 for g, and a
+    finished spec leaves them.  The arrays run each spec's scalar arithmetic
+    in the scalar kernel's order, and every power goes through
+    ``np.float_power``, which calls the libm ``pow`` that Python's ``**``
+    calls (``np.power`` dispatches to vectorized code that differs in the
+    last bit), so each trajectory equals ``integrate_coupled``'s bit for
+    bit.  Threshold crossings are located in scalars by the same code.  A
+    spec whose step leaves the finite floats is handed to
+    ``integrate_coupled``, which repeats its steps and returns or raises
+    what the scalar kernel does there: Python's ``**`` raises OverflowError
+    where ``float_power`` returns inf.  Each spec's nodes are kept in its
+    own flat record and handed out when it finishes.
+    """
+    specs = list(specs)
+    starts = np.array([_start(spec, t_end, tol, blowup_threshold) for spec in specs])
+    if not specs:
+        return
+    # rows: the f and the g component; columns: the live specs
+    p, q, cp_fac, cq_fac, om_f, om_g, f, g, k1f, k1g, h = starts.T
+    exps, facs, oms = np.array([p, q]), np.array([cp_fac, cq_fac]), np.array([om_f, om_g])
+    y, k1 = np.array([f, g]), np.array([k1f, k1g])
+    # each live spec's nodes (t, f, g), flat, in the order of the columns
+    records = [array("d", (0.0, f0, g0)) for f0, g0 in zip(f.tolist(), g.tolist())]
+    index = np.arange(len(specs))
+    t = np.zeros(len(specs))
+    err_prev = np.ones(len(specs))
+    t_floor = 1e-3 * t_end
+    t_stop = t_end * (1.0 - 1e-15)
+    safety, min_fac, max_fac = _SAFETY, _MIN_FAC, _MAX_FAC
+    neg_alpha, beta = -_K_ALPHA, _K_BETA
+    power, maximum, minimum, where = np.float_power, np.maximum, np.minimum, np.where
+
+    def finish(j, status):
+        nodes = np.frombuffer(records[j]).reshape(-1, 3)
+        return int(index[j]), _trajectory(nodes[:, 0].copy(), nodes[:, 1:].copy(), status,
+                                          blowup_threshold, tuple(nodes[-1].tolist()))
+
+    # maximum and minimum stand for the scalar kernel's conditional
+    # expressions: they differ only on NaN, and a NaN step leaves the batch
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_STEPS):
+            completed = t >= t_stop
+            leaving = completed | (h < 1e-14 * maximum(t, t_floor))
+            if leaving.any():
+                for j in np.flatnonzero(leaving).tolist():
+                    yield finish(j, COMPLETED if completed[j] else STEP_COLLAPSE)
+                stay = ~leaving
+                records = list(compress(records, stay.tolist()))
+                t, h, y, k1, err_prev, exps, facs, oms, index = (
+                    a[..., stay] for a in (t, h, y, k1, err_prev, exps, facs, oms, index))
+                if not index.size:
+                    return
+            last_clipped = h >= t_end - t
+            h = where(last_clipped, t_end - t, h)
+
+            # Dormand-Prince stages of integrate_coupled; a stage's power of
+            # the other component is power(z[::-1], exps)
+            h5 = h * 0.2
+            z = y + h5 * k1
+            k2 = facs * power(z[::-1], exps) - oms * z
+            z = y + h * (0.075 * k1 + 0.225 * k2)
+            k3 = facs * power(z[::-1], exps) - oms * z
+            z = y + h * (44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3)
+            k4 = facs * power(z[::-1], exps) - oms * z
+            z = y + h * (19372 / 6561 * k1 - 25360 / 2187 * k2
+                         + 64448 / 6561 * k3 - 212 / 729 * k4)
+            k5 = facs * power(z[::-1], exps) - oms * z
+            z = y + h * (9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3
+                         + 49 / 176 * k4 - 5103 / 18656 * k5)
+            k6 = facs * power(z[::-1], exps) - oms * z
+            yn = y + h * (35 / 384 * k1 + 500 / 1113 * k3 + 125 / 192 * k4
+                          - 2187 / 6784 * k5 + 11 / 84 * k6)
+            k7 = facs * power(yn[::-1], exps) - oms * yn
+
+            e = h * (71 / 57600 * k1 - 71 / 16695 * k3 + 71 / 1920 * k4
+                     - 17253 / 339200 * k5 + 22 / 525 * k6 - 1 / 40 * k7)
+            e = power(e / (tol * maximum(np.abs(yn), np.abs(y)) + 1e-300), 2)
+            err = np.sqrt(0.5 * (e[0] + e[1]))
+
+            finite = np.isfinite(yn).all(axis=0) & np.isfinite(err)
+            accepted = err <= 1.0
+            crossed = accepted & (yn >= blowup_threshold).any(axis=0)
+            leaving = crossed | ~finite
+            if leaving.any():
+                for j in np.flatnonzero(leaving).tolist():
+                    if finite[j]:
+                        records[j].extend(_crossing(
+                            blowup_threshold, t[j].item(), h[j].item(),
+                            *(a[:, j].tolist() for a in (y, k1, yn, k7))))
+                        yield finish(j, BLOWUP)
+                    else:
+                        i = int(index[j])
+                        yield i, integrate_coupled(specs[i], t_end, tol, blowup_threshold)
+                stay = ~leaving
+                records = list(compress(records, stay.tolist()))
+                (t, h, y, k1, err_prev, exps, facs, oms, index, last_clipped, yn, k7,
+                 err, accepted) = (a[..., stay] for a in (
+                    t, h, y, k1, err_prev, exps, facs, oms, index, last_clipped, yn, k7,
+                    err, accepted))
+                if not index.size:
+                    return
+
+            # err = 0 gives fac = inf, which the clamp takes to max_fac as the
+            # scalar kernel's err == 0 branch does
+            fac = minimum(maximum(safety * power(err, neg_alpha) * power(err_prev, beta),
+                                  min_fac), max_fac)
+            h_accepted = where(last_clipped, h, h * fac)
+            if accepted.all():
+                t, y, k1, h = t + h, yn, k7, h_accepted
+                err_prev = maximum(err, 1e-10)
+                grown, nodes = records, np.column_stack((t, *y))
+            else:
+                t = where(accepted, t + h, t)
+                y = where(accepted, yn, y)
+                k1 = where(accepted, k7, k1)
+                err_prev = where(accepted, maximum(err, 1e-10), err_prev)
+                h = where(accepted, h_accepted,
+                          h * maximum(safety * power(err, -0.2), min_fac))
+                grown = compress(records, accepted.tolist())
+                nodes = np.column_stack((t, *y))[accepted]
+            # each node (t, f, g) as one 24-byte item, appended to its record
+            for record, node in zip(grown, nodes.view("V24")[:, 0].tolist()):
+                record.frombytes(node)
+    raise IntegrationError("step budget exhausted",
+                           last_node=(t[0].item(), *y[:, 0].tolist()))
 
 
 def tail_corrected_lifespan(traj: Trajectory, spec: CoupledODESpec) -> float:

@@ -571,6 +571,26 @@ def test_a_trajectory_refusing_its_own_nodes_exits_3_not_as_a_config_error(
     assert not out.exists()  # the run wrote nothing, so its --out is gone
 
 
+def test_ode_verify_checks_its_pairs_in_order_after_drawing_every_shrink(tmp_path, monkeypatch):
+    # the pairs' runs march in one lockstep batch and finish in any order
+    checked = []
+    check = ode_core.check_comparison
+
+    def recording(sub, sup, spec):
+        checked.append((spec, sub.f[0] / sup.f[0]))
+        return check(sub, sup, spec)
+
+    monkeypatch.setattr(ode_core, "check_comparison", recording)
+    cfg = write_config(tmp_path / "c.json", {"schema_version": 1, "n_specs": 2, "t_end": 1.0,
+                                             "n_comparison_pairs": 6})
+    assert run_cli(["ode-verify", "--config", cfg, "--out", tmp_path / "out", "--seed", 4]) in (0, 1)
+    rng = np.random.default_rng(5)
+    specs = [sample_coupled_spec(rng) for _ in range(6)]
+    shrinks = [rng.uniform(0.9, 0.99) for _ in range(6)]
+    assert [spec for spec, _ in checked] == specs
+    assert [ratio for _, ratio in checked] == pytest.approx(shrinks, rel=1e-15)
+
+
 def test_scaling_study_torus(tmp_path):
     cfg = write_config(tmp_path / "c.json", scaling_torus_config())
     out = tmp_path / "out"

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cgl_blowup.errors import DomainError, ValidationError
+from cgl_blowup import ode_core
+from cgl_blowup.errors import DomainError, IntegrationError, ValidationError
 from cgl_blowup.ode_core import (
     BLOWUP,
     COMPLETED,
@@ -20,6 +21,7 @@ from cgl_blowup.ode_core import (
     damped_bounds,
     damped_hypothesis_terms,
     integrate_coupled,
+    integrate_lockstep,
     mirrored_spec,
     power_product,
     single_blowup_solution,
@@ -212,6 +214,107 @@ def test_dp5_kernel_call_budget_per_node():
     traj, events = _profiled(integrate_coupled, WORKED, t_end=4.0)
     assert traj.times.size == 724
     assert len(events) <= 8 * traj.times.size
+
+
+# ---------------------------------------------------------------------------
+# the lockstep kernel against the scalar one
+
+# sampled specs, and cases the sample need not hold: a damped decay that
+# completes, a vanishing nonlinearity whose error estimate is exactly 0, a
+# damped crossing, a crossing in each component, and spec 19 of
+# ode-verify --seed 28, whose crossing lies within half an ulp of its last node
+_SUB_ULP = sample_coupled_specs(28, 20)[19]
+_LOCKSTEP_SPECS = sample_coupled_specs(2024, 24) + [
+    CoupledODESpec(p=2, q=2, C_p=1, C_q=1, omega=3, f0=0.1, g0=0.2),
+    CoupledODESpec(p=2, q=2, C_p=1e-300, C_q=1e-300, omega=0, f0=1, g0=1),
+    WORKED_DAMPED, _F_LEADS, mirrored_spec(_F_LEADS), _SUB_ULP,
+]
+
+
+def _lockstep_against_scalar(specs, tol):
+    """The statuses of the scalar kernel's runs of ``specs`` to t = 4, and
+    the indices of the specs whose lockstep trajectory differs from it in
+    any bit of its times or values or in its status."""
+    lockstep = dict(ode_core.integrate_lockstep(specs, 4.0, tol, 1e6))
+    assert sorted(lockstep) == list(range(len(specs)))
+    statuses, differ = [], []
+    for i, spec in enumerate(specs):
+        ref, got = integrate_coupled(spec, 4.0, tol, 1e6), lockstep[i]
+        statuses.append(ref.status)
+        if (got.status, got.times.tobytes(), got.values.tobytes()) != (
+                ref.status, ref.times.tobytes(), ref.values.tobytes()):
+            differ.append(i)
+    return statuses, differ
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12])
+def test_lockstep_kernel_equals_the_scalar_kernel_bit_for_bit(tol):
+    statuses, differ = _lockstep_against_scalar(_LOCKSTEP_SPECS, tol)
+    assert differ == []
+    assert set(statuses) == {COMPLETED, BLOWUP, STEP_COLLAPSE}
+
+
+def test_lockstep_kernel_keeps_the_sub_ulp_crossing():
+    (_, traj), = integrate_lockstep([_SUB_ULP], 4.0)
+    assert traj.status == BLOWUP
+    assert traj.times[-1] == math.nextafter(traj.times[-2], math.inf)
+
+
+def test_lockstep_kernel_with_np_power_in_one_stage_is_caught(mutate):
+    # np.power differs from Python's ** in the last bit on about 5% of inputs
+    mutate(ode_core, "integrate_lockstep", "k3 = facs * power(z[::-1], exps)",
+           "k3 = facs * z[::-1] ** exps")
+    _, differ = _lockstep_against_scalar(_LOCKSTEP_SPECS, 1e-10)
+    assert differ
+
+
+@pytest.mark.parametrize("kwargs", [dict(tol=1e-2), dict(blowup_threshold=1.5),
+                                    dict(t_end=-1.0), dict(t_end=1e16)])
+def test_lockstep_kernel_validates_every_spec_before_any_step(kwargs):
+    # the first spec refused is the one a loop of scalar runs refuses
+    specs, kwargs = [WORKED, _F_LEADS], {"t_end": 4.0, **kwargs}
+    with pytest.raises(ValidationError) as scalar:
+        for spec in specs:
+            integrate_coupled(spec, **kwargs)
+    steps = integrate_lockstep(specs, **kwargs)
+    with pytest.raises(ValidationError) as lockstep:
+        next(steps)
+    assert str(lockstep.value) == str(scalar.value)
+
+
+# p = q = 1000 from 2.0: a stage power overflows, which Python's ** raises;
+# from 2.02: a stage product overflows to a non-finite state
+@pytest.mark.parametrize("f0, error", [(2.0, OverflowError), (2.02, IntegrationError)])
+def test_lockstep_kernel_raises_what_the_scalar_kernel_raises_past_the_floats(f0, error):
+    spec = CoupledODESpec(p=1000, q=1000, C_p=1, C_q=1, omega=0, f0=f0, g0=f0)
+    kwargs = dict(t_end=1e-300, tol=1e-6, blowup_threshold=1e300)
+    with pytest.raises(error) as scalar:
+        integrate_coupled(spec, **kwargs)
+    with pytest.raises(error) as lockstep:
+        list(integrate_lockstep([WORKED, spec], **kwargs))
+    assert str(lockstep.value) == str(scalar.value)
+    assert getattr(lockstep.value, "last_node", None) == getattr(scalar.value, "last_node", None)
+
+
+def test_lockstep_kernel_keeps_the_step_budget(monkeypatch):
+    monkeypatch.setattr(ode_core, "_MAX_STEPS", 40)
+    with pytest.raises(IntegrationError, match="step budget") as scalar:
+        integrate_coupled(WORKED_DAMPED, t_end=4.0)
+    with pytest.raises(IntegrationError, match="step budget") as lockstep:
+        list(integrate_lockstep([WORKED_DAMPED, WORKED], t_end=4.0))
+    assert lockstep.value.last_node == scalar.value.last_node
+
+
+def test_a_lockstep_trajectory_refusing_its_own_nodes_raises_integration_error(monkeypatch):
+    def refusing(**kwargs):
+        raise ValidationError("times must be finite and strictly increasing")
+
+    monkeypatch.setattr(ode_core, "Trajectory", refusing)
+    with pytest.raises(IntegrationError, match="trajectory refused") as scalar:
+        integrate_coupled(WORKED, t_end=4.0)
+    with pytest.raises(IntegrationError, match="trajectory refused") as lockstep:
+        list(integrate_lockstep([WORKED], t_end=4.0))
+    assert lockstep.value.last_node == scalar.value.last_node
 
 
 # ---------------------------------------------------------------------------

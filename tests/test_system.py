@@ -177,3 +177,45 @@ def test_the_backends_disagree_where_the_euclidean_nonlinearity_is_wrong(case, m
     monkeypatch.setattr(euclid, "_nonlinearity",
                         lambda node, params: 1.1 * nonlinearity(node, params))
     assert _backend_gap(alpha, beta) > tolerance
+
+
+# check_growth_pair at its boundary.  U, V and the damping rates are of order
+# one, so a relative margin of 1e-6 lies far outside the check's slack
+# rel_tol (1 + |U'|) with rel_tol 1e-8
+_MARGIN = 1e-6
+
+
+def _growth_verdicts(damping_u, damping_v):
+    """The side of each violation check_growth_pair reports, on three series
+    on the same nodes: both sides a relative _MARGIN above their
+    inequalities, and the U side or the V side that far below."""
+    coef_u, coef_v = system.jensen_coefficients(PARAMS, 2.0)
+    times = np.linspace(0.0, 1.0, 5)
+    U, V = 1.0 + times, 0.5 + 2.0 * times
+    verdicts = {}
+    for below in ("none", "U", "V"):
+        margin_u = -_MARGIN if below == "U" else _MARGIN
+        margin_v = -_MARGIN if below == "V" else _MARGIN
+        series = system.FunctionalSeries(
+            times, U, V,
+            coef_u * V ** PARAMS.p * (1.0 + margin_u) - damping_u * U,
+            coef_v * U ** PARAMS.q * (1.0 + margin_v) - damping_v * V)
+        report = system.check_growth_pair(series, PARAMS, 2.0, damping_u=damping_u,
+                                          damping_v=damping_v)
+        assert report.n_checked == times.size
+        verdicts[below] = [side for _, _, side, _, _ in report.violations]
+    return verdicts
+
+
+_EXPECTED_VERDICTS = {"none": [], "U": ["U"] * 5, "V": ["V"] * 5}
+
+
+@pytest.mark.parametrize("damping", [(0.0, 0.0), (0.3, 0.7)], ids=["undamped", "damped"])
+def test_the_growth_check_flags_a_series_just_below_either_inequality(damping):
+    assert _growth_verdicts(*damping) == _EXPECTED_VERDICTS
+
+
+def test_the_growth_check_with_the_u_damping_doubled_is_caught(mutate):
+    mutate(system, "check_growth_pair", "series.dU[i] + damping_u * u",
+           "series.dU[i] + 2.0 * damping_u * u")
+    assert _growth_verdicts(0.3, 0.7) != _EXPECTED_VERDICTS

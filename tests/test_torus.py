@@ -257,6 +257,78 @@ def test_padded_nonlinearity_matches_on_smooth_data():
     assert np.max(np.abs(plain.u - padded.u)) < 1e-10
 
 
+# The observed order of the IF-RK4 step on 64 modes, p = q = 2, with data
+# 1 + 0.5 cos x + 0.2 sin 3x and 0.8 + 0.3 cos 2x: fixed steps of 0.02, 0.01
+# and 0.005 to t = 0.2 against a run at dt 1e-4.  Measured 4.00 with real
+# alpha (errors 7.0e-8, 4.4e-9, 2.7e-10) and with complex coefficients.
+_ORDER_PARAMS = {
+    "real": SystemParams(n=1, p=2, q=2, alpha1=-1, alpha2=-0.5, beta1=1, beta2=1),
+    "complex": SystemParams(n=1, p=2, q=2, alpha1=-1 + 0.5j, alpha2=-0.5 - 0.3j,
+                            beta1=1 + 0.2j, beta2=0.8 - 0.4j),
+}
+
+
+def _observed_order(params):
+    """The smaller of the two orders log2(error(dt) / error(dt / 2)) of
+    ``torus.torus_step`` over the three steps."""
+    grid = make_grid(1, 64)
+    x = grid.axes()[0]
+    stepper = TorusStepper(grid, params)
+
+    def final_fields(dt):
+        state = state_from_arrays(grid, 1 + 0.5 * np.cos(x) + 0.2 * np.sin(3 * x),
+                                  0.8 + 0.3 * np.cos(2 * x))
+        for _ in range(round(0.2 / dt)):
+            state = torus.torus_step(state, stepper, dt)
+        return state.fields
+
+    reference = final_fields(1e-4)
+    errors = [np.abs(final_fields(dt) - reference).max() for dt in (0.02, 0.01, 0.005)]
+    return min(np.log2(errors[0] / errors[1]), np.log2(errors[1] / errors[2]))
+
+
+@pytest.mark.parametrize("coefficients", _ORDER_PARAMS)
+def test_step_converges_at_fourth_order(coefficients):
+    assert _observed_order(_ORDER_PARAMS[coefficients]) >= 3.5
+
+
+@pytest.mark.parametrize("old, new", [
+    ("2.0 * e * (n2 + n3)", "2.0 * (n2 + n3)"),  # order 1.02
+    ("e * yh + 0.5 * h * n2", "e * (yh + 0.5 * h * n2)"),  # order 1.99
+])
+def test_step_with_a_wrong_stage_propagator_is_caught(old, new, mutate):
+    mutate(torus, "torus_step", old, new)
+    assert _observed_order(_ORDER_PARAMS["real"]) < 3.5
+
+
+def _largest_derivative_gaps():
+    """The largest gap, relative to the increment, between the trapezoid of
+    the reported U' (and V') over an interval of a run's series and the
+    interval's increment of U (and V).  The run: 64 modes, p = 2, q = 1.5,
+    data 1.2 + 0.3 cos x and 1.0 + 0.2 cos x, to field 1e3 (1207 nodes)."""
+    grid = make_grid(1, 64)
+    x = grid.axes()[0]
+    params = SystemParams(n=1, p=2, q=1.5, alpha1=-1, alpha2=-1, beta1=1, beta2=1)
+    state = state_from_arrays(grid, 1.2 + 0.3 * np.cos(x), 1.0 + 0.2 * np.cos(x))
+    series = run_torus(params, state, t_end=10.0, dt_max=1e-3, field_threshold=1e3).series
+    dt = np.diff(series.times)
+    return [np.max(np.abs(0.5 * (dw[1:] + dw[:-1]) * dt - np.diff(w)) / np.abs(np.diff(w)))
+            for w, dw in ((series.U, series.dU), (series.V, series.dV))]
+
+
+# Near blow-up the step safety 0.05 sets each step's share of the time scale,
+# so the trapezoid's relative error per interval stays near 5e-4 at any dt_max
+def test_reported_derivatives_integrate_to_the_functionals():
+    gap_u, gap_v = _largest_derivative_gaps()
+    assert gap_u < 2e-3 and gap_v < 2e-3  # 5.7e-4 and 4.6e-4
+
+
+def test_a_derivative_of_the_wrong_power_is_caught(mutate):
+    mutate(torus, "functional_derivatives", "np.abs(state.u) ** params.q",
+           "np.abs(state.u) ** params.p")
+    assert _largest_derivative_gaps()[1] > 2e-3  # 25
+
+
 def test_step_rejects_growing_linear_part():
     params = SystemParams(n=1, p=2, q=2, alpha1=1.0, alpha2=-1, beta1=1, beta2=1)
     with pytest.raises(ValidationError, match="Re\\(alpha\\)"):
