@@ -441,6 +441,11 @@ def integrate_lockstep(
         return int(index[j]), _trajectory(nodes[:, 0].copy(), nodes[:, 1:].copy(), status,
                                           blowup_threshold, tuple(nodes[-1].tolist()))
 
+    def drop(leaving, *arrays):
+        """The records and the columns of ``arrays`` of the specs that stay."""
+        stay = ~leaving
+        return list(compress(records, stay.tolist())), *(a[..., stay] for a in arrays)
+
     # maximum and minimum stand for the scalar kernel's conditional
     # expressions: they differ only on NaN, and a NaN step leaves the batch
     with np.errstate(all="ignore"):
@@ -450,10 +455,8 @@ def integrate_lockstep(
             if leaving.any():
                 for j in np.flatnonzero(leaving).tolist():
                     yield finish(j, COMPLETED if completed[j] else STEP_COLLAPSE)
-                stay = ~leaving
-                records = list(compress(records, stay.tolist()))
-                t, h, y, k1, err_prev, exps, facs, oms, index = (
-                    a[..., stay] for a in (t, h, y, k1, err_prev, exps, facs, oms, index))
+                records, t, h, y, k1, err_prev, exps, facs, oms, index = drop(
+                    leaving, t, h, y, k1, err_prev, exps, facs, oms, index)
                 if not index.size:
                     return
             last_clipped = h >= t_end - t
@@ -497,12 +500,9 @@ def integrate_lockstep(
                     else:
                         i = int(index[j])
                         yield i, integrate_coupled(specs[i], t_end, tol, blowup_threshold)
-                stay = ~leaving
-                records = list(compress(records, stay.tolist()))
-                (t, h, y, k1, err_prev, exps, facs, oms, index, last_clipped, yn, k7,
-                 err, accepted) = (a[..., stay] for a in (
-                    t, h, y, k1, err_prev, exps, facs, oms, index, last_clipped, yn, k7,
-                    err, accepted))
+                (records, t, h, y, k1, err_prev, exps, facs, oms, index, last_clipped, yn,
+                 k7, err, accepted) = drop(leaving, t, h, y, k1, err_prev, exps, facs, oms,
+                                           index, last_clipped, yn, k7, err, accepted)
                 if not index.size:
                     return
 
@@ -510,22 +510,16 @@ def integrate_lockstep(
             # scalar kernel's err == 0 branch does
             fac = minimum(maximum(safety * power(err, neg_alpha) * power(err_prev, beta),
                                   min_fac), max_fac)
-            h_accepted = where(last_clipped, h, h * fac)
-            if accepted.all():
-                t, y, k1, h = t + h, yn, k7, h_accepted
-                err_prev = maximum(err, 1e-10)
-                grown, nodes = records, np.column_stack((t, *y))
-            else:
-                t = where(accepted, t + h, t)
-                y = where(accepted, yn, y)
-                k1 = where(accepted, k7, k1)
-                err_prev = where(accepted, maximum(err, 1e-10), err_prev)
-                h = where(accepted, h_accepted,
-                          h * maximum(safety * power(err, -0.2), min_fac))
-                grown = compress(records, accepted.tolist())
-                nodes = np.column_stack((t, *y))[accepted]
-            # each node (t, f, g) as one 24-byte item, appended to its record
-            for record, node in zip(grown, nodes.view("V24")[:, 0].tolist()):
+            t = where(accepted, t + h, t)
+            y = where(accepted, yn, y)
+            k1 = where(accepted, k7, k1)
+            err_prev = where(accepted, maximum(err, 1e-10), err_prev)
+            h = where(accepted, where(last_clipped, h, h * fac),
+                      h * maximum(safety * power(err, -0.2), min_fac))
+            # each accepted node (t, f, g) as one 24-byte item, appended to its record
+            nodes = np.column_stack((t, *y))[accepted]
+            for record, node in zip(compress(records, accepted.tolist()),
+                                    nodes.view("V24")[:, 0].tolist()):
                 record.frombytes(node)
     raise IntegrationError("step budget exhausted",
                            last_node=(t[0].item(), *y[:, 0].tolist()))

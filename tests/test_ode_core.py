@@ -254,12 +254,6 @@ def test_lockstep_kernel_equals_the_scalar_kernel_bit_for_bit(tol):
     assert set(statuses) == {COMPLETED, BLOWUP, STEP_COLLAPSE}
 
 
-def test_lockstep_kernel_keeps_the_sub_ulp_crossing():
-    (_, traj), = integrate_lockstep([_SUB_ULP], 4.0)
-    assert traj.status == BLOWUP
-    assert traj.times[-1] == math.nextafter(traj.times[-2], math.inf)
-
-
 def test_lockstep_kernel_with_np_power_in_one_stage_is_caught(mutate):
     # np.power differs from Python's ** in the last bit on about 5% of inputs
     mutate(ode_core, "integrate_lockstep", "k3 = facs * power(z[::-1], exps)",
