@@ -13,7 +13,7 @@ and the ``scaling-study`` configs of ``TORUS_LADDERS`` and
 ``EUCLID_LADDERS`` below, each in a fresh ``python -m cgl_blowup`` process.
 The workloads and packaged configs all have unit alpha and beta.
 ``OFF_UNIT`` covers
-complex beta, unequal alpha, n = 1 and 2 and both schemes;
+complex beta, unequal alpha and n = 1 and 2;
 ``TORUS_OFF_UNIT`` covers complex alpha and beta, n = 1 and 2, padded and
 unpadded, ``constant_plus_mode`` and ``fourier_mode`` data, with the final
 fields written as snapshots.  ``TORUS_LADDERS`` are ``torus_homogeneous``
@@ -69,7 +69,7 @@ BENCH_SEEDS = (3, 12)
 PACKAGED_SEED = 2024
 
 
-def _off_unit(n, alpha, beta, scheme, epsilon, t_end):
+def _off_unit(n, alpha, beta, epsilon, t_end):
     return {
         "schema_version": 1,
         "params": {"n": n, "p": 2, "q": 1.5,
@@ -79,7 +79,7 @@ def _off_unit(n, alpha, beta, scheme, epsilon, t_end):
         "R": 4.0, "box_half_width": 8.0, "h": 4.0 / 64,
         "data": {"epsilon": epsilon, "r_data": 2.0, "amp_u": 1.0, "amp_v": 0.7,
                  "shape": "gaussian"},
-        "scheme": scheme,
+        "scheme": "imex",
         "dt": {"dt_max": 0.01, "safety": 0.1},
         "t_end": t_end, "functional_threshold": 1e6, "field_threshold": 1e10,
         "odi_cap": 1e5,
@@ -88,11 +88,9 @@ def _off_unit(n, alpha, beta, scheme, epsilon, t_end):
 
 # euclid-run off the unit coefficients of the workloads and packaged configs
 OFF_UNIT = {
-    "complex_beta_1d": _off_unit(1, (-1, -1), (0.6 + 0.8j, -2j), "imex", 2.0, 30.0),
-    "unequal_alpha_1d": _off_unit(1, (-0.7, -1.3), (1.7, 0.6), "imex", 2.0, 30.0),
-    "both_1d_explicit": _off_unit(1, (-0.7, -1.3), (0.6 + 0.8j, -2j), "explicit", 2.0, 30.0),
-    "both_2d": _off_unit(2, (-0.7, -1.3), (0.6 + 0.8j, -2j), "imex", 5.0, 30.0),
-    "complex_beta_2d_explicit": _off_unit(2, (-1, -1), (-0.6 + 0.8j, 1j), "explicit", 5.0, 0.05),
+    "complex_beta_1d": _off_unit(1, (-1, -1), (0.6 + 0.8j, -2j), 2.0, 30.0),
+    "unequal_alpha_1d": _off_unit(1, (-0.7, -1.3), (1.7, 0.6), 2.0, 30.0),
+    "both_2d": _off_unit(2, (-0.7, -1.3), (0.6 + 0.8j, -2j), 5.0, 30.0),
 }
 
 

@@ -364,7 +364,7 @@ def _write_snapshot(out_dir, name, u, v, t):
 # euclid-run
 
 def _parse_euclid_spec(cfg, params, data_cfg, epsilon, r_data=REQUIRED,
-                       h=REQUIRED, shape="weight", scheme="imex"):
+                       h=REQUIRED, shape="weight"):
     """The validated run spec: R, box_half_width and h read from ``cfg``,
     r_data and the amplitudes from ``data_cfg``.  ``r_data`` and ``h`` are
     the defaults for absent keys; h None means R / points_per_R."""
@@ -387,16 +387,18 @@ def _parse_euclid_spec(cfg, params, data_cfg, epsilon, r_data=REQUIRED,
             amp_v=_get(data_cfg, "amp_v", float, 1.0),
             shape=shape,
         ),
-        scheme=scheme,
     )
 
 
 def cmd_euclid_run(cfg, out_dir, seed):
+    # the Crank-Nicolson IMEX step is the one scheme; a config may still name it
+    scheme = _get(cfg, "scheme", str, "imex")
+    if scheme != "imex":
+        raise ConfigError(f"unknown scheme {scheme!r}: the one scheme is 'imex'")
     data_cfg = _get(cfg, "data", dict)
     spec = _parse_euclid_spec(
         cfg, _parse_params(cfg), data_cfg, _get(data_cfg, "epsilon"), h=None,
         shape=_get(data_cfg, "shape", str, "weight"),
-        scheme=_get(cfg, "scheme", str, "imex"),
     )
     dt_cfg = _get(cfg, "dt", dict, {})
     odi_cap = _get(cfg, "odi_cap", float, 1e5)

@@ -47,7 +47,6 @@ __all__ = [
     "make_initial_state",
     "stack_states",
     "euclid_step",
-    "cfl_limit",
     "discrete_laplacian",
     "weighted_functionals",
     "functional_derivatives",
@@ -90,7 +89,6 @@ class EuclidRunSpec:
     box_half_width: float
     h: float
     data: DataSpec
-    scheme: str = "imex"  # "imex" or "explicit"
 
     def __post_init__(self):
         pr = self.params
@@ -113,8 +111,6 @@ class EuclidRunSpec:
             raise ValidationError(f"cannot allocate a grid of {points:.3g} points per axis")
         if self.data.r_data > self.box_half_width:
             raise ValidationError("data support exceeds the box")
-        if self.scheme not in ("imex", "explicit"):
-            raise ValidationError(f"unknown scheme {self.scheme!r}")
 
     @cached_property
     def grid(self) -> "EuclidGrid":
@@ -287,7 +283,7 @@ def solve_banded(rhs: np.ndarray, r: float, state=None) -> np.ndarray:
 
 
 def _imex_step_1d(node, spec, dt, force):
-    # Crank-Nicolson diffusion, explicit forcing: one solve for all the
+    # Crank-Nicolson diffusion, forward-Euler forcing: one solve for all the
     # (rung, field) columns that share r = dt |alpha| / h^2
     h = spec.grid.h
     r = dt * spec.diffusion / (h * h)
@@ -330,49 +326,18 @@ def _imex_step_2d(node, spec, dt, force):
     return out
 
 
-def _rhs(node: PairState, spec: EuclidRunSpec) -> np.ndarray:
-    """Discrete right-hand side |alpha| Lap_h rho + nonlinearity of both
-    amplitudes, zero on the boundary: the explicit step's stages."""
-    h, n = spec.grid.h, spec.params.n
-    inner = _INTERIOR[n]
-    lap = _second_difference(node.fields, n) / (h * h)
-    lap *= spec.diffusion
-    lap += _node_nonlinearity(node, spec.params)[inner]
-    out = np.zeros(node.fields.shape)
-    out[inner] = lap
-    return out
-
-
-def _explicit_step(node, spec, dt):
-    # Heun's method on the full right-hand side
-    k1 = _rhs(node, spec)
-    k2 = _rhs(PairState(node.fields + dt * k1, node.t), spec)
-    return node.fields + 0.5 * dt * (k1 + k2)
-
-
-def cfl_limit(spec: EuclidRunSpec) -> float:
-    return spec.grid.h ** 2 / (2.0 * spec.params.n * float(spec.diffusion.max()))
-
-
 def euclid_step(state: PairState, spec: EuclidRunSpec, dt) -> PairState:
-    """One IMEX (default) or explicit step; raises on field overflow, the
+    """One Crank-Nicolson IMEX step; raises on field overflow, the
     IntegrationError carrying ``state`` as the last good node.  A batch
     steps each rung by its own dt, given as an array of one per rung; the
     1-d step solves all its columns that share r = dt |alpha| / h^2 in one
     call."""
     step = _on_grid(state, spec).per_rung(dt)
-    if spec.scheme == "explicit":
-        if np.max(step) > cfl_limit(spec) * (1 + 1e-12):
-            raise ValidationError(
-                f"explicit step dt={dt} exceeds the diffusion limit {cfl_limit(spec)}"
-            )
-        fields = _explicit_step(state, spec, step)
-    else:
-        nonlinearity = _node_nonlinearity(state, spec.params)
-        if not np.isfinite(nonlinearity).all():
-            raise IntegrationError(f"nonlinearity overflow at t={state.t}", last_node=state)
-        imex = _imex_step_1d if spec.params.n == 1 else _imex_step_2d
-        fields = imex(state, spec, step, nonlinearity)
+    nonlinearity = _node_nonlinearity(state, spec.params)
+    if not np.isfinite(nonlinearity).all():
+        raise IntegrationError(f"nonlinearity overflow at t={state.t}", last_node=state)
+    imex = _imex_step_1d if spec.params.n == 1 else _imex_step_2d
+    fields = imex(state, spec, step, nonlinearity)
     if not np.isfinite(fields).all():
         raise IntegrationError(f"field overflow at t={state.t}", last_node=state)
     return PairState(fields, state.t + dt)
@@ -427,14 +392,10 @@ def run_euclid(
     """
     if state is not None and not np.isfinite(_on_grid(state, spec).fields).all():
         raise ValidationError("the amplitudes must be finite")
-    if spec.scheme == "imex":
-        # import the solver before the march, not in its first step: an
-        # import amid the step's arrays leaves the heap laid out otherwise
-        # for the rest of the process
-        _dgtsv()
-    elif math.isfinite(dt_max):  # march refuses a non-finite dt_max
-        # the explicit step's dt stays below 0.9 of its diffusion limit
-        dt_max = min(dt_max, 0.9 * cfl_limit(spec))
+    # import the solver before the march, not in its first step: an import
+    # amid the step's arrays leaves the heap laid out otherwise for the rest
+    # of the process
+    _dgtsv()
 
     def observe(s, rungs):
         return (*weighted_functionals(s, spec), *functional_derivatives(s, spec))

@@ -420,6 +420,26 @@ def test_euclid_run_fits_no_rate_to_a_run_that_did_not_blow_up(tmp_path):
     assert report["fits"] == {"U": None, "V": None}
 
 
+def test_euclid_run_naming_the_imex_scheme_writes_the_bits_of_one_naming_none(tmp_path):
+    outputs = []
+    for name, cfg in (("named", euclid_config(scheme="imex")), ("unnamed", euclid_config())):
+        out = tmp_path / name
+        path = write_config(tmp_path / f"{name}.json", cfg)
+        assert run_cli(["euclid-run", "--config", path, "--out", out]) == 0
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "bogus"])
+def test_euclid_run_refuses_any_scheme_but_imex(tmp_path, capsys, scheme):
+    cfg = write_config(tmp_path / "c.json", euclid_config(scheme=scheme))
+    out = tmp_path / "out"
+    assert run_cli(["euclid-run", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "scheme" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("epsilon", [0.01, 1000.0])
 def test_euclid_run_reports_thresholds_past_the_float_range_as_null(tmp_path, capsys,
                                                                      epsilon):

@@ -1,4 +1,3 @@
-import math
 import pickle
 from dataclasses import replace
 
@@ -13,7 +12,6 @@ from cgl_blowup.euclid import (
     EuclidRunSpec,
     PairState,
     blowup_bounds,
-    cfl_limit,
     check_weighted_growth_inequality,
     coupling_spec,
     discrete_laplacian,
@@ -105,48 +103,6 @@ def test_zero_data_fixed_point():
     assert np.all(out.u == 0) and np.all(out.v == 0)
 
 
-def test_explicit_scheme_cross_checks_imex():
-    params = SystemParams(n=1, p=2, q=2, alpha1=-1.5, alpha2=-1.5,
-                          beta1=2, beta2=2)
-    imex = small_spec(params=params, data=DataSpec(epsilon=0.5, r_data=2.0))
-    expl = small_spec(params=params, data=DataSpec(epsilon=0.5, r_data=2.0),
-                      scheme="explicit")
-    s_imex = make_initial_state(imex)
-    for _ in range(400):
-        s_imex = euclid_step(s_imex, imex, 0.2 / 400)
-    s_expl = make_initial_state(expl)
-    cfl = cfl_limit(expl)
-    n_steps = int(0.2 / (0.9 * cfl)) + 1
-    for _ in range(n_steps):
-        s_expl = euclid_step(s_expl, expl, 0.2 / n_steps)
-    assert np.max(np.abs(s_imex.u - s_expl.u)) < 1e-3
-
-
-def test_explicit_scheme_rejects_large_dt():
-    spec = small_spec(scheme="explicit")
-    state = make_initial_state(spec)
-    with pytest.raises(ValidationError):
-        euclid_step(state, spec, 10 * cfl_limit(spec))
-
-
-def test_explicit_run_caps_dt_below_the_diffusion_limit():
-    spec = small_spec(scheme="explicit")
-    cfl = cfl_limit(spec)
-    # dt_max far above the limit, so the cap is what bounds the step
-    run = run_euclid(spec, t_end=50 * cfl, dt_max=1.0)
-    steps = np.diff(run.series.times)
-    assert steps.size >= 50
-    assert np.all(steps <= 0.9 * cfl * (1 + 1e-12))
-    assert steps.max() == pytest.approx(0.9 * cfl, rel=1e-12)
-
-
-def test_explicit_run_still_refuses_an_infinite_dt_max():
-    # the explicit run caps dt_max at its diffusion limit, which must not
-    # turn an infinite dt_max into a finite one
-    with pytest.raises(ValidationError, match="dt_max"):
-        run_euclid(small_spec(scheme="explicit"), t_end=1.0, dt_max=math.inf)
-
-
 def test_overflow_carries_last_state():
     spec = small_spec()
     state = PairState(fields=np.full((2, *spec.grid.shape), 1e200), t=0.0)
@@ -173,6 +129,12 @@ def test_a_run_whose_time_cannot_advance_collapses_at_its_data_node():
     assert run.status == STEP_COLLAPSE
     assert run.series.times.tolist() == [-1e13]
     assert run.final_state is state
+
+
+@pytest.mark.parametrize("dt_max", [np.inf, np.nan, 0.0, -1e-3])
+def test_a_run_refuses_a_dt_max_that_is_not_finite_and_positive(dt_max):
+    with pytest.raises(ValidationError, match="dt_max"):
+        run_euclid(small_spec(), t_end=1.0, dt_max=dt_max)
 
 
 def test_a_nan_dt_is_refused_not_reported_as_overflow():
@@ -557,9 +519,16 @@ def test_laplacian_contribution_matches_weight_laplacian(tf1):
 
 
 def _rhs_quadrature(state, spec):
-    """The derivatives as the quadrature of |beta| w * _rhs, the full
-    right-hand side field, with no summation by parts."""
-    terms = spec.beta_abs * spec.weight * euclid._rhs(state, spec)
+    """The derivatives as the quadrature of |beta| w times the full
+    right-hand side field |alpha| Lap_h rho + nonlinearity, zero on the
+    boundary, with no summation by parts."""
+    grid, n = spec.grid.shape, spec.params.n
+    laplacians = [discrete_laplacian(a, spec.grid.h) for a in state.fields.reshape(-1, *grid)]
+    rhs = spec.diffusion * np.reshape(laplacians, state.fields.shape)
+    interior = np.zeros(grid, dtype=bool)
+    interior[(slice(1, -1),) * n] = True
+    rhs += np.where(interior, euclid._nonlinearity(state, spec.params), 0.0)
+    terms = spec.beta_abs * spec.weight * rhs
     sums = terms.reshape(*terms.shape[:-spec.params.n], -1).sum(axis=-1)
     return (sums * spec.grid.cell_volume).T
 
@@ -591,6 +560,39 @@ def test_the_derivative_oracle_sees_a_weight_laplacian_without_diffusion(monkeyp
         got = np.array(functional_derivatives(state, spec))
         want = _rhs_quadrature(state, spec)
         assert np.max(np.abs(got - want) / np.abs(want)) > 1e-3
+
+
+def _largest_derivative_gaps(n):
+    """The largest gap, relative to the increment, between the trapezoid of
+    the reported U' (and V') over an interval of a run's series and the
+    interval's increment of U (and V).  The run: the unequal-alpha spec,
+    dt_max 4e-3, in 2-d from epsilon 5 to t = 0.2 (51 nodes), in 1-d from
+    epsilon 2 to the functional threshold 1e3 (228 nodes)."""
+    spec = _unequal_alpha_spec(n)
+    spec = replace(spec, data=replace(spec.data, epsilon=5.0 if n == 2 else 2.0))
+    series = run_euclid(spec, t_end=0.2 if n == 2 else 30.0, dt_max=4e-3,
+                        functional_threshold=1e3).series
+    dt = np.diff(series.times)
+    return [np.max(np.abs(0.5 * (dw[1:] + dw[:-1]) * dt - np.diff(w)) / np.abs(np.diff(w)))
+            for w, dw in ((series.U, series.dU), (series.V, series.dV))]
+
+
+# The step's forcing is first order in time, so the gap halves with dt_max
+@pytest.mark.parametrize("n", [1, 2])
+def test_reported_derivatives_integrate_to_the_functionals(n):
+    gap_u, gap_v = _largest_derivative_gaps(n)
+    assert gap_u < 0.05 and gap_v < 0.05  # 1-d 0.037 and 0.033, 2-d 0.026 and 0.021
+
+
+@pytest.mark.parametrize("n,name,old,new", [
+    # 2-d ADI half-step forcing made 0.45 of the step: gaps 0.15 and 0.14
+    (2, "_imex_step_2d", "0.5 * step * f", "0.45 * step * f"),
+    # 1-d forcing times 0.97: gaps 0.068 and 0.065
+    (1, "_imex_step_1d", "dt * force", "0.97 * dt * force"),
+], ids=["2d", "1d"])
+def test_a_step_with_a_wrong_forcing_is_caught_by_its_derivatives(mutate, n, name, old, new):
+    mutate(euclid, name, old, new)
+    assert min(_largest_derivative_gaps(n)) > 0.05
 
 
 @pytest.mark.parametrize("n", [1, 2])
