@@ -7,11 +7,16 @@ Usage: python3 scripts/compare_outputs.py TREE OUTDIR
 TREE is the root of a checkout (its ``src`` and ``perfbench`` are used).
 The script runs every invocation of the four workloads in
 ``TREE/perfbench/workloads.py`` at bench seeds 3 and 12, the six packaged
-configs of ``TREE/scripts/configs`` at seed 2024, the ``euclid-run``
+configs of ``TREE/scripts/configs`` at seed 2024, the packaged
+``ode-verify`` config with the changes of ``ODE_VARIANTS``, the ``euclid-run``
 configs of ``OFF_UNIT``, the ``torus-run`` configs of ``TORUS_OFF_UNIT``
 and the ``scaling-study`` configs of ``TORUS_LADDERS`` and
 ``EUCLID_LADDERS`` below, each in a fresh ``python -m cgl_blowup`` process.
-The workloads and packaged configs all have unit alpha and beta.
+The workloads and packaged configs all have unit alpha and beta, and
+their ``ode-verify`` runs all use tol 1e-10, at which no DP5 step is
+rejected, and a sweep threshold of 1e6, above the comparison pairs' 1e5.
+``ODE_VARIANTS`` covers rejected steps (tol 1e-6 and 1e-12), a run
+without comparison pairs and a sweep threshold below the pairs'.
 ``OFF_UNIT`` covers
 complex beta, unequal alpha and n = 1 and 2;
 ``TORUS_OFF_UNIT`` covers complex alpha and beta, n = 1 and 2, padded and
@@ -91,6 +96,16 @@ OFF_UNIT = {
     "complex_beta_1d": _off_unit(1, (-1, -1), (0.6 + 0.8j, -2j), 2.0, 30.0),
     "unequal_alpha_1d": _off_unit(1, (-0.7, -1.3), (1.7, 0.6), 2.0, 30.0),
     "both_2d": _off_unit(2, (-0.7, -1.3), (0.6 + 0.8j, -2j), 5.0, 30.0),
+}
+
+
+# ode-verify off the packaged config: at seed 2024 its 50 specs reject no
+# step at tol 1e-10, thousands at 1e-6 and a few at 1e-12
+ODE_VARIANTS = {
+    "tol_1e-6": {"tol": 1e-6},
+    "tol_1e-12": {"tol": 1e-12},
+    "no_pairs": {"n_comparison_pairs": 0},
+    "threshold_5e4": {"blowup_threshold": 5e4},
 }
 
 
@@ -189,6 +204,10 @@ def _jobs(tree: str):
             cfg = json.load(fh)
         yield (f"packaged/{config.removesuffix('.json')}", command, cfg,
                PACKAGED_SEED)
+        if command == "ode-verify":
+            for label, changes in ODE_VARIANTS.items():
+                yield (f"variants/ode_verify_{label}", command, {**cfg, **changes},
+                       PACKAGED_SEED)
     for label, cfg in OFF_UNIT.items():
         yield f"off_unit/{label}", "euclid-run", cfg, PACKAGED_SEED
     for label, cfg in TORUS_OFF_UNIT.items():

@@ -134,7 +134,7 @@ def _ode_case(spec, traj):
         # step collapse near blow-up still certifies the time ordering
         if traj.status in (ode_core.BLOWUP, ode_core.STEP_COLLAPSE):
             row["bound_respected"] = bool(traj.times[-1] <= report.lifespan_bound)
-        curve = np.array([report.lower_bound_curve(t) for t in traj.times])
+        curve = report.lower_bound_curve(traj.times)
         row["curve_dominated"] = bool(
             np.all(traj.g >= curve - 1e-9 * (1 + traj.g))
         )
@@ -152,11 +152,25 @@ def cmd_ode_verify(cfg, out_dir, seed):
         raise ConfigError("need n_specs >= 1, n_comparison_pairs >= 0 "
                           "and residual_tolerance > 0")
 
-    # one lockstep march; each trajectory becomes its row as it finishes
+    # the sweep's specs, then the ordered-data comparison pairs; the shrinks
+    # continue the pairs' stream, so that none repeats a spec's draws
     specs = sample_coupled_specs(seed, n_specs)
-    rows = [None] * n_specs
-    for i, traj in ode_core.integrate_lockstep(specs, t_end, tol, threshold):
-        rows[i] = _ode_case(specs[i], traj)
+    rng = np.random.default_rng(seed + 1)
+    pair_specs = [sample_coupled_spec(rng) for _ in range(n_pairs)]
+    shrinks = [float(rng.uniform(0.9, 0.99)) for _ in range(n_pairs)]
+    # one lockstep march: the sweep's specs at the config's threshold, then
+    # pair i's upper run and its shrunk lower run at 1e5; each sweep
+    # trajectory becomes its row as it finishes
+    runs = specs + [run for spec, shrink in zip(pair_specs, shrinks)
+                    for run in (spec, replace(spec, f0=spec.f0 * shrink,
+                                              g0=spec.g0 * shrink))]
+    rows, pairs = [None] * n_specs, [None] * (2 * n_pairs)
+    for i, traj in ode_core.integrate_lockstep(
+            runs, t_end, tol, [threshold] * n_specs + [1e5] * (2 * n_pairs)):
+        if i < n_specs:
+            rows[i] = _ode_case(specs[i], traj)
+        else:
+            pairs[i - n_specs] = traj
 
     # worked symmetric case: exact blow-up 1/3 against bound 2^(4/3)/3
     worked_spec = ode_core.CoupledODESpec(
@@ -175,19 +189,9 @@ def cmd_ode_verify(cfg, out_dir, seed):
         "bound_respected": bool(worked_lifespan <= worked_bound),
     }
 
-    # ordered-data comparison pairs; the shrinks continue the specs' stream,
-    # so that none repeats a spec's draws
     comparison_failures = []
-    rng = np.random.default_rng(seed + 1)
-    pair_specs = [sample_coupled_spec(rng) for _ in range(n_pairs)]
-    shrinks = [float(rng.uniform(0.9, 0.99)) for _ in range(n_pairs)]
-    # run 2i is pair i's upper run and run 2i + 1 its shrunk lower run
-    runs = dict(ode_core.integrate_lockstep(
-        [run for spec, shrink in zip(pair_specs, shrinks)
-         for run in (spec, replace(spec, f0=spec.f0 * shrink, g0=spec.g0 * shrink))],
-        t_end, tol, 1e5))
     for i, spec in enumerate(pair_specs):
-        verdict = ode_core.check_comparison(runs[2 * i + 1], runs[2 * i], spec)
+        verdict = ode_core.check_comparison(pairs[2 * i + 1], pairs[2 * i], spec)
         if not verdict.passed:
             comparison_failures.append(
                 {"index": i, "time": verdict.first_violation_time,

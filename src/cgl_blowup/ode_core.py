@@ -21,7 +21,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import compress
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -398,14 +398,16 @@ def integrate_lockstep(
     specs,
     t_end: float,
     tol: float = 1e-10,
-    blowup_threshold: float = 1e6,
+    blowup_threshold: float | Sequence[float] = 1e6,
 ) -> Iterator[tuple[int, Trajectory]]:
     """``integrate_coupled`` of every spec of ``specs``, marched in lockstep
     on arrays; yields ``(index, trajectory)`` as each spec finishes.
 
-    Every spec is validated before any step.  The live specs' states, steps
-    and PI memories sit in arrays, with row 0 for f and row 1 for g, and a
-    finished spec leaves them.  The arrays run each spec's scalar arithmetic
+    ``blowup_threshold`` is one threshold for every spec, or a sequence of
+    one per spec.  Every spec is validated, at its own threshold, before
+    any step.  The live specs' states, steps, PI memories and thresholds
+    sit in arrays, with row 0 for f and row 1 for g, and a finished spec
+    leaves them.  The arrays run each spec's scalar arithmetic
     in the scalar kernel's order, and every power goes through
     ``np.float_power``, which calls the libm ``pow`` that Python's ``**``
     calls (``np.power`` dispatches to vectorized code that differs in the
@@ -418,7 +420,9 @@ def integrate_lockstep(
     own flat record and handed out when it finishes.
     """
     specs = list(specs)
-    starts = np.array([_start(spec, t_end, tol, blowup_threshold) for spec in specs])
+    thresholds = np.broadcast_to(np.asarray(blowup_threshold, dtype=float), len(specs))
+    starts = np.array([_start(spec, t_end, tol, threshold)
+                       for spec, threshold in zip(specs, thresholds.tolist())])
     if not specs:
         return
     # rows: the f and the g component; columns: the live specs
@@ -439,7 +443,7 @@ def integrate_lockstep(
     def finish(j, status):
         nodes = np.frombuffer(records[j]).reshape(-1, 3)
         return int(index[j]), _trajectory(nodes[:, 0].copy(), nodes[:, 1:].copy(), status,
-                                          blowup_threshold, tuple(nodes[-1].tolist()))
+                                          thresholds[j].item(), tuple(nodes[-1].tolist()))
 
     def drop(leaving, *arrays):
         """The records and the columns of ``arrays`` of the specs that stay."""
@@ -455,8 +459,8 @@ def integrate_lockstep(
             if leaving.any():
                 for j in np.flatnonzero(leaving).tolist():
                     yield finish(j, COMPLETED if completed[j] else STEP_COLLAPSE)
-                records, t, h, y, k1, err_prev, exps, facs, oms, index = drop(
-                    leaving, t, h, y, k1, err_prev, exps, facs, oms, index)
+                records, t, h, y, k1, err_prev, exps, facs, oms, thresholds, index = drop(
+                    leaving, t, h, y, k1, err_prev, exps, facs, oms, thresholds, index)
                 if not index.size:
                     return
             last_clipped = h >= t_end - t
@@ -488,21 +492,22 @@ def integrate_lockstep(
 
             finite = np.isfinite(yn).all(axis=0) & np.isfinite(err)
             accepted = err <= 1.0
-            crossed = accepted & (yn >= blowup_threshold).any(axis=0)
+            crossed = accepted & (yn >= thresholds).any(axis=0)
             leaving = crossed | ~finite
             if leaving.any():
                 for j in np.flatnonzero(leaving).tolist():
                     if finite[j]:
                         records[j].extend(_crossing(
-                            blowup_threshold, t[j].item(), h[j].item(),
+                            thresholds[j].item(), t[j].item(), h[j].item(),
                             *(a[:, j].tolist() for a in (y, k1, yn, k7))))
                         yield finish(j, BLOWUP)
                     else:
                         i = int(index[j])
-                        yield i, integrate_coupled(specs[i], t_end, tol, blowup_threshold)
-                (records, t, h, y, k1, err_prev, exps, facs, oms, index, last_clipped, yn,
-                 k7, err, accepted) = drop(leaving, t, h, y, k1, err_prev, exps, facs, oms,
-                                           index, last_clipped, yn, k7, err, accepted)
+                        yield i, integrate_coupled(specs[i], t_end, tol, thresholds[j].item())
+                (records, t, h, y, k1, err_prev, exps, facs, oms, thresholds, index,
+                 last_clipped, yn, k7, err, accepted) = drop(
+                    leaving, t, h, y, k1, err_prev, exps, facs, oms, thresholds, index,
+                    last_clipped, yn, k7, err, accepted)
                 if not index.size:
                     return
 
@@ -601,7 +606,7 @@ class BoundReport:
 
     hypothesis_satisfied: bool
     lifespan_bound: Optional[float] = None
-    lower_bound_curve: Optional[Callable[[float], float]] = None
+    lower_bound_curve: Optional[Callable] = None  # at a float or a 1-d array of times
     f_lower_bound_curve: Optional[Callable[[float], float]] = None
     omega: float = 0.0
     exponent_caveat: bool = False
@@ -620,10 +625,9 @@ class BoundReport:
             "exponent_caveat": bool(self.exponent_caveat),
         }
         if sample_times is not None and self.lower_bound_curve is not None:
-            out["lower_bound_times"] = [float(t) for t in sample_times]
-            out["lower_bound"] = [
-                float(self.lower_bound_curve(float(t))) for t in sample_times
-            ]
+            times = np.asarray(sample_times, dtype=float)
+            out["lower_bound_times"] = times.tolist()
+            out["lower_bound"] = self.lower_bound_curve(times).tolist()
         return out
 
 
@@ -689,6 +693,11 @@ def _log_product(factors) -> float:
         * (_log_product(base) if isinstance(base, tuple) else math.log(base))
         for base, exponent, *over in factors
     )
+
+
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """The math module's ``fn`` at each element of the 1-d array ``x``."""
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
 def undamped_bounds(spec: CoupledODESpec) -> BoundReport:
@@ -803,15 +812,24 @@ def _bound_report(spec: CoupledODESpec, shift: float) -> BoundReport:
         lifespan = (_past_the_range_as_inf(-math.log1p(-decay * T0) / decay)
                     if decay * T0 < 1.0 else math.inf)
 
-    def g_curve(t: float) -> float:
-        base = A - B * (t if decay == 0.0 else -math.expm1(-decay * t) / decay)
-        if base <= 0.0:
-            return math.inf
-        try:  # inline: the curve is evaluated at every node
-            return math.exp(-omega * t / pp) * (base ** (-qq / D) - shift)
-        except OverflowError:  # the power alone may leave the float range
-            return (power_product((math.e, -omega * t / pp), (base, -qq / D))
-                    - math.exp(-omega * t / pp) * shift)
+    def g_curve(t):
+        """At a float ``t`` a float, at a 1-d array of times an array, each value
+        the scalar formula's bit for bit: the exponentials are libm's, mapped
+        (``np.exp`` differs), and ``float_power`` is libm's ``pow``."""
+        ts = np.array(t, dtype=float, ndmin=1)
+        tau = ts if decay == 0.0 else -_libm(math.expm1, -decay * ts) / decay
+        base = A - B * tau
+        damping = _libm(math.exp, -omega * ts / pp)
+        with np.errstate(all="ignore"):
+            power = np.float_power(base, -qq / D)
+            value = damping * (power - shift)
+        # the power alone may leave the float range
+        for i in np.flatnonzero(np.isinf(power) & (base > 0.0)).tolist():
+            value[i] = (power_product((math.e, -omega * ts[i].item() / pp),
+                                      (base[i].item(), -qq / D))
+                        - damping[i] * shift)
+        value[base <= 0.0] = math.inf
+        return value if np.ndim(t) else value[0].item()
 
     return BoundReport(
         hypothesis_satisfied=True,

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 import sys
 
@@ -231,15 +232,17 @@ _LOCKSTEP_SPECS = sample_coupled_specs(2024, 24) + [
 ]
 
 
-def _lockstep_against_scalar(specs, tol):
-    """The statuses of the scalar kernel's runs of ``specs`` to t = 4, and
-    the indices of the specs whose lockstep trajectory differs from it in
-    any bit of its times or values or in its status."""
-    lockstep = dict(ode_core.integrate_lockstep(specs, 4.0, tol, 1e6))
+def _lockstep_against_scalar(specs, tol, thresholds=1e6):
+    """The statuses of the scalar kernel's runs of ``specs`` to t = 4, each
+    at its threshold (one for all, or one per spec), and the indices of the
+    specs whose lockstep trajectory differs from it in any bit of its times
+    or values or in its status."""
+    lockstep = dict(ode_core.integrate_lockstep(specs, 4.0, tol, thresholds))
     assert sorted(lockstep) == list(range(len(specs)))
     statuses, differ = [], []
     for i, spec in enumerate(specs):
-        ref, got = integrate_coupled(spec, 4.0, tol, 1e6), lockstep[i]
+        threshold = np.broadcast_to(thresholds, len(specs))[i].item()
+        ref, got = integrate_coupled(spec, 4.0, tol, threshold), lockstep[i]
         statuses.append(ref.status)
         if (got.status, got.times.tobytes(), got.values.tobytes()) != (
                 ref.status, ref.times.tobytes(), ref.values.tobytes()):
@@ -260,6 +263,43 @@ def test_lockstep_kernel_with_np_power_in_one_stage_is_caught(mutate):
            "k3 = facs * z[::-1] ** exps")
     _, differ = _lockstep_against_scalar(_LOCKSTEP_SPECS, 1e-10)
     assert differ
+
+
+# one batch at three thresholds, spec by spec
+_MIXED_THRESHOLDS = [(1e6, 1e5, 3e5)[i % 3] for i in range(len(_LOCKSTEP_SPECS))]
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12])
+def test_lockstep_kernel_at_mixed_thresholds_equals_the_scalar_kernel_bit_for_bit(tol):
+    statuses, differ = _lockstep_against_scalar(_LOCKSTEP_SPECS, tol, _MIXED_THRESHOLDS)
+    assert differ == []
+    assert set(statuses) == {COMPLETED, BLOWUP, STEP_COLLAPSE}
+    # each threshold ends some run
+    assert {threshold for threshold, status in zip(_MIXED_THRESHOLDS, statuses)
+            if status == BLOWUP} == {1e6, 1e5, 3e5}
+
+
+def test_lockstep_kernel_keeping_a_finished_specs_threshold_is_caught(mutate):
+    # a threshold column left out of drop outlives its spec: the columns
+    # after it no longer line up with their specs
+    mutate(ode_core, "integrate_lockstep",
+           "oms, thresholds, index = drop(\n"
+           "                    leaving, t, h, y, k1, err_prev, exps, facs, oms, thresholds, index)",
+           "oms, index = drop(\n"
+           "                    leaving, t, h, y, k1, err_prev, exps, facs, oms, index)")
+    with pytest.raises(ValueError, match="broadcast"):
+        _lockstep_against_scalar(_LOCKSTEP_SPECS, 1e-10, _MIXED_THRESHOLDS)
+
+
+def test_lockstep_kernel_crossing_at_another_specs_threshold_is_caught(mutate):
+    # one threshold for every crossing passes a batch at one threshold; in
+    # the mixed batch a run ends below its own threshold, which its record
+    # refuses
+    mutate(ode_core, "integrate_lockstep", "_crossing(\n                            thresholds[j]",
+           "_crossing(\n                            thresholds[0]")
+    assert _lockstep_against_scalar(_LOCKSTEP_SPECS, 1e-10)[1] == []
+    with pytest.raises(IntegrationError, match="requires final max"):
+        _lockstep_against_scalar(_LOCKSTEP_SPECS, 1e-10, _MIXED_THRESHOLDS)
 
 
 @pytest.mark.parametrize("kwargs", [dict(tol=1e-2), dict(blowup_threshold=1.5),
@@ -469,6 +509,64 @@ def test_damped_bounds_near_pq_1_take_their_true_values():
     log_curve = np.log([report.lower_bound_curve(t) for t in range(400, 701)])
     assert np.all(np.isfinite(log_curve))
     assert np.all((0.0 < np.diff(log_curve)) & (np.diff(log_curve) < 1.0))
+
+
+def _scalar_curve(curve, t: float) -> float:
+    """The lower-bound curve's formula at one time, in Python floats and the
+    math module, on the constants ``curve`` closes over."""
+    c = inspect.getclosurevars(curve).nonlocals
+    A, B, D, decay, omega = c["A"], c["B"], c["D"], c["decay"], c["omega"]
+    pp, qq, shift = c["pp"], c["qq"], c["shift"]
+    base = A - B * (t if decay == 0.0 else -math.expm1(-decay * t) / decay)
+    if base <= 0.0:
+        return math.inf
+    try:
+        return math.exp(-omega * t / pp) * (base ** (-qq / D) - shift)
+    except OverflowError:
+        return (power_product((math.e, -omega * t / pp), (base, -qq / D))
+                - math.exp(-omega * t / pp) * shift)
+
+
+_NEAR_PQ_1 = CoupledODESpec(p=1.00001, q=1.00001, C_p=1, C_q=1, omega=1, f0=2, g0=1)
+
+
+def _curve_cases():
+    """(report, times) of an undamped and a damped run's nodes, each with
+    times past the pole, and of the near-pq = 1 curve whose power alone
+    overflows past t = 503."""
+    for spec in (WORKED, WORKED_DAMPED):
+        report = (damped_bounds if spec.omega else undamped_bounds)(spec)
+        times = integrate_coupled(spec, t_end=4.0).times
+        yield report, np.concatenate([times, report.lifespan_bound * np.array([1.0, 1.5, 3.0])])
+    yield damped_bounds(_NEAR_PQ_1), np.linspace(400.0, 700.0, 301)
+
+
+@pytest.mark.parametrize("case", [0, 1, 2], ids=["undamped", "damped", "power_overflows"])
+def test_lower_bound_curve_on_an_array_equals_the_scalar_formula(case):
+    report, times = list(_curve_cases())[case]
+    curve = report.lower_bound_curve(times)
+    loop = np.array([_scalar_curve(report.lower_bound_curve, t) for t in times.tolist()])
+    assert curve.tobytes() == loop.tobytes()
+    if case < 2:
+        assert times.size > 300 and np.isinf(curve[-3:]).all() and np.isfinite(curve[:-3]).all()
+    else:  # the power alone overflows at the last time, the curve does not
+        c = inspect.getclosurevars(report.lower_bound_curve).nonlocals
+        base = c["A"] - c["B"] * -math.expm1(-c["decay"] * times[-1].item()) / c["decay"]
+        with pytest.raises(OverflowError):
+            base ** (-c["qq"] / c["D"])
+        assert np.isfinite(curve).all()
+    for i in range(0, times.size, 50):  # a float in, a float out
+        value = report.lower_bound_curve(times[i].item())
+        assert type(value) is float and np.float64(value).tobytes() == loop[i].tobytes()
+
+
+def test_lower_bound_curve_with_np_exp_is_caught(mutate):
+    # np.exp differs from libm's exp in the last bit on a few percent of inputs
+    mutate(ode_core, "_bound_report", "_libm(math.exp, -omega * ts / pp)",
+           "np.exp(-omega * ts / pp)")
+    report, times = list(_curve_cases())[1]
+    loop = np.array([_scalar_curve(report.lower_bound_curve, t) for t in times.tolist()])
+    assert report.lower_bound_curve(times).tobytes() != loop.tobytes()
 
 
 def test_damped_bounds_just_above_the_ordering_term_are_real():
