@@ -20,8 +20,8 @@ without comparison pairs and a sweep threshold below the pairs'.
 ``OFF_UNIT`` covers
 complex beta, unequal alpha and n = 1 and 2;
 ``TORUS_OFF_UNIT`` covers complex alpha and beta, n = 1 and 2, padded and
-unpadded, ``constant_plus_mode`` and ``fourier_mode`` data, with the final
-fields written as snapshots.  ``TORUS_LADDERS`` are ``torus_homogeneous``
+unpadded, ``constant_plus_mode`` and ``fourier_mode`` data, q = 1.5 and
+p = q = 2 and 3, with the final fields written as snapshots.  ``TORUS_LADDERS`` are ``torus_homogeneous``
 ladders with complex alpha and beta at n = 1 and 2, one with a time budget
 short enough that its rungs stop with different statuses (``completed``
 and ``blow_up_threshold_reached``).  ``EUCLID_LADDERS`` are ``euclid``
@@ -113,10 +113,10 @@ def _pair(z):
     return [z.real, z.imag]
 
 
-def _torus_off_unit(n, pad, data, t_end):
+def _torus_off_unit(n, pad, data, t_end, p=2, q=1.5):
     return {
         "schema_version": 1,
-        "params": {"n": n, "p": 2, "q": 1.5,
+        "params": {"n": n, "p": p, "q": q,
                    "alpha1": _pair(-1 + 0.5j), "alpha2": _pair(-0.7 - 0.2j),
                    "beta1": _pair(0.6 + 0.8j), "beta2": _pair(-2j)},
         "grid": {"modes": 64 if n == 1 else 32},
@@ -132,11 +132,15 @@ _BUMPED = {"kind": "constant_plus_mode", "u": _pair(0.6 + 0.8j), "v": _pair(-0.7
 _MODE = {"kind": "fourier_mode", "amplitude": _pair(0.5 + 0.5j), "mode": 2}
 
 # torus-run off the unit coefficients: complex alpha and beta, final fields
-# written as snapshots
+# written as snapshots; q = 1.5, and p = q = 2 and 3, where the stepper and
+# the derivatives take one power of both fields (numpy squares for 2)
 TORUS_OFF_UNIT = {
     f"{kind}_{n}d{'_padded' if pad else ''}": _torus_off_unit(n, pad, data, t_end)
     for kind, data, t_end in (("bumped", _BUMPED, 5.0), ("mode", _MODE, 0.5))
     for n in (1, 2) for pad in (False, True)
+} | {
+    f"bumped_p{p}_{n}d{'_padded' if pad else ''}": _torus_off_unit(n, pad, _BUMPED, 5.0, p, p)
+    for p in (2, 3) for n in (1, 2) for pad in (False, True)
 }
 
 

@@ -11,7 +11,6 @@ per-state machine check.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from numbers import Integral, Real
 
@@ -103,15 +102,13 @@ def state_from_arrays(grid: TorusGrid, u, v, t: float = 0.0) -> PairState:
     return PairState(fields, t)
 
 
-def _resize_spectrum(ah: np.ndarray, modes: int, size: int, n: int) -> np.ndarray:
-    """Copy the ``modes`` retained coefficients per axis of the last ``n`` axes
-    of ``ah`` into zeros of ``size`` points per axis: zero padding or
-    truncation.  norm="forward" coefficients need no rescaling either way."""
-    half = modes // 2
-    out = np.zeros(ah.shape[:-n] + (size,) * n, dtype=complex)
-    for corner in itertools.product((slice(None, half), slice(-half, None)), repeat=n):
-        out[(..., *corner)] = ah[(..., *corner)]
-    return out
+def _bands(a: np.ndarray, axis: int, band=slice(None, None, 2)) -> np.ndarray:
+    """The view of ``a`` with its ``axis`` (negative, of size 3h) split into
+    three bands of h indices, at ``band`` of them: by default the outer two,
+    [0, h) and [2h, 3h), which on a 3/2-padded axis hold the retained modes
+    in the order of the unpadded axis of 2h, split into (2, h)."""
+    shape = a.shape[:axis] + (3, a.shape[axis] // 3) + a.shape[axis:][1:]
+    return a.reshape(shape)[(..., band) + (slice(None),) * -axis]
 
 
 class TorusStepper:
@@ -119,8 +116,9 @@ class TorusStepper:
     the linear symbols ``alpha_i k^2`` and ``beta_i`` of both fields stacked
     on a leading axis, and the propagators of the last dt.  The state is the
     stacked pair ``PairState.fields``, so a step transforms the state itself
-    and each transform of the pair is one FFT call.  A batch of states is
-    transformed the same way, all its rungs in one call."""
+    and each transform of the pair is one FFT call, but for the padded
+    nonlinearity of n = 2, which makes one call per 1-d pass.  A batch of
+    states is transformed the same way, all its rungs in one call."""
 
     def __init__(self, grid: TorusGrid, params: SystemParams, pad: bool = False):
         if grid.n != params.n:
@@ -135,10 +133,8 @@ class TorusStepper:
         self.lin = np.stack((params.alpha1 * k2, params.alpha2 * k2))
         self.beta = np.array((params.beta1, params.beta2)).reshape((2,) + (1,) * grid.n)
         self._dt = self._propagators = None
-        # the nonlinearity's fields, powers and their spectra: held, as fresh
-        # stacked 2-d arrays cost page faults on every transform; sized to
-        # the batch it is given
-        self._size = (3 * grid.modes // 2 if pad else grid.modes,) * grid.n
+        # the nonlinearity's work arrays: held, as fresh stacked 2-d arrays
+        # cost page faults on every transform; sized to the batch it is given
         self._work = None
 
     def check_grid(self, state: PairState) -> None:
@@ -170,24 +166,82 @@ class TorusStepper:
         return (np.fft.ifftn(a, axes=(-2, -1), norm="forward", out=out) if self.grid.n == 2
                 else np.fft.ifft(a, norm="forward", out=out))
 
+    def spectrum(self, state: PairState) -> np.ndarray:
+        """The forward spectrum of ``state``'s fields, computed once per
+        node and kept on it, read-only, so the node's zero-mode check and
+        the step from it share one transform.  It is keyed by the fields it
+        transforms, so the node holds no stepper, and a copy recomputes it."""
+        if state.held is None or state.held[0] is not state.fields:
+            yh = self.fft(state.fields)
+            yh.flags.writeable = False
+            state.held = (state.fields, yh)
+        return state.held[1]
+
+    def _work_arrays(self, shape):
+        """The work arrays for the spectra of ``shape``: the fields and
+        their powers on the (padded) grid and, when ``pad``, the spectra
+        spread to the padded size along the last axis (zero between the
+        bands, only the rows that hold retained modes when n = 2) and the
+        truncated spectra of the powers."""
+        n, modes = self.grid.n, self.grid.modes
+        if not self.pad:
+            return np.empty((2,) + shape, dtype=complex), None, None
+        size, pairs = 3 * modes // 2, shape[:-n]
+        rows = (2, modes // 2) if n == 2 else ()
+        return (np.empty((2,) + pairs + (size,) * n, dtype=complex),
+                np.zeros(pairs + rows + (size,), dtype=complex),
+                np.empty(shape, dtype=complex))
+
     def nonlinearity(self, yh):
         """Spectra of beta1 |v|^p and beta2 |u|^q from the stacked spectra of
         u and v, evaluated on the 3/2-padded grid when ``pad``."""
-        n, modes = self.grid.n, self.grid.modes
-        shape = yh.shape[:-n] + self._size
-        if self._work is None or self._work.shape[1:] != shape:
-            self._work = np.empty((3,) + shape, dtype=complex)
-        y, powers, nh = self._work
+        n = self.grid.n
+        if self._work is None or self._work[0].shape[1:-n] != yh.shape[:-n]:
+            self._work = self._work_arrays(yh.shape)
+        (y, powers), spread, nh = self._work
         if self.pad:
-            yh = _resize_spectrum(yh, modes, 3 * modes // 2, n)
-        self.ifft(yh, y)
-        u, v, _ = PAIR_INDEX[n]
-        powers[u] = np.abs(y[v]) ** self.p
-        powers[v] = np.abs(y[u]) ** self.q
-        self.fft(powers, nh)
+            _padded_ifft(yh, spread, y, n)
+        else:
+            self.ifft(yh, y)
+        u, v, reversed_pair = PAIR_INDEX[n]
+        if self.p == self.q:
+            powers[...] = np.abs(y[reversed_pair]) ** self.p
+        else:
+            powers[u] = np.abs(y[v]) ** self.p
+            powers[v] = np.abs(y[u]) ** self.q
         if self.pad:
-            nh = _resize_spectrum(nh, modes, modes, n)
-        return self.beta * nh
+            return self.beta * _truncated_fft(powers, nh, n)
+        return self.beta * self.fft(powers, powers)
+
+
+# The padded transforms run their 1-d passes as ``ifftn`` and ``fftn`` do,
+# axis -1 then axis -2, but for n = 2 only on the rows (inverse) and columns
+# (forward) that hold retained modes: the others are zero or dropped.
+
+def _padded_ifft(yh: np.ndarray, spread: np.ndarray, y: np.ndarray, n: int) -> None:
+    """Into ``y``, the fields on the 3/2-padded grid of the spectra ``yh``
+    on n axes, through ``spread``, zero between the bands of retained modes
+    on its last axis and for n = 2 only the rows of ``y`` that hold them."""
+    retained = _bands(spread, -1)
+    retained[...] = yh.reshape(retained.shape)
+    if n == 1:
+        np.fft.ifft(spread, norm="forward", out=y)
+        return
+    np.fft.ifft(spread, norm="forward", out=_bands(y, -2))
+    _bands(y, -2, 1)[...] = 0.0  # the rows of no retained mode
+    np.fft.ifft(y, axis=-2, norm="forward", out=y)
+
+
+def _truncated_fft(powers: np.ndarray, out: np.ndarray, n: int) -> np.ndarray:
+    """Into ``out``, the retained modes of the spectra of ``powers`` on the
+    3/2-padded grid of n axes, transformed in place."""
+    np.fft.fft(powers, norm="forward", out=powers)
+    retained = _bands(powers, -1)
+    if n == 2:
+        np.fft.fft(retained, axis=-3, norm="forward", out=retained)
+        retained = _bands(retained, -3)
+    out.reshape(retained.shape)[...] = retained
+    return out
 
 
 def torus_step(state: PairState, stepper: TorusStepper, dt) -> PairState:
@@ -199,7 +253,7 @@ def torus_step(state: PairState, stepper: TorusStepper, dt) -> PairState:
     e, e2 = stepper.propagators(dt)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        yh = stepper.fft(state.fields)
+        yh = stepper.spectrum(state)
         n1 = stepper.nonlinearity(yh)
         n2 = stepper.nonlinearity(e * (yh + 0.5 * h * n1))
         n3 = stepper.nonlinearity(e * yh + 0.5 * h * n2)
@@ -212,7 +266,8 @@ def torus_step(state: PairState, stepper: TorusStepper, dt) -> PairState:
 
 def _grid_means(a: np.ndarray, n: int) -> np.ndarray:
     """The means of ``a`` over its last n (grid) axes, all rungs in one call."""
-    return a.reshape(a.shape[:a.ndim - n] + (-1,)).mean(axis=-1)
+    flat = a.reshape(a.shape[:a.ndim - n] + (-1,))
+    return flat.sum(axis=-1) / flat.shape[-1]  # what ndarray.mean computes
 
 
 def _real_parts(coefs, means, batched: bool) -> tuple:
@@ -250,10 +305,14 @@ def functional_derivatives(state: PairState, params: SystemParams) -> tuple:
     Laplacian term has exactly zero mean; only the nonlinearity remains.
     Per-rung lists for a batch."""
     n, vol = params.n, _volume(state, params)
+    if params.p == params.q:  # one power of the reversed pair
+        means = _grid_means(np.abs(state.fields[PAIR_INDEX[n][2]]) ** params.p, n).T
+    else:
+        means = (_grid_means(np.abs(state.v) ** params.p, n),
+                 _grid_means(np.abs(state.u) ** params.q, n))
     return _real_parts((np.conj(params.beta1) * params.beta1 * vol,
                         np.conj(params.beta2) * params.beta2 * vol),
-                       (_grid_means(np.abs(state.v) ** params.p, n),
-                        _grid_means(np.abs(state.u) ** params.q, n)), bool(state.batch_shape))
+                       means, bool(state.batch_shape))
 
 
 def laplacian_zero_mode(state: PairState, stepper: TorusStepper):
@@ -261,7 +320,7 @@ def laplacian_zero_mode(state: PairState, stepper: TorusStepper):
     the exactness that drives the mean-field growth inequality.  A list of
     one per rung for a batch."""
     stepper.check_grid(state)
-    lap = stepper.ifft(stepper.lin * stepper.fft(state.fields))
+    lap = stepper.ifft(stepper.lin * stepper.spectrum(state))
     U, V = _zero_modes(lap, stepper.params, stepper.grid.volume)
     if not state.batch_shape:
         return max(abs(U), abs(V))

@@ -117,7 +117,7 @@ def test_criterion_3_bound_dominance_sweep():
             lifespan = ode_core.tail_corrected_lifespan(traj, spec)
             assert lifespan <= report.lifespan_bound * (1 + 1e-9)
         assert traj.times[-1] <= report.lifespan_bound
-        curve = np.array([report.lower_bound_curve(t) for t in traj.times])
+        curve = report.lower_bound_curve(traj.times)
         margin = traj.g - (curve - 1e-9)
         assert np.all(margin >= 0)
         worst_gap = min(worst_gap, report.lifespan_bound - traj.times[-1])

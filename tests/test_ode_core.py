@@ -447,7 +447,7 @@ def test_undamped_curve_dominated_by_trajectory():
     report = undamped_bounds(spec)
     assert report.hypothesis_satisfied
     traj = integrate_coupled(spec, t_end=50.0, tol=1e-12, blowup_threshold=1e6)
-    curve = np.array([report.lower_bound_curve(t) for t in traj.times])
+    curve = report.lower_bound_curve(traj.times)
     assert np.all(traj.g >= curve - 1e-9 * (1 + traj.g))
     fcurve = np.array([report.f_lower_bound_curve(t) for t in traj.times])
     assert np.all(traj.f >= fcurve - 1e-9 * (1 + traj.f))
@@ -647,7 +647,7 @@ def test_damped_bound_has_undamped_limit():
 def test_damped_curve_dominated_by_trajectory():
     report = damped_bounds(WORKED_DAMPED)
     traj = integrate_coupled(WORKED_DAMPED, t_end=10.0, tol=1e-12, blowup_threshold=1e6)
-    curve = np.array([report.lower_bound_curve(t) for t in traj.times])
+    curve = report.lower_bound_curve(traj.times)
     assert np.all(traj.g >= curve - 1e-9 * (1 + traj.g))
 
 
@@ -799,7 +799,7 @@ def test_sampled_bound_dominance_sweep():
                                  tol=1e-12, blowup_threshold=1e6)
         assert traj.status == BLOWUP
         assert traj.times[-1] <= report.lifespan_bound
-        curve = np.array([report.lower_bound_curve(t) for t in traj.times])
+        curve = report.lower_bound_curve(traj.times)
         assert np.all(traj.g >= curve - 1e-9 * (1 + traj.g))
 
 

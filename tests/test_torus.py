@@ -1,3 +1,5 @@
+import itertools
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +9,7 @@ from cgl_blowup import torus
 from cgl_blowup.errors import IntegrationError, ValidationError
 from cgl_blowup.ode_core import (BLOWUP, COMPLETED, STEP_COLLAPSE, SingleODESpec,
                                  single_blowup_solution)
-from cgl_blowup.system import FunctionalSeries, SystemParams
+from cgl_blowup.system import PAIR_INDEX, FunctionalSeries, SystemParams
 from cgl_blowup.torus import (
     TorusGrid,
     TorusStepper,
@@ -257,6 +259,70 @@ def test_padded_nonlinearity_matches_on_smooth_data():
     assert np.max(np.abs(plain.u - padded.u)) < 1e-10
 
 
+def _resize_spectrum(ah, modes, size, n):
+    """The ``modes`` retained coefficients per axis of the last n axes of
+    ``ah`` copied into zeros of ``size`` points per axis."""
+    half = modes // 2
+    out = np.zeros(ah.shape[:-n] + (size,) * n, dtype=complex)
+    for corner in itertools.product((slice(None, half), slice(-half, None)), repeat=n):
+        out[(..., *corner)] = ah[(..., *corner)]
+    return out
+
+
+def _padded_nonlinearity_by_whole_transforms(stepper, yh):
+    """The padded nonlinearity through whole padded transforms: the spectra
+    zero-padded, ``ifftn``, one power per field, ``fftn``, truncated."""
+    n, modes = stepper.grid.n, stepper.grid.modes
+    padded = _resize_spectrum(yh, modes, 3 * modes // 2, n)
+    y = (np.fft.ifftn(padded, axes=(-2, -1), norm="forward") if n == 2
+         else np.fft.ifft(padded, norm="forward"))
+    u, v, _ = PAIR_INDEX[n]
+    powers = np.empty_like(y)
+    powers[u] = np.abs(y[v]) ** stepper.p
+    powers[v] = np.abs(y[u]) ** stepper.q
+    nh = (np.fft.fftn(powers, axes=(-2, -1), norm="forward") if n == 2
+          else np.fft.fft(powers, norm="forward"))
+    return stepper.beta * _resize_spectrum(nh, modes, modes, n)
+
+
+def _padded_nonlinearity_matches(n, modes, p, q):
+    """Whether one padded stepper's nonlinearity gives, as bytes, the
+    spectra of the whole padded transforms, for two single states and then
+    two batches of 3, each spectrum drawn at random."""
+    params = SystemParams(n=n, p=p, q=q, alpha1=-1 - 0.3j, alpha2=-0.5,
+                          beta1=0.8 + 0.6j, beta2=-0.6 + 0.8j)
+    stepper = TorusStepper(make_grid(n, modes), params, pad=True)
+    rng = np.random.default_rng(modes + n)
+    for batch in ((), (), (3,), (3,)):
+        yh = rng.standard_normal(batch + (2,) + (modes,) * n + (2,)).view(complex)[..., 0]
+        expected = _padded_nonlinearity_by_whole_transforms(stepper, yh)
+        if stepper.nonlinearity(yh).tobytes() != expected.tobytes():
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("modes", [16, 64])
+@pytest.mark.parametrize("p, q", [(2, 2), (3, 3), (2.5, 1.5)])
+def test_padded_nonlinearity_gives_the_bits_of_the_whole_padded_transforms(n, modes, p, q):
+    assert _padded_nonlinearity_matches(n, modes, p, q)
+
+
+@pytest.mark.parametrize("function, old, new", [
+    # the first band of rows transformed along axis -1, the second left stale
+    ("_padded_ifft", 'np.fft.ifft(spread, norm="forward", out=_bands(y, -2))',
+     'np.fft.ifft(spread[..., :1, :, :], norm="forward", out=_bands(y, -2)[..., :1, :, :])'),
+    # the rows between the bands left as the last transform wrote them
+    ("_padded_ifft", "_bands(y, -2, 1)[...] = 0.0", "pass"),
+    # the first band of columns transformed along axis -2, the second not
+    ("_truncated_fft", 'np.fft.fft(retained, axis=-3, norm="forward", out=retained)',
+     'np.fft.fft(retained[..., :1, :], axis=-3, norm="forward", out=retained[..., :1, :])'),
+])
+def test_a_padded_transform_that_misses_a_band_is_caught(function, old, new, mutate):
+    mutate(torus, function, old, new)
+    assert not _padded_nonlinearity_matches(2, 16, 2, 2)
+
+
 # The observed order of the IF-RK4 step on 64 modes, p = q = 2, with data
 # 1 + 0.5 cos x + 0.2 sin 3x and 0.8 + 0.3 cos 2x: fixed steps of 0.02, 0.01
 # and 0.005 to t = 0.2 against a run at dt 1e-4.  Measured 4.00 with real
@@ -450,6 +516,57 @@ def test_run_sets_up_once_and_transforms_both_fields_together(monkeypatch):
     dt_changes = sum(a != b for a, b in zip(dts, dts[1:]))
     assert dt_changes < len(dts) // 2  # most steps run at dt_max
     assert counts == {"fft": 10 * len(dts), "k2": 1, "exp": 1 + dt_changes}
+
+
+def test_a_checked_run_transforms_each_node_once_for_its_check_and_its_step(monkeypatch):
+    calls = []
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        function = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda *a, f=function, **k: calls.append(1) or f(*a, **k))
+    steps = _recorded_steps(monkeypatch)
+    run = run_torus(HEAT, _bumped_state(make_grid(1, 32), 0.5), t_end=3.0,
+                    dt_max=1e-2, field_threshold=1e3)
+    assert run.status == BLOWUP
+    # the step's 10 and the check's inverse transform; the last node is
+    # checked and not stepped from
+    assert len(calls) == 11 * len(steps) + 2
+    for node, _, _ in steps:
+        assert node.held[0] is node.fields and not node.held[1].flags.writeable
+
+
+def test_a_pickled_node_holds_no_stepper_and_its_copy_recomputes_the_spectrum():
+    grid = make_grid(1, 32)
+    run = run_torus(HEAT, _bumped_state(grid, 0.5), t_end=3.0, dt_max=1e-2,
+                    field_threshold=1e3)
+    final = run.final_state
+    assert final.held is not None  # kept by the check of the last node
+    data = pickle.dumps(final)
+    assert b"TorusStepper" not in data
+    copy = pickle.loads(data)
+    assert copy.held[0] is not copy.fields  # the copy's fields are a new view
+    stepper = TorusStepper(grid, HEAT)
+    spectrum = stepper.spectrum(copy)
+    assert copy.held[0] is copy.fields
+    assert spectrum.tobytes() == stepper.spectrum(final).tobytes()
+    assert torus_step(copy, stepper, 1e-3).fields.tobytes() == torus_step(
+        final, stepper, 1e-3).fields.tobytes()
+
+
+@pytest.mark.parametrize("n,modes,pad", [(1, 32, True), (2, 16, False)])
+def test_a_checked_batch_gives_each_rung_its_unchecked_runs_bits(n, modes, pad):
+    # rungs leave the batch mid-way, as in the lockstep test; a checked node
+    # lends its spectrum to the step from it, an unchecked one takes its own
+    params = SystemParams(n=n, p=2, q=1.5, alpha1=-1 - 0.3j, alpha2=-0.5,
+                          beta1=0.8 + 0.6j, beta2=-0.6 + 0.8j)
+    rungs = [_bumped_state(make_grid(n, modes), a) for a in (1.2, 0.5, 2.0, 0.8)]
+    run = dict(t_end=2.0, dt_max=1e-2, field_threshold=1e3, pad=pad)
+    batch = run_torus(params, stack_states(rungs), **run)
+    alone = [run_torus(params, rung, check_zero_mode=False, **run) for rung in rungs]
+    assert [r.status for r in batch] == [BLOWUP, COMPLETED, BLOWUP, COMPLETED]
+    for together, single in zip(batch, alone):
+        assert np.array_equal(_bits(together), _bits(single))
+        assert together.final_state.fields.tobytes() == single.final_state.fields.tobytes()
+        assert together.lap_zero_mode_max < 1e-12 and single.lap_zero_mode_max == 0.0
 
 
 def test_a_step_transforms_the_state_itself(monkeypatch):
